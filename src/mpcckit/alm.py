@@ -30,13 +30,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pgrad
-from .compgeo import (_make_projector_onto_D, _make_stationarity_D,
-                      project_onto_C, project_onto_D, stationarity_distance)
+from .compgeo import project_onto_C, stationarity_distance
 from .core import MultiplierSet, QuadraticMpcc
 
 __all__ = [
     "AlmConfig",
-    "AlmState",
     "AlmResult",
     "SolverTrace",
     "TraceRow",
@@ -96,18 +94,6 @@ class SolverTrace:
 
 
 @dataclass
-class AlmState:
-    x: np.ndarray
-    z_g: np.ndarray | None
-    z_h: np.ndarray | None
-    multipliers: MultiplierSet
-    safeguarded: MultiplierSet
-    rho: float
-    k: int
-    last_V: float
-
-
-@dataclass
 class AlmResult:
     x: np.ndarray
     z_g: np.ndarray | None
@@ -119,7 +105,6 @@ class AlmResult:
     final_V: float
     final_rho: float
     trace: SolverTrace
-    state: AlmState
 
 
 def _resolve_mode(problem: QuadraticMpcc, cfg: AlmConfig) -> str:
@@ -160,21 +145,10 @@ def augmented_lagrangian(problem: QuadraticMpcc, point, rho: float,
     formulation) or plain x (length n, slack-free); the formulation is
     inferred from the length.
     """
-    x, z_g, z_h = _split_point(problem, point)
-    g = problem.g(x)
-    h = problem.h(x)
-    sg = np.maximum(g + safeguarded.lam / rho, 0.0)
-    sh = h + safeguarded.eta / rho
-    f_val, grad_x = problem.f_grad(x)
-    value = f_val + 0.5 * rho * (sg @ sg + sh @ sh)
-    grad_x = grad_x + rho * (problem.A_g.T @ sg + problem.A_h.T @ sh)
-    if z_g is None:
-        return float(value), grad_x
-    r_g = problem.G(x) - z_g + safeguarded.mu / rho
-    r_h = problem.H(x) - z_h + safeguarded.nu / rho
-    value += 0.5 * rho * (r_g @ r_g + r_h @ r_h)
-    grad_x += rho * (problem.A_G.T @ r_g + problem.A_H.T @ r_h)
-    return float(value), np.concatenate([grad_x, -rho * r_g, -rho * r_h])
+    point = np.asarray(point, dtype=float)
+    _, z_g, _ = _split_point(problem, point)  # rejects any other length
+    build = _oracle_factory(problem, slack=z_g is not None)
+    return build(rho, safeguarded)(point)
 
 
 def _as_operator(mat: np.ndarray):
@@ -185,7 +159,7 @@ def _as_operator(mat: np.ndarray):
 
 
 def _oracle_factory(problem: QuadraticMpcc, slack: bool):
-    """build(rho, hat) -> fast penalty oracle, matching augmented_lagrangian.
+    """build(rho, hat) -> penalty oracle, the value and gradient at a point.
 
     The subproblem solver evaluates the penalty hundreds of thousands of
     times, so the constraint matrices are bound once (CSR when sparse) and
@@ -276,9 +250,9 @@ def update_multipliers(problem: QuadraticMpcc, new_point, rho: float,
     return MultiplierSet(lam, eta, mu, nu)
 
 
-def _identity_gap(problem, point, rho, safeguarded, m_new) -> float:
+def _identity_gap(problem, point, oracle, m_new) -> float:
     """|grad of the penalty - grad of the Lagrangian at the updated multipliers|."""
-    _, grad_rho = augmented_lagrangian(problem, point, rho, safeguarded)
+    _, grad_rho = oracle(point)
     x, z_g, _ = _split_point(problem, point)
     grad_x = (problem.grad_f(x) + problem.A_g.T @ m_new.lam
               + problem.A_h.T @ m_new.eta)
@@ -314,8 +288,7 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
         pairs = problem.pair_partition() if t else None
         point = x0.copy()
         if pairs:
-            projector = _make_projector_onto_D(pairs)
-            stat_fn = _make_stationarity_D(pairs, n)
+            projector, stat_fn = pairs.project, pairs.stationarity
         else:
             def projector(p):
                 return np.array(p, dtype=float)
@@ -343,7 +316,6 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
     v_guard = math.inf
     k = 0
     status = None
-    hat = safeguard_multipliers(m, cfg.safeguard_bound)
     while True:
         if k > 0 and v_guard <= cfg.tau_alm:
             status = "converged"
@@ -371,7 +343,7 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
             wall_time=time.perf_counter() - tic, rho=rho,
             sub_iters=sub_iters, sub_stat=sub_stat,
             sub_converged=bool(sub_stat <= eps_k),
-            identity_gap=_identity_gap(problem, new_point, rho, hat, m_new),
+            identity_gap=_identity_gap(problem, new_point, oracle, m_new),
             penalty_increased=increased))
         point, m, prev_v_hat = new_point, m_new, v_hat
         rho = rho * cfg.gamma if increased else rho
@@ -380,8 +352,6 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
     x, z_g, z_h = _split_point(problem, point)
     final_rho = trace.rows[-1].rho if trace.rows else rho
     final_v = v_guard if math.isfinite(v_guard) else math.inf
-    state = AlmState(x=x, z_g=z_g, z_h=z_h, multipliers=m,
-                     safeguarded=hat, rho=final_rho, k=k, last_V=final_v)
     return AlmResult(x=x, z_g=z_g, z_h=z_h, multipliers=m, status=status,
                      iterations=k, objective=problem.f(x), final_V=final_v,
-                     final_rho=final_rho, trace=trace, state=state)
+                     final_rho=final_rho, trace=trace)

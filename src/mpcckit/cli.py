@@ -220,19 +220,13 @@ def read_table_csv(path):
         return list(csv.DictReader(fh))
 
 
-def _dataclass_from(d: dict, cls, current):
-    return replace(current, **d) if d else current
-
-
 def _config_from_sources(file_cfg: dict, args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     cfg = replace(cfg,
-                  ioc=_dataclass_from(file_cfg.get("ioc", {}), IocParams, cfg.ioc),
-                  alm=_dataclass_from(file_cfg.get("alm", {}), AlmConfig, cfg.alm),
-                  newton=_dataclass_from(file_cfg.get("newton", {}), NewtonConfig,
-                                         cfg.newton),
-                  pgrad=_dataclass_from(file_cfg.get("pgrad", {}), PgradConfig,
-                                        cfg.pgrad))
+                  ioc=replace(cfg.ioc, **file_cfg.get("ioc", {})),
+                  alm=replace(cfg.alm, **file_cfg.get("alm", {})),
+                  newton=replace(cfg.newton, **file_cfg.get("newton", {})),
+                  pgrad=replace(cfg.pgrad, **file_cfg.get("pgrad", {})))
     for key in ("instance", "wa", "algorithm", "out", "warmstart_tau",
                 "classify_tol"):
         if key in file_cfg:

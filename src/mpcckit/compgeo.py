@@ -57,6 +57,7 @@ class PairPartition:
             raise ValueError("pair coordinate indices must be pairwise distinct")
         if not np.all(np.abs(np.concatenate([self.sign_g, self.sign_h])) == 1.0):
             raise ValueError("pair signs must be +-1")
+        object.__setattr__(self, "_free", {})  # point length -> free indices
 
     @property
     def t(self) -> int:
@@ -91,6 +92,36 @@ class PairPartition:
         b = self.sign_h * x[self.idx_h] + self.off_h
         return a, b
 
+    def project(self, x) -> np.ndarray:
+        """Nearest point of D; see project_onto_D."""
+        out = np.array(x, dtype=float)
+        a, b = self.values(out)
+        pa, pb = project_onto_C(a, b)
+        out[self.idx_g] = self.sign_g * (pa - self.off_g)
+        out[self.idx_h] = self.sign_h * (pb - self.off_h)
+        return out
+
+    def stationarity(self, point: np.ndarray, grad: np.ndarray,
+                     tol: float = 1e-6) -> float:
+        """dist(-grad, N_D(point)) for float arrays; see stationarity_distance.
+
+        The subproblem solver calls this hundreds of thousands of times, so
+        the indices of the coordinates outside the pairs are computed once
+        per point length.
+        """
+        idx_free = self._free.get(point.size)
+        if idx_free is None:
+            free = np.ones(point.size, dtype=bool)
+            free[self.idx_g] = False
+            free[self.idx_h] = False
+            idx_free = self._free[point.size] = np.flatnonzero(free)
+        a, b = self.values(point)
+        p = self.sign_g * -grad[self.idx_g]
+        q = self.sign_h * -grad[self.idx_h]
+        pair_d = _pair_cone_distances(a, b, p, q, tol)
+        gf = grad[idx_free]
+        return float(np.sqrt(np.sum(gf ** 2) + np.sum(pair_d ** 2)))
+
 
 def project_pair(a: float, b: float) -> tuple[float, float]:
     """Nearest point of {(s, u) : s >= 0, u >= 0, su = 0}; ties go to (a, 0)."""
@@ -119,12 +150,7 @@ def project_onto_D(x, pairs: PairPartition) -> np.ndarray:
     moved by the planar projection mapped through the (isometric) signed,
     offset coordinate change.
     """
-    out = np.array(x, dtype=float)
-    a, b = pairs.values(out)
-    pa, pb = project_onto_C(a, b)
-    out[pairs.idx_g] = pairs.sign_g * (pa - pairs.off_g)
-    out[pairs.idx_h] = pairs.sign_h * (pb - pairs.off_h)
-    return out
+    return pairs.project(x)
 
 
 def _pair_cone_distances(a, b, p, q, tol):
@@ -155,55 +181,6 @@ def normal_cone_distance_pair(a: float, b: float, p: float, q: float,
     return float(d[0])
 
 
-def _make_projector_onto_D(pairs: PairPartition):
-    """Closure form of project_onto_D with the pair structure prebound.
-
-    Identical arithmetic to the public function; exists because the
-    augmented-Lagrangian subproblem calls the projection hundreds of
-    thousands of times.
-    """
-    idx_g, idx_h = pairs.idx_g, pairs.idx_h
-    sign_g, sign_h = pairs.sign_g, pairs.sign_h
-    off_g, off_h = pairs.off_g, pairs.off_h
-
-    def proj(x):
-        out = np.array(x, dtype=float)
-        a = sign_g * out[idx_g] + off_g
-        b = sign_h * out[idx_h] + off_h
-        d_first = np.minimum(a, 0.0) ** 2 + b * b
-        d_second = a * a + np.minimum(b, 0.0) ** 2
-        first = d_first <= d_second
-        pa = np.where(first, np.maximum(a, 0.0), 0.0)
-        pb = np.where(first, 0.0, np.maximum(b, 0.0))
-        out[idx_g] = sign_g * (pa - off_g)
-        out[idx_h] = sign_h * (pb - off_h)
-        return out
-
-    return proj
-
-
-def _make_stationarity_D(pairs: PairPartition, n: int, tol: float = 1e-6):
-    """Closure form of the D-domain stationarity measure (prebound indices)."""
-    idx_g, idx_h = pairs.idx_g, pairs.idx_h
-    sign_g, sign_h = pairs.sign_g, pairs.sign_h
-    off_g, off_h = pairs.off_g, pairs.off_h
-    free = np.ones(n, dtype=bool)
-    free[idx_g] = False
-    free[idx_h] = False
-    idx_free = np.flatnonzero(free)
-
-    def stat(point, grad):
-        a = sign_g * point[idx_g] + off_g
-        b = sign_h * point[idx_h] + off_h
-        p = sign_g * -grad[idx_g]
-        q = sign_h * -grad[idx_h]
-        pair_d = _pair_cone_distances(a, b, p, q, tol)
-        gf = grad[idx_free]
-        return float(np.sqrt(np.sum(gf ** 2) + np.sum(pair_d ** 2)))
-
-    return stat
-
-
 def stationarity_distance(grad, point, pairs: PairPartition | None = None,
                           t: int = 0, tol: float = 1e-6) -> float:
     """Distance of -grad to the limiting normal cone of the domain at point.
@@ -216,18 +193,11 @@ def stationarity_distance(grad, point, pairs: PairPartition | None = None,
     """
     grad = np.asarray(grad, dtype=float)
     point = np.asarray(point, dtype=float)
-    minus = -grad
     if pairs is not None:
-        a, b = pairs.values(point)
-        p = pairs.sign_g * minus[pairs.idx_g]
-        q = pairs.sign_h * minus[pairs.idx_h]
-        pair_d = _pair_cone_distances(a, b, p, q, tol)
-        free = np.ones(point.size, dtype=bool)
-        free[pairs.idx_g] = False
-        free[pairs.idx_h] = False
-        return float(np.sqrt(np.sum(grad[free] ** 2) + np.sum(pair_d ** 2)))
+        return pairs.stationarity(point, grad, tol)
     if t == 0:
         return float(np.linalg.norm(grad))
+    minus = -grad
     n_free = point.size - 2 * t
     pair_d = _pair_cone_distances(point[n_free:n_free + t], point[n_free + t:],
                                   minus[n_free:n_free + t], minus[n_free + t:], tol)

@@ -224,9 +224,14 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
     x = np.asarray(x, dtype=float)
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
-    grad = (problem.grad_f(x) + problem.A_g.T @ m.lam + problem.A_h.T @ m.eta
-            + problem.A_G.T @ m.mu + problem.A_H.T @ m.nu)
+    grad = _grad_lagrangian(problem, x, m.lam, m.eta, m.mu, m.nu)
     return float(value), grad, problem.Q
+
+
+def _grad_lagrangian(problem: QuadraticMpcc, x, lam, eta, mu, nu) -> np.ndarray:
+    """grad_x L alone; the Newton residuals need no Lagrangian value."""
+    return (problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
+            + problem.A_G.T @ mu + problem.A_H.T @ nu)
 
 
 def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
@@ -366,14 +371,28 @@ def _encode_matrix(mat: np.ndarray):
     return [[float(v) for v in row] for row in mat]
 
 
-def _decode_matrix(obj, rows: int, cols: int) -> np.ndarray:
-    if isinstance(obj, dict):
-        mat = np.zeros(tuple(obj["shape"]))
-        for i, j, v in obj["entries"]:
-            mat[int(i), int(j)] = float(v)
-        return mat
-    mat = np.asarray(obj, dtype=float)
-    return mat.reshape(rows, cols)
+def _finite(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} holds a NaN or infinite value")
+    return arr
+
+
+def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
+    if not isinstance(obj, dict):
+        return _finite(obj, name).reshape(rows, cols)
+    shape = tuple(int(k) for k in obj["shape"])
+    if shape != (rows, cols):
+        raise ValueError(f"{name}: coordinate-list shape {shape} "
+                         f"does not match {(rows, cols)}")
+    mat = np.zeros(shape)
+    for i, j, v in obj["entries"]:
+        i, j = int(i), int(j)
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{name}: coordinate-list index ({i}, {j}) "
+                             f"out of range for shape {shape}")
+        mat[i, j] = float(v)
+    return _finite(mat, name)
 
 
 def save_instance(problem: QuadraticMpcc, path) -> None:
@@ -404,17 +423,18 @@ def load_instance(path) -> QuadraticMpcc:
     if doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
     n, r, s, t = (int(doc[k]) for k in ("n", "r", "s", "t"))
+    obj = doc["objective"]
     return QuadraticMpcc(
         n=n, r=r, s=s, t=t,
-        Q=_decode_matrix(doc["objective"]["Q"], n, n),
-        q=np.asarray(doc["objective"]["q"], dtype=float),
-        c0=float(doc["objective"]["c0"]),
-        A_g=_decode_matrix(doc["ineq"]["A"], r, n),
-        b_g=np.asarray(doc["ineq"]["b"], dtype=float),
-        A_h=_decode_matrix(doc["eq"]["A"], s, n),
-        b_h=np.asarray(doc["eq"]["b"], dtype=float),
-        A_G=_decode_matrix(doc["comp_G"]["A"], t, n),
-        b_G=np.asarray(doc["comp_G"]["b"], dtype=float),
-        A_H=_decode_matrix(doc["comp_H"]["A"], t, n),
-        b_H=np.asarray(doc["comp_H"]["b"], dtype=float),
+        Q=_decode_matrix(obj["Q"], n, n, "Q"),
+        q=_finite(obj["q"], "q"),
+        c0=float(_finite(obj["c0"], "c0")),
+        A_g=_decode_matrix(doc["ineq"]["A"], r, n, "A_g"),
+        b_g=_finite(doc["ineq"]["b"], "b_g"),
+        A_h=_decode_matrix(doc["eq"]["A"], s, n, "A_h"),
+        b_h=_finite(doc["eq"]["b"], "b_h"),
+        A_G=_decode_matrix(doc["comp_G"]["A"], t, n, "A_G"),
+        b_G=_finite(doc["comp_G"]["b"], "b_G"),
+        A_H=_decode_matrix(doc["comp_H"]["A"], t, n, "A_H"),
+        b_H=_finite(doc["comp_H"]["b"], "b_H"),
         coordinate_selection=bool(doc.get("coordinate_selection", False)))

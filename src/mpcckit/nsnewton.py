@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .alm import SolverTrace, TraceRow
-from .core import MultiplierSet, QuadraticMpcc, eval_lagrangian
+from .core import MultiplierSet, QuadraticMpcc, _grad_lagrangian
 
 __all__ = [
     "FullPoint",
@@ -141,52 +141,49 @@ def ncp_fb(a, b):
     return np.sqrt(np.square(a) + np.square(b)) - a - b
 
 
-def _sgn1(v: float) -> float:
-    # derivative selection for |t|: sign with sign(0) := +1
-    return 1.0 if v >= 0.0 else -1.0
+# Candidate bank of the pair residual, one (value, axis, sign) triple a row:
+# -a, -b, |a|, |b|, |mu|, |nu|, mu, nu, where axis indexes (a, b, mu, nu) and
+# sign 0 stands for sign(value of that axis).
+_BANK_AXIS = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+_BANK_SIGN = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+# psi1 = max(-a, |b|, |mu|), psi2 = max(-b, |a|, |nu|), psi3 = max(|a|, |b|,
+# mu, nu); the short rows repeat their first candidate, which a tie keeps
+_PSI = np.array([[0, 3, 4, 0], [1, 2, 5, 1], [2, 3, 6, 7]])
+_PSI_ROW = np.arange(3)[:, None]
+# phi2 = min of two candidates chosen by the axis of phi1's candidate:
+# (|b|, |nu|), (|a|, |mu|), |b| alone, |a| alone
+_PHI2 = np.array([[3, 2, 3, 2], [5, 4, 3, 2]])
 
 
-def _pick_max(pairs):
-    """(value, row) of the first argument attaining the maximum, written order."""
-    top = max(v for v, _ in pairs)
-    for v, row in pairs:
-        if v == top:
-            return v, row
+def _phi_vec(a, b, mu, nu):
+    """phi over all pairs: values (t, 2) and derivative rows (t, 2, 4).
 
-
-def _pick_min(pairs):
-    """(value, row) of the smallest attaining index of the minimum."""
-    low = min(v for v, _ in pairs)
-    for v, row in pairs:
-        if v == low:
-            return v, row
+    np.argmax / np.argmin return the first attaining candidate, which is the
+    selection rule of the module docstring.
+    """
+    z = np.array([a, b, mu, nu])
+    cols = np.arange(z.shape[1])
+    vals = np.concatenate((-z[:2], np.abs(z), z[2:]))
+    psi = _PSI[_PSI_ROW, vals[_PSI].argmax(axis=1)]
+    k1 = psi[vals[psi, cols].argmin(axis=0), cols]
+    cand = _PHI2[:, _BANK_AXIS[k1]]
+    k2 = cand[vals[cand, cols].argmin(axis=0), cols]
+    picked = np.stack((k1, k2), axis=1)
+    pair = cols[:, None]
+    axis = _BANK_AXIS[picked]
+    sign = _BANK_SIGN[picked]
+    sign = np.where(sign == 0.0, np.where(z[axis, pair] >= 0.0, 1.0, -1.0),
+                    sign)  # sign(0) := +1
+    rows = np.zeros((cols.size, 2, 4))
+    rows[pair, (0, 1), axis] = sign
+    return vals[picked, pair], rows
 
 
 def phi(a: float, b: float, mu: float, nu: float):
     """Pairwise M-stationarity residual (phi1, phi2) and its 2x4 derivative."""
-    psi1 = _pick_max([(-a, (-1.0, 0.0, 0.0, 0.0)),
-                      (abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
-                      (abs(mu), (0.0, 0.0, _sgn1(mu), 0.0))])
-    psi2 = _pick_max([(-b, (0.0, -1.0, 0.0, 0.0)),
-                      (abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
-                      (abs(nu), (0.0, 0.0, 0.0, _sgn1(nu)))])
-    psi3 = _pick_max([(abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
-                      (abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
-                      (mu, (0.0, 0.0, 1.0, 0.0)),
-                      (nu, (0.0, 0.0, 0.0, 1.0))])
-    phi1, row1 = _pick_min([psi1, psi2, psi3])
-    axis = int(np.argmax(np.abs(row1)))
-    if axis == 0:
-        phi2, row2 = _pick_min([(abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
-                                (abs(nu), (0.0, 0.0, 0.0, _sgn1(nu)))])
-    elif axis == 1:
-        phi2, row2 = _pick_min([(abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
-                                (abs(mu), (0.0, 0.0, _sgn1(mu), 0.0))])
-    elif axis == 2:
-        phi2, row2 = abs(b), (0.0, _sgn1(b), 0.0, 0.0)
-    else:
-        phi2, row2 = abs(a), (_sgn1(a), 0.0, 0.0, 0.0)
-    return np.array([phi1, phi2]), np.array([row1, row2])
+    vals, rows = _phi_vec(np.array([a], dtype=float), np.array([b], dtype=float),
+                          np.array([mu], dtype=float), np.array([nu], dtype=float))
+    return vals[0], rows[0]
 
 
 def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
@@ -230,16 +227,12 @@ def _top_template(problem: QuadraticMpcc, total_rows: int) -> np.ndarray:
 def _residual(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     x, lam, eta, mu, nu = _split(problem, v)
-    _, grad_l, _ = eval_lagrangian(problem, x, MultiplierSet(lam, eta, mu, nu))
+    grad_l = _grad_lagrangian(problem, x, lam, eta, mu, nu)
     out = np.empty(n + r + s + 2 * t)
     out[:n] = grad_l
     out[n:n + r] = ncp_min(-problem.g(x), lam)
     out[n + r:n + r + s] = problem.h(x)
-    G, H = problem.G(x), problem.H(x)
-    base = n + r + s
-    for i in range(t):
-        vals, _ = phi(G[i], H[i], mu[i], nu[i])
-        out[base + 2 * i:base + 2 * i + 2] = vals
+    out[n + r + s:] = _phi_vec(problem.G(x), problem.H(x), mu, nu)[0].ravel()
     return out
 
 
@@ -248,29 +241,27 @@ def _assemble_df(problem: QuadraticMpcc, v: np.ndarray,
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     df = template.copy()
     x, lam, eta, mu, nu = _split(problem, v)
-    g = problem.g(x)
-    for i in range(r):
-        # min(-g_i, lam_i): smallest attaining index wins ties
-        if -g[i] <= lam[i]:
-            df[n + i, :n] = -problem.A_g[i]
-        else:
-            df[n + i, n + i] = 1.0
-    G, H = problem.G(x), problem.H(x)
+    # min(-g_i, lam_i): smallest attaining index wins ties
+    g_side = -problem.g(x) <= lam
+    df[n + np.flatnonzero(g_side), :n] = -problem.A_g[g_side]
+    lam_side = n + np.flatnonzero(~g_side)
+    df[lam_side, lam_side] = 1.0
+    _, rows = _phi_vec(problem.G(x), problem.H(x), mu, nu)
     base = n + r + s
-    for i in range(t):
-        _, rows = phi(G[i], H[i], mu[i], nu[i])
-        for k in range(2):
-            rr = base + 2 * i + k
-            df[rr, :n] = rows[k, 0] * problem.A_G[i] + rows[k, 1] * problem.A_H[i]
-            df[rr, base + i] = rows[k, 2]
-            df[rr, base + t + i] = rows[k, 3]
+    pair = np.arange(t)
+    for k in range(2):
+        block = df[base + k:base + 2 * t:2]  # row k of every pair, a view
+        np.multiply(rows[:, k, 0, None], problem.A_G, out=block[:, :n])
+        block[:, :n] += rows[:, k, 1, None] * problem.A_H
+        block[pair, base + pair] = rows[:, k, 2]
+        block[pair, base + t + pair] = rows[:, k, 3]
     return df
 
 
 def _fb_residual(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     x, lam, eta, mu, nu = _split(problem, v)
-    _, grad_l, _ = eval_lagrangian(problem, x, MultiplierSet(lam, eta, mu, nu))
+    grad_l = _grad_lagrangian(problem, x, lam, eta, mu, nu)
     out = np.empty(n + r + s + 4 * t)
     out[:n] = grad_l
     out[n:n + r] = ncp_fb(-problem.g(x), lam)
@@ -294,27 +285,26 @@ def _fb_jacobian(problem: QuadraticMpcc, v: np.ndarray,
         du, dv = _fb_partials(-problem.g(x), lam)
         jac[n:n + r, :n] = -du[:, None] * problem.A_g
         jac[np.arange(n, n + r), np.arange(n, n + r)] = dv
-    G, H = problem.G(x), problem.H(x)
+    a, b = problem.G(x), problem.H(x)
     base = n + r + s
-    mu_col = n + r + s
-    nu_col = n + r + s + t
-    for i in range(t):
-        a, b, m_i, n_i = G[i], H[i], mu[i], nu[i]
-        r0 = base + 4 * i
-        p = float(ncp_fb(a, b))
-        d1a, d1b = _fb_partials(a, b)
-        sg = np.sign(p)  # |t| selection inside the merit: 0 at t = 0
-        jac[r0, :n] = sg * (d1a * problem.A_G[i] + d1b * problem.A_H[i])
-        d2u, d2v = _fb_partials(abs(a), abs(m_i))
-        jac[r0 + 1, :n] = d2u * np.sign(a) * problem.A_G[i]
-        jac[r0 + 1, mu_col + i] = d2v * np.sign(m_i)
-        d3u, d3v = _fb_partials(abs(b), abs(n_i))
-        jac[r0 + 2, :n] = d3u * np.sign(b) * problem.A_H[i]
-        jac[r0 + 2, nu_col + i] = d3v * np.sign(n_i)
-        if not (m_i <= 0.0 and n_i <= 0.0):
-            d4u, d4v = _fb_partials(abs(m_i), abs(n_i))
-            jac[r0 + 3, mu_col + i] = d4u * np.sign(m_i)
-            jac[r0 + 3, nu_col + i] = d4v * np.sign(n_i)
+    pair = np.arange(t)
+    mu_col, nu_col = base + pair, base + t + pair
+    # row k of the theta block of every pair, as views into jac
+    r1, r2, r3, r4 = (jac[base + k:base + 4 * t:4] for k in range(4))
+    d1a, d1b = _fb_partials(a, b)
+    np.multiply(d1a[:, None], problem.A_G, out=r1[:, :n])
+    r1[:, :n] += d1b[:, None] * problem.A_H
+    r1[:, :n] *= np.sign(ncp_fb(a, b))[:, None]  # |t| in the merit: 0 at 0
+    d2u, d2v = _fb_partials(np.abs(a), np.abs(mu))
+    np.multiply((d2u * np.sign(a))[:, None], problem.A_G, out=r2[:, :n])
+    r2[pair, mu_col] = d2v * np.sign(mu)
+    d3u, d3v = _fb_partials(np.abs(b), np.abs(nu))
+    np.multiply((d3u * np.sign(b))[:, None], problem.A_H, out=r3[:, :n])
+    r3[pair, nu_col] = d3v * np.sign(nu)
+    d4u, d4v = _fb_partials(np.abs(mu), np.abs(nu))
+    both_nonpositive = (mu <= 0.0) & (nu <= 0.0)
+    r4[pair, mu_col] = np.where(both_nonpositive, 0.0, d4u * np.sign(mu))
+    r4[pair, nu_col] = np.where(both_nonpositive, 0.0, d4v * np.sign(nu))
     return jac
 
 
@@ -374,8 +364,6 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     full = damped = grad_steps = 0
     it = 0
     status = None
-    norm_f = float("inf")
-    merit_val = float("inf")
     while True:
         f_res = _residual(problem, v)
         norm_f = float(np.linalg.norm(f_res))
@@ -440,6 +428,4 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     return NewtonResult(
         z=FullPoint.from_vector(problem, v), status=status, iterations=it,
         full_steps=full, damped_steps=damped, gradient_steps=grad_steps,
-        final_residual=norm_f,
-        final_merit=merit_val if status != "converged" else _fb_value(problem, v),
-        trace=trace)
+        final_residual=norm_f, final_merit=_fb_value(problem, v), trace=trace)

@@ -5,8 +5,6 @@ import pytest
 
 from mpcckit.compgeo import (
     PairPartition,
-    _make_projector_onto_D,
-    _make_stationarity_D,
     normal_cone_distance_pair,
     project_onto_C,
     project_onto_D,
@@ -194,34 +192,3 @@ class TestStationarityDistance:
     def test_infeasible_point_rejected(self):
         with pytest.raises(ValueError):
             stationarity_distance(np.zeros(2), np.array([1.0, 1.0]), t=1)
-
-
-class TestFastClosures:
-    """The prebound closures must agree bitwise with the public functions."""
-
-    def _random_pairs(self, rng, n, t):
-        perm = rng.permutation(n)
-        return PairPartition(
-            idx_g=perm[:t], idx_h=perm[t:2 * t],
-            off_g=rng.normal(size=t), off_h=rng.normal(size=t),
-            sign_g=rng.choice([-1.0, 1.0], size=t),
-            sign_h=rng.choice([-1.0, 1.0], size=t))
-
-    def test_projector_closure_bitwise(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n, t = 6, 2
-            pairs = self._random_pairs(rng, n, t)
-            proj = _make_projector_onto_D(pairs)
-            x = rng.normal(size=n) * 3
-            np.testing.assert_array_equal(proj(x), project_onto_D(x, pairs))
-
-    def test_stationarity_closure_bitwise(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            n, t = 6, 2
-            pairs = self._random_pairs(rng, n, t)
-            stat = _make_stationarity_D(pairs, n)
-            x = project_onto_D(rng.normal(size=n) * 3, pairs)
-            grad = rng.normal(size=n)
-            assert stat(x, grad) == stationarity_distance(grad, x, pairs=pairs)

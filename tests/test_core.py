@@ -1,5 +1,7 @@
 """Problem container, Lagrangian, index sets, and stationarity grading."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,25 @@ class TestInstanceFiles:
         path = tmp_path / "sparse.json"
         save_instance(p, path)
         np.testing.assert_array_equal(load_instance(path).Q, Q)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (0, -1, "out of range"),
+        (1, 40, "out of range"),
+        (2, float("nan"), "NaN or infinite"),
+        ("shape", [41, 40], "does not match"),
+    ], ids=["negative-index", "index-too-large", "nan-value", "shape-mismatch"])
+    def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,
+                                                   value, message):
+        Q = np.zeros((40, 40))
+        Q[3, 7] = Q[7, 3] = 1.5
+        path = tmp_path / "bad.json"
+        save_instance(QuadraticMpcc.build(Q=Q, q=np.zeros(40)), path)
+        doc = json.loads(path.read_text())
+        q_block = doc["objective"]["Q"]
+        if field == "shape":
+            q_block["shape"] = value
+        else:
+            q_block["entries"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_instance(path)

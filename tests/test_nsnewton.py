@@ -1,5 +1,7 @@
 """Nonsmooth Newton method: residual, derivatives, merit, and iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mpcckit.core import MultiplierSet, QuadraticMpcc, classify_stationarity
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
+    _phi_vec,
     merit_phi_fb,
     ncp_fb,
     ncp_min,
@@ -93,6 +96,86 @@ class TestPhi:
                    [0.0, offsets, offsets, offsets]):
             vals, _ = phi(*pt)
             assert np.linalg.norm(vals) > 0.0
+
+
+def _sgn1(v):
+    # derivative selection for |t|: sign with sign(0) := +1
+    return 1.0 if v >= 0.0 else -1.0
+
+
+def _pick_max(pairs):
+    """(value, row) of the first argument attaining the maximum, written order."""
+    top = max(v for v, _ in pairs)
+    for v, row in pairs:
+        if v == top:
+            return v, row
+
+
+def _pick_min(pairs):
+    """(value, row) of the smallest attaining index of the minimum."""
+    low = min(v for v, _ in pairs)
+    for v, row in pairs:
+        if v == low:
+            return v, row
+
+
+def _reference_phi(a, b, mu, nu):
+    """Scalar phi, one pair at a time: the specification of the pair kernel."""
+    psi1 = _pick_max([(-a, (-1.0, 0.0, 0.0, 0.0)),
+                      (abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
+                      (abs(mu), (0.0, 0.0, _sgn1(mu), 0.0))])
+    psi2 = _pick_max([(-b, (0.0, -1.0, 0.0, 0.0)),
+                      (abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
+                      (abs(nu), (0.0, 0.0, 0.0, _sgn1(nu)))])
+    psi3 = _pick_max([(abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
+                      (abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
+                      (mu, (0.0, 0.0, 1.0, 0.0)),
+                      (nu, (0.0, 0.0, 0.0, 1.0))])
+    phi1, row1 = _pick_min([psi1, psi2, psi3])
+    axis = int(np.argmax(np.abs(row1)))
+    if axis == 0:
+        phi2, row2 = _pick_min([(abs(b), (0.0, _sgn1(b), 0.0, 0.0)),
+                                (abs(nu), (0.0, 0.0, 0.0, _sgn1(nu)))])
+    elif axis == 1:
+        phi2, row2 = _pick_min([(abs(a), (_sgn1(a), 0.0, 0.0, 0.0)),
+                                (abs(mu), (0.0, 0.0, _sgn1(mu), 0.0))])
+    elif axis == 2:
+        phi2, row2 = abs(b), (0.0, _sgn1(b), 0.0, 0.0)
+    else:
+        phi2, row2 = abs(a), (_sgn1(a), 0.0, 0.0, 0.0)
+    return np.array([phi1, phi2]), np.array([row1, row2])
+
+
+class TestPairKernel:
+    """The vectorised kernel against the scalar reference, bit for bit."""
+
+    def _assert_matches_reference(self, pts):
+        vals, rows = _phi_vec(*pts.T)
+        for i, pt in enumerate(pts):
+            ref_vals, ref_rows = _reference_phi(*pt)
+            # tobytes: -0.0 and 0.0 count as different
+            assert vals[i].tobytes() == ref_vals.tobytes(), pt
+            assert rows[i].tobytes() == ref_rows.tobytes(), pt
+            one_vals, one_rows = phi(*pt)
+            assert one_vals.tobytes() == ref_vals.tobytes(), pt
+            assert one_rows.tobytes() == ref_rows.tobytes(), pt
+
+    def test_grid_with_signed_zeros(self):
+        grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+        self._assert_matches_reference(
+            np.array(list(itertools.product(grid, repeat=4))))
+
+    def test_random_points_with_forced_magnitude_ties(self):
+        rng = np.random.default_rng(59)
+        pts = rng.normal(size=(1000, 4))
+        # each coordinate keeps its draw, or takes +-m for a shared magnitude
+        # m of its point, or a signed zero
+        shared = rng.normal(size=(1000, 1))
+        choice = rng.integers(0, 3, size=(1000, 4))
+        signs = rng.choice([-1.0, 1.0], size=(1000, 4))
+        pts = np.where(choice == 1, signs * shared, pts)
+        pts = np.where(choice == 2, signs * 0.0, pts)
+        self._assert_matches_reference(pts)
 
 
 class TestTheta:
@@ -292,6 +375,20 @@ class TestSolveNewton:
         assert res.status in ("max_iters", "converged")
         if res.status == "max_iters":
             assert res.iterations == 1
+
+    def test_final_merit_is_merit_of_returned_point_after_cap(self):
+        # a capped run must not report the merit of the point before its
+        # last step
+        rng = np.random.default_rng(4001)
+        capped = 0
+        for _ in range(30):
+            p = random_tiny_mpcc(rng)
+            x0 = rng.normal(size=p.n)
+            res = solve_newton(p, NewtonConfig(max_iters=5),
+                               FullPoint.from_parts(x0, MultiplierSet.zeros(p)))
+            capped += res.status == "max_iters"
+            assert res.final_merit == merit_phi_fb(p, res.z)[0]
+        assert capped > 0
 
     def test_defaults_are_pinned(self):
         cfg = NewtonConfig()
