@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pgrad
-from .compgeo import project_onto_C, stationarity_distance
+from .compgeo import _slack_pairs
 from .core import MultiplierSet, QuadraticMpcc
 
 __all__ = [
@@ -276,25 +276,18 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
 
     if mode == "slack":
         point = np.concatenate([x0, np.zeros(2 * t)])
-
+        pairs = _slack_pairs(n, t) if t else None
+    else:
+        point = x0.copy()
+        pairs = problem.pair_partition() if t else None
+    if pairs:
+        projector, stat_fn = pairs.project, pairs.stationarity
+    else:
         def projector(p):
-            out = np.array(p, dtype=float)
-            out[n:n + t], out[n + t:] = project_onto_C(p[n:n + t], p[n + t:])
-            return out
+            return np.array(p, dtype=float)
 
         def stat_fn(p, grad):
-            return stationarity_distance(grad, p, t=t)
-    else:
-        pairs = problem.pair_partition() if t else None
-        point = x0.copy()
-        if pairs:
-            projector, stat_fn = pairs.project, pairs.stationarity
-        else:
-            def projector(p):
-                return np.array(p, dtype=float)
-
-            def stat_fn(p, grad):
-                return float(np.linalg.norm(grad))
+            return float(np.linalg.norm(grad))
 
     if subsolver is None:
         sub_cfg = pgrad_cfg or pgrad.PgradConfig()

@@ -125,11 +125,8 @@ class PairPartition:
 
 def project_pair(a: float, b: float) -> tuple[float, float]:
     """Nearest point of {(s, u) : s >= 0, u >= 0, su = 0}; ties go to (a, 0)."""
-    d_first = min(a, 0.0) ** 2 + b * b
-    d_second = a * a + min(b, 0.0) ** 2
-    if d_first <= d_second:
-        return (max(a, 0.0), 0.0)
-    return (0.0, max(b, 0.0))
+    pa, pb = project_onto_C([a], [b])
+    return (float(pa[0]), float(pb[0]))
 
 
 def project_onto_C(z_g, z_h) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +190,15 @@ def stationarity_distance(grad, point, pairs: PairPartition | None = None,
     """
     grad = np.asarray(grad, dtype=float)
     point = np.asarray(point, dtype=float)
+    if pairs is None and t:
+        pairs = _slack_pairs(point.size - 2 * t, t)
     if pairs is not None:
         return pairs.stationarity(point, grad, tol)
-    if t == 0:
-        return float(np.linalg.norm(grad))
-    minus = -grad
-    n_free = point.size - 2 * t
-    pair_d = _pair_cone_distances(point[n_free:n_free + t], point[n_free + t:],
-                                  minus[n_free:n_free + t], minus[n_free + t:], tol)
-    return float(np.sqrt(np.sum(grad[:n_free] ** 2) + np.sum(pair_d ** 2)))
+    return float(np.linalg.norm(grad))
+
+
+def _slack_pairs(n_free: int, t: int) -> PairPartition:
+    """Partition of the slack pairs (z_G, z_H) trailing n_free coordinates."""
+    return PairPartition(np.arange(n_free, n_free + t),
+                         np.arange(n_free + t, n_free + 2 * t),
+                         np.zeros(t), np.zeros(t), np.ones(t), np.ones(t))

@@ -134,12 +134,6 @@ class QuadraticMpcc:
     def grad_f(self, x) -> np.ndarray:
         return self.Q @ np.asarray(x, dtype=float) + self.q
 
-    def f_grad(self, x):
-        """(f(x), grad f(x)) sharing a single Q @ x product."""
-        x = np.asarray(x, dtype=float)
-        qx = self.Q @ x
-        return float(0.5 * x @ qx + self.q @ x + self.c0), qx + self.q
-
     def g(self, x) -> np.ndarray:
         return self.A_g @ np.asarray(x, dtype=float) + self.b_g
 
@@ -224,14 +218,9 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
     x = np.asarray(x, dtype=float)
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
-    grad = _grad_lagrangian(problem, x, m.lam, m.eta, m.mu, m.nu)
+    grad = (problem.grad_f(x) + problem.A_g.T @ m.lam + problem.A_h.T @ m.eta
+            + problem.A_G.T @ m.mu + problem.A_H.T @ m.nu)
     return float(value), grad, problem.Q
-
-
-def _grad_lagrangian(problem: QuadraticMpcc, x, lam, eta, mu, nu) -> np.ndarray:
-    """grad_x L alone; the Newton residuals need no Lagrangian value."""
-    return (problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
-            + problem.A_G.T @ mu + problem.A_H.T @ nu)
 
 
 def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,

@@ -1,20 +1,27 @@
 """Globalized nonsmooth Newton method on the M-stationarity system.
 
-The unknown is the full primal-dual point z = (x, lambda, eta, mu, nu). The
-residual stacks
+The unknown is the full primal-dual point v = (x, lambda, eta, mu, nu). Its
+affine quantities are one map w = K v + k = (grad_x L, g, h, G, H), with the
+block layout of v, where K = [[Q, A'], [A, 0]] is the symmetric KKT matrix of
+the stacked rows A = (A_g; A_h; A_G; A_H), built once per problem on first
+use. The residual stacks
 
-    F(z) = [ grad_x L(z);  min(-g_i(x), lambda_i);  h(x);  phi(pair_i) ]
+    F(v) = [ w_x;  min(-w_g, lambda);  w_h;  phi(w_G, w_H, mu, nu) ]
 
 where phi = (phi1, phi2) is a two-dimensional pairwise residual whose zero set
 is exactly the pairwise M-stationarity set
 
     {(a,0,0,nu) : a >= 0} u {(0,b,mu,0) : b >= 0} u {(0,0,mu,nu) : mu,nu <= 0},
 
-built from componentwise max/min compositions. On that set the selected
+built from componentwise max/min compositions, so each row of the Newton
+derivative DF is +-1 times a row of K or a unit row. On that set the selected
 linearization is exact in a neighborhood (the Newton iteration terminates
 finitely for piecewise linear residuals), but F is discontinuous elsewhere, so
 globalization uses the continuously differentiable merit
-Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of the same system.
+Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of the same system,
+whose gradient is the transposed product K y_w + y_v of the partials y of
+F_FB in w and v; the merit Jacobian is never formed. Each trial point is
+evaluated once, and an accepted trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -39,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .alm import SolverTrace, TraceRow
-from .core import MultiplierSet, QuadraticMpcc, _grad_lagrangian
+from .core import MultiplierSet, QuadraticMpcc
 
 __all__ = [
     "FullPoint",
@@ -156,7 +163,8 @@ _PHI2 = np.array([[3, 2, 3, 2], [5, 4, 3, 2]])
 
 
 def _phi_vec(a, b, mu, nu):
-    """phi over all pairs: values (t, 2) and derivative rows (t, 2, 4).
+    """phi over all pairs: values (t, 2), and the axis (index into (a, b,
+    mu, nu)) and sign (t, 2 each) of their derivative rows.
 
     np.argmax / np.argmin return the first attaining candidate, which is the
     selection rule of the module docstring.
@@ -174,16 +182,17 @@ def _phi_vec(a, b, mu, nu):
     sign = _BANK_SIGN[picked]
     sign = np.where(sign == 0.0, np.where(z[axis, pair] >= 0.0, 1.0, -1.0),
                     sign)  # sign(0) := +1
-    rows = np.zeros((cols.size, 2, 4))
-    rows[pair, (0, 1), axis] = sign
-    return vals[picked, pair], rows
+    return vals[picked, pair], axis, sign
 
 
 def phi(a: float, b: float, mu: float, nu: float):
     """Pairwise M-stationarity residual (phi1, phi2) and its 2x4 derivative."""
-    vals, rows = _phi_vec(np.array([a], dtype=float), np.array([b], dtype=float),
-                          np.array([mu], dtype=float), np.array([nu], dtype=float))
-    return vals[0], rows[0]
+    vals, axis, sign = _phi_vec(
+        np.array([a], dtype=float), np.array([b], dtype=float),
+        np.array([mu], dtype=float), np.array([nu], dtype=float))
+    rows = np.zeros((2, 4))
+    rows[(0, 1), axis[0]] = sign[0]
+    return vals[0], rows
 
 
 def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
@@ -194,11 +203,13 @@ def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
 
 
 def _theta_vec(a, b, mu, nu) -> np.ndarray:
-    t1 = np.abs(ncp_fb(a, b))
-    t2 = ncp_fb(np.abs(a), np.abs(mu))
-    t3 = ncp_fb(np.abs(b), np.abs(nu))
-    t4 = np.where((mu <= 0.0) & (nu <= 0.0), 0.0, ncp_fb(np.abs(mu), np.abs(nu)))
-    return np.stack([t1, t2, t3, t4], axis=1)
+    out = np.empty((a.size, 4))
+    out[:, 0] = np.abs(ncp_fb(a, b))
+    out[:, 1] = ncp_fb(np.abs(a), np.abs(mu))
+    out[:, 2] = ncp_fb(np.abs(b), np.abs(nu))
+    out[:, 3] = np.where((mu <= 0.0) & (nu <= 0.0), 0.0,
+                         ncp_fb(np.abs(mu), np.abs(nu)))
+    return out
 
 
 def _fb_partials(u, v):
@@ -210,127 +221,129 @@ def _fb_partials(u, v):
     return du, dv
 
 
-def _top_template(problem: QuadraticMpcc, total_rows: int) -> np.ndarray:
-    """Constant rows shared by DF and the merit Jacobian."""
+def _kkt(problem: QuadraticMpcc):
+    """(K, k) of w = K v + k, built on first use and kept with the problem."""
+    kkt = vars(problem).get("_kkt")
+    if kkt is None:
+        n = problem.n
+        rows = np.vstack([problem.A_g, problem.A_h, problem.A_G, problem.A_H])
+        K = np.zeros((n + len(rows),) * 2)
+        K[:n, :n] = problem.Q
+        K[:n, n:] = rows.T
+        K[n:, :n] = rows
+        k = np.concatenate([problem.q, problem.b_g, problem.b_h,
+                            problem.b_G, problem.b_H])
+        kkt = (K, k)
+        object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
+    return kkt
+
+
+def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
+    """K y, skipping the zero block K[n:, n:]. The rows of A are multiplied
+    as in problem.g(x) and the others, which gives their bits (a stacked
+    product can round differently), so a tie -g_i = lambda_i is one tie."""
+    n, x = problem.n, y[:problem.n]
+    return np.concatenate((_kkt(problem)[0][:n] @ y, problem.A_g @ x,
+                           problem.A_h @ x, problem.A_G @ x, problem.A_H @ x))
+
+
+def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
+    """w = K v + k = (grad_x L, g, h, G, H) at v."""
+    return _kkt_times(problem, v) + _kkt(problem)[1]
+
+
+def _residual(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
+              fb: bool = False) -> np.ndarray:
+    """F at v (F_FB if fb), given w = K v + k."""
+    n, r, s = problem.n, problem.r, problem.s
+    _, g, _, a, b = _split(problem, w)
+    _, lam, _, mu, nu = _split(problem, v)
+    if fb:
+        ncp, pair = ncp_fb(-g, lam), _theta_vec(a, b, mu, nu)
+    else:
+        ncp, pair = ncp_min(-g, lam), _phi_vec(a, b, mu, nu)[0]
+    return np.concatenate((w[:n], ncp, w[n + r:n + r + s], pair.ravel()))
+
+
+def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
+    """(v, w, F_FB, merit) at v, the one evaluation of each point."""
+    w = _affine(problem, v)
+    res = _residual(problem, w, v, fb=True)
+    return v, w, res, float(0.5 * res @ res)
+
+
+def _derivative(problem: QuadraticMpcc, w: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
+    """DF at v: row i is sign_i times row src_i of K, or the unit row
+    sign_i e_{src_i}."""
+    K, _ = _kkt(problem)
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    width = n + r + s + 2 * t
-    out = np.zeros((total_rows, width))
-    out[:n, :n] = problem.Q
-    out[:n, n:n + r] = problem.A_g.T
-    out[:n, n + r:n + r + s] = problem.A_h.T
-    out[:n, n + r + s:n + r + s + t] = problem.A_G.T
-    out[:n, n + r + s + t:] = problem.A_H.T
-    out[n + r:n + r + s, :n] = problem.A_h
-    return out
-
-
-def _residual(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    x, lam, eta, mu, nu = _split(problem, v)
-    grad_l = _grad_lagrangian(problem, x, lam, eta, mu, nu)
-    out = np.empty(n + r + s + 2 * t)
-    out[:n] = grad_l
-    out[n:n + r] = ncp_min(-problem.g(x), lam)
-    out[n + r:n + r + s] = problem.h(x)
-    out[n + r + s:] = _phi_vec(problem.G(x), problem.H(x), mu, nu)[0].ravel()
-    return out
-
-
-def _assemble_df(problem: QuadraticMpcc, v: np.ndarray,
-                 template: np.ndarray) -> np.ndarray:
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    df = template.copy()
-    x, lam, eta, mu, nu = _split(problem, v)
+    _, g, _, a, b = _split(problem, w)
+    _, lam, _, mu, nu = _split(problem, v)
+    src = np.arange(K.shape[0])
+    sign = np.ones(K.shape[0])
+    unit = np.zeros(K.shape[0], dtype=bool)
     # min(-g_i, lam_i): smallest attaining index wins ties
-    g_side = -problem.g(x) <= lam
-    df[n + np.flatnonzero(g_side), :n] = -problem.A_g[g_side]
-    lam_side = n + np.flatnonzero(~g_side)
-    df[lam_side, lam_side] = 1.0
-    _, rows = _phi_vec(problem.G(x), problem.H(x), mu, nu)
+    g_side = -g <= lam
+    sign[n:n + r][g_side] = -1.0
+    unit[n:n + r] = ~g_side
+    # phi rows pick a, b, mu or nu of pair i: the row of G_i or H_i in K, or
+    # the column of mu_i or nu_i, which share the index base + i (+ t)
+    _, axis, pair_sign = _phi_vec(a, b, mu, nu)
     base = n + r + s
-    pair = np.arange(t)
-    for k in range(2):
-        block = df[base + k:base + 2 * t:2]  # row k of every pair, a view
-        np.multiply(rows[:, k, 0, None], problem.A_G, out=block[:, :n])
-        block[:, :n] += rows[:, k, 1, None] * problem.A_H
-        block[pair, base + pair] = rows[:, k, 2]
-        block[pair, base + t + pair] = rows[:, k, 3]
+    src[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)).ravel()
+    sign[base:] = pair_sign.ravel()
+    unit[base:] = (axis >= 2).ravel()
+    df = np.take(K, src, axis=0)
+    np.negative(df, out=df, where=(sign < 0.0)[:, None])
+    df[unit] = 0.0
+    df[unit, src[unit]] = sign[unit]
     return df
 
 
-def _fb_residual(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
+def _merit_gradient(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
+                    res: np.ndarray) -> np.ndarray:
+    """Gradient of 1/2 |F_FB|^2 at v: K y_w + y_v, where y_w and y_v are the
+    transposed partials of F_FB with respect to w and v applied to res."""
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    x, lam, eta, mu, nu = _split(problem, v)
-    grad_l = _grad_lagrangian(problem, x, lam, eta, mu, nu)
-    out = np.empty(n + r + s + 4 * t)
-    out[:n] = grad_l
-    out[n:n + r] = ncp_fb(-problem.g(x), lam)
-    out[n + r:n + r + s] = problem.h(x)
-    if t:
-        out[n + r + s:] = _theta_vec(problem.G(x), problem.H(x), mu, nu).ravel()
-    return out
-
-
-def _fb_value(problem: QuadraticMpcc, v: np.ndarray) -> float:
-    res = _fb_residual(problem, v)
-    return float(0.5 * res @ res)
-
-
-def _fb_jacobian(problem: QuadraticMpcc, v: np.ndarray,
-                 template: np.ndarray) -> np.ndarray:
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    jac = template.copy()
-    x, lam, eta, mu, nu = _split(problem, v)
-    if r:
-        du, dv = _fb_partials(-problem.g(x), lam)
-        jac[n:n + r, :n] = -du[:, None] * problem.A_g
-        jac[np.arange(n, n + r), np.arange(n, n + r)] = dv
-    a, b = problem.G(x), problem.H(x)
+    _, g, _, a, b = _split(problem, w)
+    _, lam, _, mu, nu = _split(problem, v)
     base = n + r + s
-    pair = np.arange(t)
-    mu_col, nu_col = base + pair, base + t + pair
-    # row k of the theta block of every pair, as views into jac
-    r1, r2, r3, r4 = (jac[base + k:base + 4 * t:4] for k in range(4))
+    y_w = res[:w.size].copy()  # right for the identity rows w_x and w_h
+    y_v = np.zeros_like(v)
+    du, dv = _fb_partials(-g, lam)
+    y_w[n:n + r] = -du * res[n:n + r]
+    y_v[n:n + r] = dv * res[n:n + r]
+    r1, r2, r3, r4 = res[base:].reshape(t, 4).T
     d1a, d1b = _fb_partials(a, b)
-    np.multiply(d1a[:, None], problem.A_G, out=r1[:, :n])
-    r1[:, :n] += d1b[:, None] * problem.A_H
-    r1[:, :n] *= np.sign(ncp_fb(a, b))[:, None]  # |t| in the merit: 0 at 0
     d2u, d2v = _fb_partials(np.abs(a), np.abs(mu))
-    np.multiply((d2u * np.sign(a))[:, None], problem.A_G, out=r2[:, :n])
-    r2[pair, mu_col] = d2v * np.sign(mu)
     d3u, d3v = _fb_partials(np.abs(b), np.abs(nu))
-    np.multiply((d3u * np.sign(b))[:, None], problem.A_H, out=r3[:, :n])
-    r3[pair, nu_col] = d3v * np.sign(nu)
     d4u, d4v = _fb_partials(np.abs(mu), np.abs(nu))
-    both_nonpositive = (mu <= 0.0) & (nu <= 0.0)
-    r4[pair, mu_col] = np.where(both_nonpositive, 0.0, d4u * np.sign(mu))
-    r4[pair, nu_col] = np.where(both_nonpositive, 0.0, d4v * np.sign(nu))
-    return jac
-
-
-def _fb_template(problem: QuadraticMpcc) -> np.ndarray:
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    return _top_template(problem, n + r + s + 4 * t)
+    s1 = np.sign(ncp_fb(a, b)) * r1  # |t| in the merit: 0 at 0
+    y_w[base:base + t] = d1a * s1 + d2u * np.sign(a) * r2
+    y_w[base + t:] = d1b * s1 + d3u * np.sign(b) * r3
+    # r4 is exactly 0 where mu, nu <= 0, which drops the fourth row there
+    y_v[base:base + t] = np.sign(mu) * (d2v * r2 + d4u * r4)
+    y_v[base + t:] = np.sign(nu) * (d3v * r3 + d4v * r4)
+    return _kkt_times(problem, y_w) + y_v
 
 
 def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
     """Residual of the M-stationarity system at the full point z."""
-    return _residual(problem, _as_vec(problem, z))
+    v = _as_vec(problem, z)
+    return _residual(problem, _affine(problem, v), v)
 
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    template = _top_template(problem, n + r + s + 2 * t)
-    return _assemble_df(problem, _as_vec(problem, z), template)
+    v = _as_vec(problem, z)
+    return _derivative(problem, _affine(problem, v), v)
 
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
     """Value and exact gradient of the C^1 merit 1/2 |F_FB|^2."""
-    v = _as_vec(problem, z)
-    res = _fb_residual(problem, v)
-    jac = _fb_jacobian(problem, v, _fb_template(problem))
-    return float(0.5 * res @ res), jac.T @ res
+    v, w, res, value = _evaluate(problem, _as_vec(problem, z))
+    return value, _merit_gradient(problem, w, v, res)
 
 
 def _solve_linear(df: np.ndarray, rhs: np.ndarray, pivot_tol: float):
@@ -358,14 +371,14 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     cfg = config or NewtonConfig()
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     v = _as_vec(problem, z0) if z0 is not None else np.zeros(n + r + s + 2 * t)
-    df_template = _top_template(problem, n + r + s + 2 * t)
-    fb_template = _fb_template(problem)
+    point = _evaluate(problem, v)
     trace = SolverTrace()
-    full = damped = grad_steps = 0
+    steps = dict.fromkeys(("full_newton", "damped_newton", "gradient"), 0)
     it = 0
     status = None
     while True:
-        f_res = _residual(problem, v)
+        v, w, res_fb, merit_val = point
+        f_res = _residual(problem, w, v)
         norm_f = float(np.linalg.norm(f_res))
         if norm_f <= cfg.tau_nsn:
             status = "converged"
@@ -374,58 +387,49 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "max_iters"
             break
         tic = time.perf_counter()
-        res_fb = _fb_residual(problem, v)
-        merit_val = float(0.5 * res_fb @ res_fb)
-        merit_grad = _fb_jacobian(problem, v, fb_template).T @ res_fb
+        merit_grad = _merit_gradient(problem, w, v, res_fb)
         grad_norm = float(np.linalg.norm(merit_grad))
         if grad_norm <= cfg.merit_grad_tol:
             status = "stationary_merit"
             break
 
-        df = _assemble_df(problem, v, df_template)
-        direction = _solve_linear(df, -f_res, cfg.pivot_tol)
-        step_type = None
+        direction = _solve_linear(_derivative(problem, w, v), -f_res,
+                                  cfg.pivot_tol)
         alpha = 1.0
-        if direction is not None and \
-                _fb_value(problem, v + direction) <= cfg.q_nsn * merit_val:
-            v = v + direction
+        trial = None if direction is None else _evaluate(problem, v + direction)
+        if trial is not None and trial[3] <= cfg.q_nsn * merit_val:
             step_type = "full_newton"
-            full += 1
         else:
             if direction is None or float(merit_grad @ direction) > \
                     -cfg.angle_rho * float(np.linalg.norm(direction)) * grad_norm:
                 direction = -merit_grad
                 step_type = "gradient"
+                trial = _evaluate(problem, v + direction)
             else:
-                step_type = "damped_newton"
+                step_type = "damped_newton"  # alpha = 1 is the full step's trial
             slope = float(merit_grad @ direction)
-            alpha = 1.0
             backtracks = 0
-            while _fb_value(problem, v + alpha * direction) > \
-                    merit_val + cfg.armijo_sigma * alpha * slope:
+            while trial[3] > merit_val + cfg.armijo_sigma * alpha * slope:
                 alpha *= cfg.armijo_beta
                 backtracks += 1
                 if backtracks > cfg.max_backtracks:
                     status = "line_search_failure"
                     break
-            if status is not None:
-                trace.append(TraceRow(k=it, objective=problem.f(v[:n]),
-                                      residual=norm_f, merit=merit_val,
-                                      step_type=step_type, alpha=alpha,
-                                      wall_time=time.perf_counter() - tic))
-                break
-            v = v + alpha * direction
-            if step_type == "gradient":
-                grad_steps += 1
-            else:
-                damped += 1
-        trace.append(TraceRow(k=it, objective=problem.f(v[:n]),
+                trial = _evaluate(problem, v + alpha * direction)
+        if status is None:
+            point = trial
+            steps[step_type] += 1
+        trace.append(TraceRow(k=it, objective=problem.f(point[0][:n]),
                               residual=norm_f, merit=merit_val,
                               step_type=step_type, alpha=alpha,
                               wall_time=time.perf_counter() - tic))
+        if status is not None:
+            break
         it += 1
 
     return NewtonResult(
-        z=FullPoint.from_vector(problem, v), status=status, iterations=it,
-        full_steps=full, damped_steps=damped, gradient_steps=grad_steps,
-        final_residual=norm_f, final_merit=_fb_value(problem, v), trace=trace)
+        z=FullPoint.from_vector(problem, point[0]), status=status,
+        iterations=it, full_steps=steps["full_newton"],
+        damped_steps=steps["damped_newton"],
+        gradient_steps=steps["gradient"], final_residual=norm_f,
+        final_merit=point[3], trace=trace)

@@ -17,6 +17,15 @@ def _in_C(a, b, tol=0.0):
     return a >= -tol and b >= -tol and abs(a * b) <= tol
 
 
+def _reference_project_pair(a, b):
+    """Scalar nearest point of C2, one pair at a time; ties go to (a, 0)."""
+    d_first = min(a, 0.0) ** 2 + b * b
+    d_second = a * a + min(b, 0.0) ** 2
+    if d_first <= d_second:
+        return (max(a, 0.0), 0.0)
+    return (0.0, max(b, 0.0))
+
+
 class TestProjectPair:
     def test_negative_orthant_projects_to_origin(self):
         assert project_pair(-1.0, -2.0) == (0.0, 0.0)
@@ -64,7 +73,8 @@ class TestProjectOntoC:
         b = rng.uniform(-4, 4, size=40)
         pa, pb = project_onto_C(a, b)
         for i in range(a.size):
-            assert (pa[i], pb[i]) == project_pair(a[i], b[i])
+            assert (pa[i], pb[i]) == _reference_project_pair(a[i], b[i])
+            assert project_pair(a[i], b[i]) == (pa[i], pb[i])
 
     def test_optimality_against_sampled_feasible_points(self):
         rng = np.random.default_rng(3)

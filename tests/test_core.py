@@ -49,14 +49,6 @@ class TestProblemContainer:
                                 A_H=[[0.0, 1.0]], b_H=[0.0],
                                 coordinate_selection=True)
 
-    def test_f_grad_shares_value_and_gradient(self):
-        rng = np.random.default_rng(0)
-        p = random_tiny_mpcc(rng)
-        x = rng.normal(size=p.n)
-        value, grad = p.f_grad(x)
-        assert value == p.f(x)
-        np.testing.assert_array_equal(grad, p.grad_f(x))
-
 
 class TestEvalLagrangian:
     def test_reduces_to_objective_with_zero_multipliers(self):

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers_tiny import random_tiny_mpcc
-from mpcckit.core import MultiplierSet, QuadraticMpcc, classify_stationarity
+from helpers_tiny import point_in_D, random_tiny_mpcc
+from mpcckit.core import (MultiplierSet, QuadraticMpcc, classify_stationarity,
+                          eval_lagrangian)
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
@@ -150,7 +151,9 @@ class TestPairKernel:
     """The vectorised kernel against the scalar reference, bit for bit."""
 
     def _assert_matches_reference(self, pts):
-        vals, rows = _phi_vec(*pts.T)
+        vals, axis, sign = _phi_vec(*pts.T)
+        rows = np.zeros((len(pts), 2, 4))
+        rows[np.arange(len(pts))[:, None], (0, 1), axis] = sign
         for i, pt in enumerate(pts):
             ref_vals, ref_rows = _reference_phi(*pt)
             # tobytes: -0.0 and 0.0 count as different
@@ -330,6 +333,142 @@ class TestMeritPhiFB:
             value, _ = merit_phi_fb(p, v)
             fb_zero = np.sqrt(2.0 * value) <= 1e-12
             assert f_zero == fb_zero
+
+
+def _reference_template(p, total_rows):
+    """Constant rows shared by the dense DF and the dense merit Jacobian."""
+    n, r, s, t = p.n, p.r, p.s, p.t
+    out = np.zeros((total_rows, n + r + s + 2 * t))
+    out[:n, :n] = p.Q
+    out[:n, n:n + r] = p.A_g.T
+    out[:n, n + r:n + r + s] = p.A_h.T
+    out[:n, n + r + s:n + r + s + t] = p.A_G.T
+    out[:n, n + r + s + t:] = p.A_H.T
+    out[n + r:n + r + s, :n] = p.A_h
+    return out
+
+
+def _reference_df(p, v):
+    """DF written block by block into the dense template."""
+    n, r, s, t = p.n, p.r, p.s, p.t
+    z = FullPoint.from_vector(p, v)
+    df = _reference_template(p, n + r + s + 2 * t)
+    # min(-g_i, lam_i): smallest attaining index wins ties
+    g_side = -p.g(z.x) <= z.lam
+    df[n + np.flatnonzero(g_side), :n] = -p.A_g[g_side]
+    lam_side = n + np.flatnonzero(~g_side)
+    df[lam_side, lam_side] = 1.0
+    a, b = p.G(z.x), p.H(z.x)
+    base = n + r + s
+    for i in range(t):
+        _, rows = _reference_phi(a[i], b[i], z.mu[i], z.nu[i])
+        for k in range(2):
+            df[base + 2 * i + k, :n] = (rows[k, 0] * p.A_G[i]
+                                        + rows[k, 1] * p.A_H[i])
+            df[base + 2 * i + k, base + i] = rows[k, 2]
+            df[base + 2 * i + k, base + t + i] = rows[k, 3]
+    return df
+
+
+def _reference_fb_partials(u, v):
+    rn = np.hypot(u, v)
+    safe = np.where(rn > 0.0, rn, 1.0)
+    return (np.where(rn > 0.0, u / safe - 1.0, -1.0),
+            np.where(rn > 0.0, v / safe - 1.0, -1.0))
+
+
+def _reference_fb_residual(p, v):
+    z = FullPoint.from_vector(p, v)
+    _, grad_l, _ = eval_lagrangian(p, z.x, z.multipliers())
+    a, b = p.G(z.x), p.H(z.x)
+    pairs = [theta(a[i], b[i], z.mu[i], z.nu[i]) for i in range(p.t)]
+    return np.concatenate([grad_l, ncp_fb(-p.g(z.x), z.lam), p.h(z.x),
+                           *pairs])
+
+
+def _reference_fb_jacobian(p, v):
+    """The dense Jacobian of F_FB, written into the dense template."""
+    n, r, s, t = p.n, p.r, p.s, p.t
+    z = FullPoint.from_vector(p, v)
+    jac = _reference_template(p, n + r + s + 4 * t)
+    x, lam, mu, nu = z.x, z.lam, z.mu, z.nu
+    if r:
+        du, dv = _reference_fb_partials(-p.g(x), lam)
+        jac[n:n + r, :n] = -du[:, None] * p.A_g
+        jac[np.arange(n, n + r), np.arange(n, n + r)] = dv
+    a, b = p.G(x), p.H(x)
+    base = n + r + s
+    pair = np.arange(t)
+    mu_col, nu_col = base + pair, base + t + pair
+    r1, r2, r3, r4 = (jac[base + k:base + 4 * t:4] for k in range(4))
+    d1a, d1b = _reference_fb_partials(a, b)
+    r1[:, :n] = d1a[:, None] * p.A_G + d1b[:, None] * p.A_H
+    r1[:, :n] *= np.sign(ncp_fb(a, b))[:, None]  # |t| in the merit: 0 at 0
+    d2u, d2v = _reference_fb_partials(np.abs(a), np.abs(mu))
+    r2[:, :n] = (d2u * np.sign(a))[:, None] * p.A_G
+    r2[pair, mu_col] = d2v * np.sign(mu)
+    d3u, d3v = _reference_fb_partials(np.abs(b), np.abs(nu))
+    r3[:, :n] = (d3u * np.sign(b))[:, None] * p.A_H
+    r3[pair, nu_col] = d3v * np.sign(nu)
+    d4u, d4v = _reference_fb_partials(np.abs(mu), np.abs(nu))
+    both_nonpositive = (mu <= 0.0) & (nu <= 0.0)
+    r4[pair, mu_col] = np.where(both_nonpositive, 0.0, d4u * np.sign(mu))
+    r4[pair, nu_col] = np.where(both_nonpositive, 0.0, d4v * np.sign(nu))
+    return jac
+
+
+def _kink_point(p, rng):
+    """A point on the kinks of F and F_FB: zero pair values, zero or
+    nonpositive multipliers, -g = lambda ties and signed zeros, mixed per
+    pair and per row."""
+    n, r, s, t = p.n, p.r, p.s, p.t
+    x = np.where(rng.random(n) < 0.7, point_in_D(p, rng), rng.normal(size=n))
+    zero = rng.choice([0.0, -0.0], size=(2, t))
+    mu, nu = np.where(rng.random((2, t)) < 0.3, rng.normal(size=(2, t)), zero)
+    nonpositive = rng.random(t) < 0.3
+    mu = np.where(nonpositive, -np.abs(mu), mu)
+    nu = np.where(nonpositive, -np.abs(nu), nu)
+    lam = np.where(rng.random(r) < 0.7, -p.g(x),
+                   rng.choice([0.0, -0.0, 1.0], size=r))
+    eta = np.where(rng.random(s) < 0.5, -0.0, rng.normal(size=s))
+    return np.concatenate([x, lam, eta, mu, nu])
+
+
+def _reference_points():
+    """(problem, v) pairs: random points and kink points on tiny problems."""
+    rng = np.random.default_rng(60)
+    for k in range(60):
+        p = random_tiny_mpcc(rng)
+        dim = p.n + p.r + p.s + 2 * p.t
+        yield p, rng.normal(size=dim) if k % 3 == 0 else _kink_point(p, rng)
+
+
+class TestAgainstDenseAssembly:
+    """DF and the merit gradient against the dense Jacobian assembly, at
+    random points and at kinks, where finite differences cannot check the
+    selection rules."""
+
+    def test_kink_points_sit_on_the_kinks(self):
+        biactive = ties = 0
+        for p, v in _reference_points():
+            z = FullPoint.from_vector(p, v)
+            a, b = p.pair_partition().values(z.x)
+            biactive += np.count_nonzero((a == 0.0) & (b == 0.0))
+            ties += np.count_nonzero(-p.g(z.x) == z.lam)
+        assert biactive >= 20 and ties >= 20
+
+    def test_derivative_equals_dense_assembly(self):
+        for p, v in _reference_points():
+            np.testing.assert_array_equal(newton_derivative_DF(p, v),
+                                          _reference_df(p, v))
+
+    def test_merit_gradient_equals_transposed_jacobian_product(self):
+        for p, v in _reference_points():
+            res = _reference_fb_residual(p, v)
+            ref = _reference_fb_jacobian(p, v).T @ res
+            value, grad = merit_phi_fb(p, v)
+            assert value == pytest.approx(0.5 * res @ res, rel=1e-12)
+            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSolveNewton:
