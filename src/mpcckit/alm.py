@@ -180,31 +180,26 @@ def _oracle_factory(problem: QuadraticMpcc, slack: bool):
     def build(rho, hat):
         shift_g = hat.lam / rho
         shift_h = hat.eta / rho
-        if not slack:
-            def oracle(x):
-                qx = Q @ x
-                sg = np.maximum((Ag @ x + b_g) + shift_g, 0.0)
-                sh = (Ah @ x + b_h) + shift_h
-                value = (0.5 * (x @ qx) + q @ x + c0) \
-                    + 0.5 * rho * (sg @ sg + sh @ sh)
-                return float(value), qx + q + rho * (AgT @ sg + AhT @ sh)
-            return oracle
         shift_G = hat.mu / rho
         shift_H = hat.nu / rho
 
         def oracle(p):
-            x, z_g, z_h = p[:n], p[n:n + t], p[n + t:]
+            x = p[:n]
             qx = Q @ x
             sg = np.maximum((Ag @ x + b_g) + shift_g, 0.0)
             sh = (Ah @ x + b_h) + shift_h
-            r_g = ((AG @ x + b_G) - z_g) + shift_G
-            r_h = ((AH @ x + b_H) - z_h) + shift_H
-            value = (0.5 * (x @ qx) + q @ x + c0) + 0.5 * rho * (
-                (sg @ sg + sh @ sh) + (r_g @ r_g + r_h @ r_h))
-            grad_x = qx + q + rho * ((AgT @ sg + AhT @ sh)
-                                     + (AGT @ r_g + AHT @ r_h))
-            return float(value), np.concatenate(
-                [grad_x, -rho * r_g, -rho * r_h])
+            squares = sg @ sg + sh @ sh
+            pulled = AgT @ sg + AhT @ sh
+            if slack:  # couple G(x), H(x) to the slacks z_G, z_H
+                r_g = ((AG @ x + b_G) - p[n:n + t]) + shift_G
+                r_h = ((AH @ x + b_H) - p[n + t:]) + shift_H
+                squares = squares + (r_g @ r_g + r_h @ r_h)
+                pulled = pulled + (AGT @ r_g + AHT @ r_h)
+            value = (0.5 * (x @ qx) + q @ x + c0) + 0.5 * rho * squares
+            grad = qx + q + rho * pulled
+            if slack:
+                grad = np.concatenate([grad, -rho * r_g, -rho * r_h])
+            return float(value), grad
         return oracle
 
     return build

@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,20 +31,16 @@ __all__ = [
     "ResultRow",
     "make_start",
     "run_experiment",
-    "emit_table",
     "read_table_csv",
     "main",
 ]
 
-_COLUMNS = (
-    "seed", "algorithm", "status",
-    "alm_iterations", "alm_value", "alm_time_s", "alm_rho",
-    "nsn_iterations", "nsn_value", "nsn_time_s",
-    "nsn_full_steps", "nsn_damped_steps", "nsn_gradient_steps",
-    "resid_m", "is_m",
-)
-# wall-clock columns vary run to run; result files leave them out
-_RESULT_COLUMNS = tuple(c for c in _COLUMNS if not c.endswith("_time_s"))
+_ALGORITHMS = ("alm", "newton", "warmstart")
+_FORMATS = ("csv", "md")
+_SECTIONS = ("ioc", "alm", "newton", "pgrad")
+# top-level keys of a config file; the flags parse into the same names
+_KEYS = ("instance", "wa", "algorithm", "seeds", "n_seeds", "out", "format",
+         "warmstart_tau", "classify_tol") + _SECTIONS
 
 
 @dataclass
@@ -86,6 +82,11 @@ class ResultRow:
         return self.status == "converged"
 
 
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# wall-clock columns vary run to run; result files leave them out
+_RESULT_COLUMNS = tuple(c for c in _COLUMNS if not c.endswith("_time_s"))
+
+
 def make_start(problem: QuadraticMpcc, seed: int):
     """Deterministic standard-normal primal start and zero multipliers."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -102,68 +103,54 @@ def _build_problem(cfg: ExperimentConfig) -> QuadraticMpcc:
                      "(expected 'ioc' or 'file:<path>')")
 
 
-def _finish_row(problem, cfg, row: ResultRow, z: FullPoint) -> ResultRow:
-    row.resid_m = float(np.linalg.norm(residual_F(problem, z)))
-    report = classify_stationarity(problem, z.x, z.multipliers(),
-                                   tol=cfg.classify_tol)
-    row.is_m = report.is_M
-    return row
-
-
 def run_experiment(cfg: ExperimentConfig):
-    """One ResultRow per seed; see the module docstring for the pipelines."""
+    """One ResultRow per seed; see the module docstring for the pipelines.
+
+    Every algorithm but newton runs the ALM stage, every algorithm but alm
+    the Newton stage, from the ALM point when both run. A single stage's
+    status is the row's; the warm start is converged when both stages are,
+    and otherwise reads alm_<status>+nsn_<status>.
+    """
+    if cfg.algorithm not in _ALGORITHMS:
+        raise ValueError(f"unknown algorithm {cfg.algorithm!r} "
+                         f"(expected one of {_ALGORITHMS})")
     problem = _build_problem(cfg)
+    alm_cfg = replace(cfg.alm, tau_alm=cfg.warmstart_tau) \
+        if cfg.algorithm == "warmstart" else cfg.alm
     rows = []
     for seed in cfg.seeds:
         x0, m0 = make_start(problem, seed)
-        if cfg.algorithm == "alm":
+        z = FullPoint.from_parts(x0, m0)
+        cols, stages = {}, {}
+        if cfg.algorithm != "newton":
             tic = time.perf_counter()
-            res = solve_alm(problem, cfg.alm, x0, m0, pgrad_cfg=cfg.pgrad)
-            row = ResultRow(seed=seed, algorithm="alm", status=res.status,
-                            alm_iterations=res.iterations,
-                            alm_value=res.objective,
-                            alm_time_s=time.perf_counter() - tic,
-                            alm_rho=res.final_rho)
-            _finish_row(problem, cfg, row,
-                        FullPoint.from_parts(res.x, res.multipliers))
-        elif cfg.algorithm == "newton":
+            res = solve_alm(problem, alm_cfg, x0, m0, pgrad_cfg=cfg.pgrad)
+            cols.update(alm_time_s=time.perf_counter() - tic,
+                        alm_iterations=res.iterations,
+                        alm_value=res.objective, alm_rho=res.final_rho)
+            stages["alm"] = res.status
+            z = FullPoint.from_parts(res.x, res.multipliers)
+        if cfg.algorithm != "alm":
             tic = time.perf_counter()
-            res = solve_newton(problem, cfg.newton, FullPoint.from_parts(x0, m0))
-            row = ResultRow(seed=seed, algorithm="newton", status=res.status,
-                            nsn_iterations=res.iterations,
-                            nsn_value=problem.f(res.z.x),
-                            nsn_time_s=time.perf_counter() - tic,
-                            nsn_full_steps=res.full_steps,
-                            nsn_damped_steps=res.damped_steps,
-                            nsn_gradient_steps=res.gradient_steps)
-            _finish_row(problem, cfg, row, res.z)
-        elif cfg.algorithm == "warmstart":
-            loose = replace(cfg.alm, tau_alm=cfg.warmstart_tau)
-            tic = time.perf_counter()
-            alm_res = solve_alm(problem, loose, x0, m0, pgrad_cfg=cfg.pgrad)
-            alm_time = time.perf_counter() - tic
-            tic = time.perf_counter()
-            nsn_res = solve_newton(
-                problem, cfg.newton,
-                FullPoint.from_parts(alm_res.x, alm_res.multipliers))
-            nsn_time = time.perf_counter() - tic
-            both_ok = alm_res.status == "converged" and \
-                nsn_res.status == "converged"
-            row = ResultRow(
-                seed=seed, algorithm="warmstart",
-                status="converged" if both_ok
-                else f"alm_{alm_res.status}+nsn_{nsn_res.status}",
-                alm_iterations=alm_res.iterations, alm_value=alm_res.objective,
-                alm_time_s=alm_time, alm_rho=alm_res.final_rho,
-                nsn_iterations=nsn_res.iterations,
-                nsn_value=problem.f(nsn_res.z.x), nsn_time_s=nsn_time,
-                nsn_full_steps=nsn_res.full_steps,
-                nsn_damped_steps=nsn_res.damped_steps,
-                nsn_gradient_steps=nsn_res.gradient_steps)
-            _finish_row(problem, cfg, row, nsn_res.z)
+            res = solve_newton(problem, cfg.newton, z)
+            cols.update(nsn_time_s=time.perf_counter() - tic,
+                        nsn_iterations=res.iterations,
+                        nsn_value=problem.f(res.z.x),
+                        nsn_full_steps=res.full_steps,
+                        nsn_damped_steps=res.damped_steps,
+                        nsn_gradient_steps=res.gradient_steps)
+            stages["nsn"] = res.status
+            z = res.z
+        if len(stages) == 1 or set(stages.values()) == {"converged"}:
+            status = res.status
         else:
-            raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-        rows.append(row)
+            status = "+".join(f"{k}_{s}" for k, s in stages.items())
+        report = classify_stationarity(problem, z.x, z.multipliers(),
+                                       tol=cfg.classify_tol)
+        rows.append(ResultRow(
+            seed=seed, algorithm=cfg.algorithm, status=status,
+            resid_m=float(np.linalg.norm(residual_F(problem, z))),
+            is_m=report.is_M, **cols))
     return rows
 
 
@@ -205,13 +192,7 @@ def format_table(rows, fmt: str, timings: bool = False) -> str:
         for row in rows:
             lines.append("| " + " | ".join(_row_cells(row, columns)) + " |")
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'md')")
-
-
-def emit_table(rows, fmt: str, path) -> None:
-    """Write the result table without its wall-clock columns."""
-    with open(path, "w") as fh:
-        fh.write(format_table(rows, fmt))
+    raise ValueError(f"unknown format {fmt!r} (expected one of {_FORMATS})")
 
 
 def read_table_csv(path):
@@ -220,38 +201,34 @@ def read_table_csv(path):
         return list(csv.DictReader(fh))
 
 
-def _config_from_sources(file_cfg: dict, args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    cfg = replace(cfg,
-                  ioc=replace(cfg.ioc, **file_cfg.get("ioc", {})),
-                  alm=replace(cfg.alm, **file_cfg.get("alm", {})),
-                  newton=replace(cfg.newton, **file_cfg.get("newton", {})),
-                  pgrad=replace(cfg.pgrad, **file_cfg.get("pgrad", {})))
-    for key in ("instance", "wa", "algorithm", "out", "warmstart_tau",
-                "classify_tol"):
-        if key in file_cfg:
-            cfg = replace(cfg, **{key: file_cfg[key]})
-    if "format" in file_cfg:
-        cfg = replace(cfg, fmt=file_cfg["format"])
-    if "seeds" in file_cfg:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in file_cfg["seeds"]))
-    elif "n_seeds" in file_cfg:
-        cfg = replace(cfg, seeds=tuple(range(1, int(file_cfg["n_seeds"]) + 1)))
+def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
+    """Defaults, then the config file, then the flags (those not None).
 
-    if args.instance is not None:
-        cfg = replace(cfg, instance=args.instance)
-    if args.wa is not None:
-        cfg = replace(cfg, wa=args.wa)
-    if args.algorithm is not None:
-        cfg = replace(cfg, algorithm=args.algorithm)
-    if args.seed_list is not None:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seed_list.split(",")))
-    elif args.seeds is not None:
-        cfg = replace(cfg, seeds=tuple(range(1, args.seeds + 1)))
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.format is not None:
-        cfg = replace(cfg, fmt=args.format)
+    Within one source an explicit seed list beats a seed count. Unknown
+    keys and formats raise ValueError; run_experiment checks the algorithm
+    before it builds the problem.
+    """
+    unknown = sorted(set(file_cfg) - set(_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown} "
+                         f"(expected some of {_KEYS})")
+    cfg = ExperimentConfig()
+    for source in (file_cfg, flags):
+        given = {key: value for key, value in source.items()
+                 if value is not None}
+        for name in given.keys() & _SECTIONS:
+            given[name] = replace(getattr(cfg, name), **given[name])
+        n_seeds = given.pop("n_seeds", None)
+        if "seeds" in given:
+            given["seeds"] = tuple(int(s) for s in given["seeds"])
+        elif n_seeds is not None:
+            given["seeds"] = tuple(range(1, int(n_seeds) + 1))
+        if "format" in given:
+            given["fmt"] = given.pop("format")
+        cfg = replace(cfg, **given)
+    if cfg.fmt not in _FORMATS:
+        raise ValueError(f"unknown format {cfg.fmt!r} "
+                         f"(expected one of {_FORMATS})")
     return cfg
 
 
@@ -263,27 +240,29 @@ def main(argv=None) -> int:
                         help="'ioc' (built-in FEM benchmark) or 'file:PATH'")
     parser.add_argument("--wa", type=float, default=None,
                         help="lower bound w_a of the built-in benchmark")
-    parser.add_argument("--algorithm", default=None,
-                        choices=("alm", "newton", "warmstart"))
-    parser.add_argument("--seeds", type=int, default=None,
-                        help="run seeds 1..N")
-    parser.add_argument("--seed-list", default=None,
+    parser.add_argument("--algorithm", default=None, choices=_ALGORITHMS)
+    parser.add_argument("--seeds", dest="n_seeds", type=int, default=None,
+                        metavar="N", help="run seeds 1..N")
+    parser.add_argument("--seed-list", dest="seeds", default=None,
+                        metavar="LIST", type=lambda text: text.split(","),
                         help="comma-separated explicit seeds")
     parser.add_argument("--out", default=None, help="result table path")
-    parser.add_argument("--format", default=None, choices=("csv", "md"))
+    parser.add_argument("--format", default=None, choices=_FORMATS)
     parser.add_argument("--config", default=None,
                         help="JSON config file overriding all defaults")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
 
     file_cfg = {}
-    if args.config is not None:
-        with open(args.config) as fh:
+    config_path = flags.pop("config")
+    if config_path is not None:
+        with open(config_path) as fh:
             file_cfg = json.load(fh)
-    cfg = _config_from_sources(file_cfg, args)
+    cfg = _config_from_sources(file_cfg, flags)
 
     rows = run_experiment(cfg)
     if cfg.out is not None:
-        emit_table(rows, cfg.fmt, cfg.out)
+        with open(cfg.out, "w") as fh:
+            fh.write(format_table(rows, cfg.fmt))
     sys.stdout.write(format_table(rows, "md", timings=True))
     return 0 if all(row.accepted for row in rows) else 1
 

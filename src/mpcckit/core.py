@@ -177,9 +177,6 @@ class MultiplierSet:
         return MultiplierSet(self.lam.copy(), self.eta.copy(),
                              self.mu.copy(), self.nu.copy())
 
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.lam, self.eta, self.mu, self.nu])
-
 
 @dataclass(frozen=True)
 class IndexSets:

@@ -58,7 +58,6 @@ class IocParams:
     zeta: float = 1.0
     u_obs: float = 1.0
     y_d: float = 0.0
-    s_mode: str = "integral"  # scalar observation S u = <1, u>
 
 
 @dataclass(frozen=True)

@@ -221,8 +221,12 @@ def _fb_partials(u, v):
     return du, dv
 
 
+_ROW_BLOCK = 256  # rows of K copied into DF at a time
+
+
 def _kkt(problem: QuadraticMpcc):
-    """(K, k) of w = K v + k, built on first use and kept with the problem."""
+    """(K, k, row 1-norms of K) of w = K v + k, built on first use and kept
+    with the problem."""
     kkt = vars(problem).get("_kkt")
     if kkt is None:
         n = problem.n
@@ -233,7 +237,7 @@ def _kkt(problem: QuadraticMpcc):
         K[n:, :n] = rows
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        kkt = (K, k)
+        kkt = (K, k, np.abs(K).sum(axis=1))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 
@@ -272,11 +276,12 @@ def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
     return v, w, res, float(0.5 * res @ res)
 
 
-def _derivative(problem: QuadraticMpcc, w: np.ndarray,
-                v: np.ndarray) -> np.ndarray:
-    """DF at v: row i is sign_i times row src_i of K, or the unit row
-    sign_i e_{src_i}."""
-    K, _ = _kkt(problem)
+def _derivative(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
+    """(DF, largest row 1-norm of DF) at v: row i of DF is sign_i times row
+    src_i of K, or the unit row sign_i e_{src_i}. DF is in Fortran order, so
+    LAPACK factors it in place; it is filled from K a block of rows at a
+    time, so no second N x N array is made."""
+    K, _, norms = _kkt(problem)
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     _, g, _, a, b = _split(problem, w)
     _, lam, _, mu, nu = _split(problem, v)
@@ -294,11 +299,15 @@ def _derivative(problem: QuadraticMpcc, w: np.ndarray,
     src[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)).ravel()
     sign[base:] = pair_sign.ravel()
     unit[base:] = (axis >= 2).ravel()
-    df = np.take(K, src, axis=0)
-    np.negative(df, out=df, where=(sign < 0.0)[:, None])
+    df = np.empty(K.shape, order="F")
+    for start in range(0, K.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.multiply(K[src[rows]], sign[rows, None], out=df[rows])
     df[unit] = 0.0
     df[unit, src[unit]] = sign[unit]
-    return df
+    row_norms = norms[src]
+    row_norms[unit] = 1.0
+    return df, float(row_norms.max())
 
 
 def _merit_gradient(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
@@ -337,7 +346,7 @@ def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
-    return _derivative(problem, _affine(problem, v), v)
+    return _derivative(problem, _affine(problem, v), v)[0]
 
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
@@ -346,14 +355,16 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
     return value, _merit_gradient(problem, w, v, res)
 
 
-def _solve_linear(df: np.ndarray, rhs: np.ndarray, pivot_tol: float):
-    """LU with partial pivoting; the step is well defined iff every pivot
-    exceeds pivot_tol times the largest row norm of DF."""
-    row_scale = float(np.max(np.abs(df).sum(axis=1)))
+def _solve_linear(df: np.ndarray, row_scale: float, rhs: np.ndarray,
+                  pivot_tol: float):
+    """LU with partial pivoting, overwriting df; the step is well defined iff
+    every pivot exceeds pivot_tol times row_scale, the largest row norm of
+    DF."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(df, check_finite=False)
+            lu, piv = scipy.linalg.lu_factor(df, overwrite_a=True,
+                                              check_finite=False)
     except Exception:
         return None
     pivots = np.abs(np.diag(lu))
@@ -393,7 +404,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "stationary_merit"
             break
 
-        direction = _solve_linear(_derivative(problem, w, v), -f_res,
+        direction = _solve_linear(*_derivative(problem, w, v), -f_res,
                                   cfg.pivot_tol)
         alpha = 1.0
         trial = None if direction is None else _evaluate(problem, v + direction)

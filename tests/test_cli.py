@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mpcckit import cli
 from mpcckit.cli import (
     ExperimentConfig,
     ResultRow,
@@ -186,3 +187,56 @@ class TestMain:
             "alm": {"max_outer_iters": 0},
         }))
         assert main(["--config", str(cfg_path)]) == 1
+
+
+class TestConfigMerge:
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def forbidden(cfg):
+            raise AssertionError("a problem was built")
+        monkeypatch.setattr(cli, "_build_problem", forbidden)
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_unknown_key_rejected_before_solving(self, toy_instance_path,
+                                                 tmp_path, no_solve):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}",
+            "algoritm": "newton",
+            "seeds": [1],
+        })
+        with pytest.raises(ValueError, match="algoritm"):
+            main(["--config", cfg_path])
+
+    def test_unknown_format_rejected_before_solving(self, toy_instance_path,
+                                                    tmp_path, no_solve):
+        out = tmp_path / "rows.html"
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}",
+            "seeds": [1],
+            "out": str(out),
+            "format": "html",
+        })
+        with pytest.raises(ValueError, match="html"):
+            main(["--config", cfg_path])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_seeds, flag, expected", [
+        ({"seeds": [5, 6, 7]}, ["--seeds", "2"], ["1", "2"]),
+        ({"n_seeds": 3}, ["--seed-list", "7"], ["7"]),
+    ])
+    def test_seed_flags_override_file_seeds(self, toy_instance_path,
+                                            tmp_path, file_seeds, flag,
+                                            expected):
+        out = tmp_path / "rows.csv"
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}",
+            "algorithm": "newton",
+            "out": str(out),
+            **file_seeds,
+        })
+        assert main(["--config", cfg_path] + flag) == 0
+        assert [rec["seed"] for rec in read_table_csv(out)] == expected

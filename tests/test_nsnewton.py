@@ -1,6 +1,7 @@
 """Nonsmooth Newton method: residual, derivatives, merit, and iteration."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from mpcckit.core import (MultiplierSet, QuadraticMpcc, classify_stationarity,
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
+    _affine,
+    _derivative,
     _phi_vec,
     merit_phi_fb,
     ncp_fb,
@@ -461,6 +464,21 @@ class TestAgainstDenseAssembly:
         for p, v in _reference_points():
             np.testing.assert_array_equal(newton_derivative_DF(p, v),
                                           _reference_df(p, v))
+
+    def test_pivot_scale_is_largest_row_norm(self):
+        # with the data shrunk, every row of K has norm below 1, so the
+        # largest row of DF is a unit row
+        unit_largest = 0
+        for p, v in _reference_points():
+            small = replace(p, coordinate_selection=False, **{
+                name: 1e-3 * getattr(p, name)
+                for name in ("Q", "A_g", "A_h", "A_G", "A_H")})
+            for q in (p, small):
+                _, scale = _derivative(q, _affine(q, v), v)
+                ref = np.abs(_reference_df(q, v)).sum(axis=1).max()
+                assert scale == ref
+                unit_largest += ref == 1.0
+        assert unit_largest >= 30
 
     def test_merit_gradient_equals_transposed_jacobian_product(self):
         for p, v in _reference_points():
