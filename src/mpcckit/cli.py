@@ -217,7 +217,13 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
         given = {key: value for key, value in source.items()
                  if value is not None}
         for name in given.keys() & _SECTIONS:
-            given[name] = replace(getattr(cfg, name), **given[name])
+            section = getattr(cfg, name)
+            known = [f.name for f in fields(section)]
+            unknown = sorted(set(given[name]) - set(known))
+            if unknown:
+                raise ValueError(f"unknown key(s) {unknown} in config section "
+                                 f"{name!r} (expected some of {known})")
+            given[name] = replace(section, **given[name])
         n_seeds = given.pop("n_seeds", None)
         if "seeds" in given:
             given["seeds"] = tuple(int(s) for s in given["seeds"])

@@ -11,17 +11,20 @@ nonmonotone Armijo test against the largest of the last few objective
 values.
 
 Face phase: once the active pattern has settled, the method can crawl for
-tens of thousands of iterations on an ill-conditioned face. Every
-_FACE_PERIOD-th iteration, if the last two accepted steps moved the same set
-of coordinates, that set is taken as the free variables of a face, and
-conjugate gradients minimize the objective's quadratic model over it, with
-Hessian-vector products from gradient differences at a small probe (gradient
-projection plus a face solve, after More-Toraldo's GPCG). The candidate
-P(x + d) replaces that iteration's trial point only if it passes the same
-nonmonotone Armijo test; otherwise the iteration takes its usual
-projected-gradient step. The phase calls nothing but the given oracle and
-projector, counts as one iteration of the budget, and leaves termination to
-the unchanged stationarity test.
+tens of thousands of iterations on an ill-conditioned face. When the last
+_FACE_SETTLE accepted steps all moved exactly the same set of coordinates,
+that set is taken as the free variables of a face, and conjugate gradients
+minimize the objective's quadratic model over it, with Hessian-vector
+products from gradient differences at a small probe (gradient projection plus
+a face solve, after More-Toraldo's GPCG). A projected search shrinks the CG
+step d until P(x + d) passes the Armijo test against the current value (face
+steps judged against the nonmonotone reference can cycle); that candidate
+replaces the iteration's projected-gradient step. A rejected candidate, or
+one that needed a shorter step than d (the face's minimizer lies outside the
+set), makes the next attempt wait 1, 2, 4, ... iterations; a full CG step
+ends the wait. The phase calls nothing but the given oracle and projector,
+counts as one iteration of the budget, and leaves termination to the
+unchanged stationarity test.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import numpy as np
 
 __all__ = ["PgradConfig", "PgradError", "solve_subproblem"]
 
-_FACE_PERIOD = 1000  # iterations between face-phase attempts
+_FACE_SETTLE = 3  # accepted steps in a row on one free set before a face phase
 _FACE_CG_STEPS = 250  # conjugate-gradient step cap of one face phase
+_FACE_SEARCH = 5  # trial points of the projected search along one face step
 
 
 class PgradError(RuntimeError):
@@ -61,13 +65,16 @@ def _check_finite(value, grad, point):
         f"non-finite point entries={bad!r}")
 
 
-def _face_trial(objective_oracle, projector, x, grad, free, eps, ref, delta):
-    """Face-phase candidate (trial, value, gradient), or None if rejected.
+def _face_trial(objective_oracle, projector, x, grad, free, eps, val, cfg):
+    """Face-phase candidate (trial, value, gradient, shortened), or None.
 
     CG minimizes the quadratic model over the coordinates in free, the others
     fixed. Hessian-vector products are gradient differences at a probe of
     1e-6 * max(1, |x|); CG stops once the model's reduced gradient is at most
-    0.1 * eps, on non-positive curvature, or after _FACE_CG_STEPS steps.
+    0.1 * eps, on non-positive curvature, or after _FACE_CG_STEPS steps. The
+    CG step d is shrunk by cfg.backtrack for at most _FACE_SEARCH points
+    P(x + d) until one passes the Armijo test against val, the value at x;
+    shortened tells whether the accepted point needed a shorter step than d.
     """
     g = grad[free]
     r = -g
@@ -96,13 +103,15 @@ def _face_trial(objective_oracle, projector, x, grad, free, eps, ref, delta):
         return None
     step = np.zeros_like(x)
     step[free] = d
-    trial = projector(x + step)
-    t_val, t_grad = objective_oracle(trial)
-    # a candidate that does not move would end the run as stalled
-    if ((trial != x).any() and math.isfinite(t_val)
-            and np.isfinite(t_grad).all()
-            and t_val <= ref + delta * float(grad @ (trial - x))):
-        return trial, t_val, t_grad
+    for k in range(_FACE_SEARCH):
+        trial = projector(x + step)
+        t_val, t_grad = objective_oracle(trial)
+        # a candidate that does not move would end the run as stalled
+        if ((trial != x).any() and math.isfinite(t_val)
+                and np.isfinite(t_grad).all()
+                and t_val <= val + cfg.delta * float(grad @ (trial - x))):
+            return trial, t_val, t_grad, k > 0
+        step *= cfg.backtrack
     return None
 
 
@@ -134,17 +143,20 @@ def solve_subproblem(objective_oracle, projector, x0, eps,
     alpha = min(max(1.0 / max(grad_inf, 1e-16), lo), hi)
     grad_inf = None  # lazily refreshed; only the collapse guard needs it
 
-    s_last = s_prev = None  # the last two accepted steps
+    free, settled = None, 0  # free set of the last accepted step, run length
+    wait, next_face = 1, 0  # back-off of face phases
     for it in range(1, cfg.max_iters + 1):
         ref = max(history)
         face = None
-        if it % _FACE_PERIOD == 0 and s_prev is not None:
-            free = s_last != 0.0
-            if np.array_equal(free, s_prev != 0.0):
-                face = _face_trial(objective_oracle, projector, x, grad, free,
-                                   eps, ref, cfg.delta)
+        if settled >= _FACE_SETTLE and it >= next_face:
+            face = _face_trial(objective_oracle, projector, x, grad, free,
+                               eps, val, cfg)
+            if face is None or face[3]:  # rejected or shortened
+                next_face, wait = it + wait, 2 * wait
+            else:
+                wait = 1
         if face is not None:
-            trial, t_val, t_grad = face
+            trial, t_val, t_grad, _ = face
         else:
             step = alpha
             while True:
@@ -170,8 +182,10 @@ def solve_subproblem(objective_oracle, projector, x0, eps,
         if den > 1e-16:  # otherwise keep the previous step size
             alpha = min(max(num / den, lo), hi)
 
-        stalled = not s.any()
-        s_prev, s_last = s_last, s
+        moved = s != 0.0
+        stalled = not moved.any()
+        settled = settled + 1 if np.array_equal(moved, free) else 1
+        free = moved
         x, val, grad = trial, t_val, t_grad
         grad_inf = None
         history.append(val)

@@ -14,12 +14,14 @@ from mpcckit.alm import (
     solve_alm,
     update_multipliers,
 )
+from mpcckit.cli import make_start
 from mpcckit.core import (
     MultiplierSet,
     QuadraticMpcc,
     classify_stationarity,
     eval_lagrangian,
 )
+from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.oracle import enumerate_branch_nlps, finite_diff
 from mpcckit.pgrad import PgradConfig, PgradError
 
@@ -258,6 +260,18 @@ class TestSolveAlm:
         assert res.status in ("converged", "max_iters")
         assert any(r.sub_converged is False for r in res.trace.rows)
         assert len(res.trace.rows) == res.iterations
+
+    @pytest.mark.parametrize("seed", [1, 8, 10])
+    def test_negative_obstacle_subproblems_meet_their_tolerance(self, seed):
+        # these starts once ran a subproblem through the whole SPG budget and
+        # still ended ALM as converged
+        problem = assemble_instance(IocParams(w_a=-0.05)).problem
+        x0, m0 = make_start(problem, seed)
+        res = solve_alm(problem, AlmConfig(), x0, m0)
+        assert res.status == "converged"
+        for row in res.trace.rows:
+            assert row.sub_converged is True
+            assert row.sub_iters < PgradConfig().max_iters
 
     def test_subsolver_hard_error_reports_failure(self):
         p = _toy_pair_problem()

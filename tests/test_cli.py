@@ -211,6 +211,16 @@ class TestConfigMerge:
         with pytest.raises(ValueError, match="algoritm"):
             main(["--config", cfg_path])
 
+    def test_unknown_section_key_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}",
+            "alm": {"tau": 1e-3},
+            "seeds": [1],
+        })
+        with pytest.raises(ValueError, match="'alm'.*tau"):
+            main(["--config", cfg_path])
+
     def test_unknown_format_rejected_before_solving(self, toy_instance_path,
                                                     tmp_path, no_solve):
         out = tmp_path / "rows.html"

@@ -28,6 +28,48 @@ def _bowl(center):
     return oracle
 
 
+def _spy_face_phase(monkeypatch, stationarity, script=None):
+    """Record (iteration, accepted) for every face-phase attempt.
+
+    Returns the record and a stationarity callable to pass to the solver:
+    it runs once at the start point and once per iteration, so its call
+    count at an attempt is the attempt's iteration number. With a script,
+    attempt i is rejected if script[i] is None (or past the script's end),
+    and otherwise returns the short gradient step x - 1e-4 * grad with
+    shortened = script[i].
+    """
+    attempts, calls = [], [0]
+    face_trial = pgrad._face_trial
+
+    def counting(p, grad):
+        calls[0] += 1
+        return stationarity(p, grad)
+
+    def spy(oracle, projector, x, grad, *rest):
+        if script is None:
+            out = face_trial(oracle, projector, x, grad, *rest)
+        elif len(attempts) < len(script) and script[len(attempts)] is not None:
+            trial = projector(x - 1e-4 * grad)
+            out = (trial, *oracle(trial), script[len(attempts)])
+        else:
+            out = None
+        attempts.append((calls[0], out is not None))
+        return out
+
+    monkeypatch.setattr(pgrad, "_face_trial", spy)
+    return attempts, counting
+
+
+def _assert_back_off(attempts):
+    # after the j-th rejection in a row the next attempt waits at least
+    # 2**(j-1) iterations (a lower bound: after an accepted candidate the
+    # count starts again, although a shortened one keeps the wait growing)
+    wait = 1
+    for (it, accepted), (nxt, _) in zip(attempts, attempts[1:]):
+        assert nxt - it >= (1 if accepted else wait)
+        wait = 1 if accepted else 2 * wait
+
+
 class TestSolveSubproblem:
     def test_start_at_interior_minimum_returns_immediately(self):
         x, stat, iters = solve_subproblem(_bowl([2.0, 0.0]), _pair_projector,
@@ -144,18 +186,13 @@ class TestSolveSubproblem:
         def stationarity(x, grad):
             return stationarity_distance(grad, x, pairs)
 
-        outcomes = []
-        face_trial = pgrad._face_trial
-
-        def spy(*args):
-            out = face_trial(*args)
-            outcomes.append(out is not None)
-            return out
-
-        monkeypatch.setattr(pgrad, "_face_trial", spy)
+        attempts, counting = _spy_face_phase(monkeypatch, stationarity)
         x, stat, iters = solve_subproblem(oracle, projector, x0, eps=1e-8,
-                                          stationarity=stationarity)
-        assert outcomes and all(outcomes)
+                                          stationarity=counting)
+        outcomes = [accepted for _, accepted in attempts]
+        assert outcomes and outcomes[0]  # the first attempt is accepted
+        _assert_back_off(attempts)
+        assert iters <= 100
         assert stat <= 1e-8
         assert stat == stationarity(x, oracle(x)[1])
         np.testing.assert_array_equal(projector(x), x)
@@ -167,6 +204,76 @@ class TestSolveSubproblem:
         np.testing.assert_array_equal(x_w, x)
         assert stat_w == stat
         assert iters_w == iters
+
+    def test_face_phase_back_off_doubles_and_resets(self, monkeypatch):
+        # unconstrained ill-conditioned QP: every step moves every
+        # coordinate, so the free set settles after three steps (first
+        # attempt at iteration 4). Three rejections wait 1, 2, 4 iterations,
+        # a full face step ends the wait, and a shortened one counts as a
+        # rejection: the next attempts wait 1, 2, 4, 8
+        Q = np.diag(np.logspace(0.0, 3.0, 6))
+        c = -np.ones(6)
+
+        def oracle(x):
+            return float(0.5 * x @ Q @ x + c @ x), Q @ x + c
+
+        attempts, counting = _spy_face_phase(
+            monkeypatch, lambda p, grad: float(np.linalg.norm(grad)),
+            script=[None, None, None, False, True])
+        _, stat, _ = solve_subproblem(oracle, lambda p: p.copy(), np.zeros(6),
+                                      eps=1e-8, stationarity=counting)
+        assert stat <= 1e-8
+        assert attempts[:9] == [(4, False), (5, False), (7, False), (11, True),
+                                (12, True), (13, False), (15, False),
+                                (19, False), (27, False)]
+        _assert_back_off(attempts)
+
+    def test_face_phase_searches_back_from_an_infeasible_face_minimizer(
+            self, monkeypatch):
+        # pair (x0, x1) plus a free x2; on the face x1 = 0 the quadratic's
+        # minimizer has x0 = -1, and projecting it gives a worse point than
+        # x; a quarter of the CG step stays feasible and decreases f
+        Q = np.array([[1.0, 0.0, 0.99], [0.0, 1.0, 0.0], [0.99, 0.0, 1.0]])
+        m = np.array([-1.0, -1.0, 2.0])
+        pairs = PairPartition(np.array([0]), np.array([1]), np.zeros(1),
+                              np.zeros(1), np.ones(1), np.ones(1))
+
+        def oracle(x):
+            return float(0.5 * (x - m) @ Q @ (x - m)), Q @ (x - m)
+
+        def projector(x):
+            return project_onto_D(x, pairs)
+
+        x = np.array([0.5, 0.0, 0.5])
+        val, grad = oracle(x)
+        free = np.array([True, False, True])
+        args = (oracle, projector, x, grad, free, 1e-8, val, PgradConfig())
+        trial, t_val, _, shortened = pgrad._face_trial(*args)
+        np.testing.assert_allclose(trial, [0.125, 0.0, 0.875], atol=1e-9)
+        assert t_val < val
+        assert shortened
+        monkeypatch.setattr(pgrad, "_FACE_SEARCH", 2)
+        assert pgrad._face_trial(*args) is None
+
+    @pytest.mark.parametrize("seed", [13, 22, 45])
+    def test_face_phase_does_not_cycle_on_ill_conditioned_qps(self, seed):
+        # with face candidates judged against the nonmonotone reference
+        # instead of the current value, these QPs over D cycle through face
+        # steps that raise the objective until the budget runs out
+        rng = np.random.default_rng(seed)
+        n, t = 12, 3
+        pairs = PairPartition(np.arange(t), np.arange(t, 2 * t), np.zeros(t),
+                              np.zeros(t), np.ones(t), np.ones(t))
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Q = U @ np.diag(np.logspace(0.0, 4.5, n)) @ U.T
+        c = rng.normal(size=n)
+        x0 = rng.normal(size=n)
+        _, stat, iters = solve_subproblem(
+            lambda x: (float(0.5 * x @ Q @ x + c @ x), Q @ x + c),
+            lambda x: project_onto_D(x, pairs), x0, eps=1e-8,
+            stationarity=lambda x, grad: stationarity_distance(grad, x, pairs))
+        assert stat <= 1e-8
+        assert iters <= 300
 
     def test_defaults_are_pinned(self):
         cfg = PgradConfig()
