@@ -10,14 +10,7 @@ instances.
 """
 
 from .alm import AlmConfig, AlmResult, SolverTrace, TraceRow, solve_alm
-from .compgeo import (
-    PairPartition,
-    normal_cone_distance_pair,
-    project_onto_C,
-    project_onto_D,
-    project_pair,
-    stationarity_distance,
-)
+from .compgeo import PairPartition, project_onto_C
 from .core import (
     IndexSets,
     MultiplierSet,
@@ -77,15 +70,11 @@ __all__ = [
     "load_instance",
     "merit_phi_fb",
     "newton_derivative_DF",
-    "normal_cone_distance_pair",
     "project_onto_C",
-    "project_onto_D",
-    "project_pair",
     "residual_F",
     "save_instance",
     "solve_alm",
     "solve_newton",
     "solve_subproblem",
-    "stationarity_distance",
     "__version__",
 ]

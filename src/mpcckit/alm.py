@@ -1,16 +1,14 @@
 """Safeguarded augmented Lagrangian method for complementarity-constrained QPs.
 
 The g/h blocks are penalized with safeguarded multiplier shifts while the
-complementarity geometry is kept as an explicit projectable constraint. Two
-formulations are available:
-
-* slack: slack pairs (z_G, z_H) with coupling equations G(x) - z_G = 0 and
-  H(x) - z_H = 0 are appended, the coupling residuals join the penalty, and
-  the subproblem domain is R^n x C;
-* slack_free: for coordinate-selection pair maps the subproblem is posed
-  directly over D = {x : G(x) >= 0, H(x) >= 0, G(x)'H(x) = 0}, and the pair
-  multipliers are recovered from the pair components of the subproblem
-  gradient.
+complementarity geometry is kept as an explicit projectable constraint: each
+subproblem is posed over D = {x : G(x) >= 0, H(x) >= 0, G(x)'H(x) = 0}, and
+the pair multipliers are recovered from the pair components of the
+subproblem gradient. Projecting onto D needs pair maps that select signed
+coordinates. Any other problem, and every problem in slack mode, is solved
+by the same method on `slack_problem(problem)`: the MPCC in (x, z_G, z_H)
+whose coupling rows G(x) - z_G = 0 and H(x) - z_H = 0 join the penalized
+equalities and whose pairs select the slacks, so that D is R^n x C.
 
 Outer iteration k solves the subproblem to stationarity eps_{k+1}, updates the
 multipliers with the classical shifted formulas, and enlarges the penalty by
@@ -30,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pgrad
-from .compgeo import _slack_pairs
 from .core import MultiplierSet, QuadraticMpcc
 
 __all__ = [
@@ -42,6 +39,7 @@ __all__ = [
     "augmented_lagrangian",
     "feasibility_measure",
     "update_multipliers",
+    "slack_problem",
     "solve_alm",
 ]
 
@@ -107,26 +105,37 @@ class AlmResult:
     trace: SolverTrace
 
 
-def _resolve_mode(problem: QuadraticMpcc, cfg: AlmConfig) -> str:
-    mode = cfg.slack_mode
-    if mode == "auto":
-        mode = "slack_free" if (problem.coordinate_selection and problem.t > 0) \
-            else "slack"
-    if mode not in ("slack", "slack_free"):
+def _lifts(problem: QuadraticMpcc, cfg: AlmConfig) -> bool:
+    """Whether solve_alm runs on slack_problem(problem)."""
+    if cfg.slack_mode not in ("auto", "slack", "slack_free"):
         raise ValueError(f"unknown slack_mode {cfg.slack_mode!r}")
-    if mode == "slack_free" and problem.t > 0 and not problem.coordinate_selection:
+    selects = problem.coordinate_selection or problem.t == 0
+    if cfg.slack_mode == "slack_free" and not selects:
         raise ValueError("slack_free mode requires coordinate-selection pair maps")
-    return mode
+    return cfg.slack_mode == "slack" or not selects
 
 
-def _split_point(problem: QuadraticMpcc, point: np.ndarray):
-    n, t = problem.n, problem.t
-    point = np.asarray(point, dtype=float)
-    if point.size == n:
-        return point, None, None
-    if point.size == n + 2 * t:
-        return point[:n], point[n:n + t], point[n + t:]
-    raise ValueError(f"point must have length {n} or {n + 2 * t}, got {point.size}")
+def slack_problem(problem: QuadraticMpcc) -> QuadraticMpcc:
+    """The MPCC in (x, z_G, z_H) with G(x) - z_G = 0 and H(x) - z_H = 0.
+
+    The coupling rows follow the rows of h, and the pairs select z_G and z_H,
+    so the multipliers of the lifted problem are (lambda, (eta, mu, nu), mu,
+    nu). Each z column of the lifted A_h holds a single -1, so the pair
+    multipliers that update_multipliers recovers equal the coupling ones.
+    """
+    n, s, t = problem.n, problem.s, problem.t
+    eye, zero = np.eye(t), np.zeros((t, t))
+    return QuadraticMpcc.build(
+        Q=np.pad(problem.Q, (0, 2 * t)), q=np.pad(problem.q, (0, 2 * t)),
+        c0=problem.c0,
+        A_g=np.pad(problem.A_g, ((0, 0), (0, 2 * t))), b_g=problem.b_g,
+        A_h=np.block([[problem.A_h, np.zeros((s, 2 * t))],
+                      [problem.A_G, -eye, zero],
+                      [problem.A_H, zero, -eye]]),
+        b_h=np.concatenate([problem.b_h, problem.b_G, problem.b_H]),
+        A_G=np.hstack([np.zeros((t, n)), eye, zero]), b_G=np.zeros(t),
+        A_H=np.hstack([np.zeros((t, n)), zero, eye]), b_H=np.zeros(t),
+        coordinate_selection=True, n=n + 2 * t)
 
 
 def safeguard_multipliers(m: MultiplierSet, bound: float) -> MultiplierSet:
@@ -137,18 +146,11 @@ def safeguard_multipliers(m: MultiplierSet, bound: float) -> MultiplierSet:
                          np.clip(m.nu, -bound, bound))
 
 
-def augmented_lagrangian(problem: QuadraticMpcc, point, rho: float,
+def augmented_lagrangian(problem: QuadraticMpcc, x, rho: float,
                          safeguarded: MultiplierSet):
-    """Value and gradient of the shifted quadratic penalty at `point`.
-
-    `point` is x stacked with the slack pairs (length n + 2t, slack
-    formulation) or plain x (length n, slack-free); the formulation is
-    inferred from the length.
-    """
-    point = np.asarray(point, dtype=float)
-    _, z_g, _ = _split_point(problem, point)  # rejects any other length
-    build = _oracle_factory(problem, slack=z_g is not None)
-    return build(rho, safeguarded)(point)
+    """Value and gradient of the shifted quadratic penalty at x."""
+    return _oracle_factory(problem)(rho, safeguarded)(
+        np.asarray(x, dtype=float))
 
 
 def _as_operator(mat: np.ndarray):
@@ -158,7 +160,7 @@ def _as_operator(mat: np.ndarray):
     return mat
 
 
-def _oracle_factory(problem: QuadraticMpcc, slack: bool):
+def _oracle_factory(problem: QuadraticMpcc):
     """build(rho, hat) -> penalty oracle, the value and gradient at a point.
 
     The subproblem solver evaluates the penalty hundreds of thousands of
@@ -170,74 +172,47 @@ def _oracle_factory(problem: QuadraticMpcc, slack: bool):
     AgT = _as_operator(np.ascontiguousarray(problem.A_g.T))
     AhT = _as_operator(np.ascontiguousarray(problem.A_h.T))
     b_g, b_h = problem.b_g, problem.b_h
-    n, t = problem.n, problem.t
-    if slack:
-        AG, AH = _as_operator(problem.A_G), _as_operator(problem.A_H)
-        AGT = _as_operator(np.ascontiguousarray(problem.A_G.T))
-        AHT = _as_operator(np.ascontiguousarray(problem.A_H.T))
-        b_G, b_H = problem.b_G, problem.b_H
 
     def build(rho, hat):
         shift_g = hat.lam / rho
         shift_h = hat.eta / rho
-        shift_G = hat.mu / rho
-        shift_H = hat.nu / rho
 
-        def oracle(p):
-            x = p[:n]
+        def oracle(x):
             qx = Q @ x
             sg = np.maximum((Ag @ x + b_g) + shift_g, 0.0)
             sh = (Ah @ x + b_h) + shift_h
             squares = sg @ sg + sh @ sh
             pulled = AgT @ sg + AhT @ sh
-            if slack:  # couple G(x), H(x) to the slacks z_G, z_H
-                r_g = ((AG @ x + b_G) - p[n:n + t]) + shift_G
-                r_h = ((AH @ x + b_H) - p[n + t:]) + shift_H
-                squares = squares + (r_g @ r_g + r_h @ r_h)
-                pulled = pulled + (AGT @ r_g + AHT @ r_h)
             value = (0.5 * (x @ qx) + q @ x + c0) + 0.5 * rho * squares
             grad = qx + q + rho * pulled
-            if slack:
-                grad = np.concatenate([grad, -rho * r_g, -rho * r_h])
             return float(value), grad
         return oracle
 
     return build
 
 
-def feasibility_measure(problem: QuadraticMpcc, point, rho: float,
+def feasibility_measure(problem: QuadraticMpcc, x, rho: float,
                         m: MultiplierSet) -> float:
-    """V(point, m) = max of the blockwise constraint residual norms."""
-    x, z_g, z_h = _split_point(problem, point)
+    """V(x, m) = max of the blockwise constraint residual norms."""
     parts = [0.0]
     if problem.r:
         parts.append(np.linalg.norm(np.maximum(problem.g(x), -m.lam / rho)))
     if problem.s:
         parts.append(np.linalg.norm(problem.h(x)))
-    if z_g is not None and problem.t:
-        parts.append(np.linalg.norm(problem.G(x) - z_g))
-        parts.append(np.linalg.norm(problem.H(x) - z_h))
     return float(max(parts))
 
 
-def update_multipliers(problem: QuadraticMpcc, new_point, rho: float,
+def update_multipliers(problem: QuadraticMpcc, x, rho: float,
                        safeguarded: MultiplierSet) -> MultiplierSet:
-    """Shifted multiplier update at the new subproblem point.
+    """Shifted multiplier update at the new subproblem point x.
 
-    Slack formulation: the classical formulas for all four blocks. Slack-free:
-    lambda/eta as usual, while (mu, nu) are read off the pair components of
-    grad f + A_g' lambda+ + A_h' eta+ (sign-mapped), which makes the full
-    Lagrangian gradient vanish exactly on the pair coordinates.
+    lambda/eta follow the classical formulas, while (mu, nu) are read off the
+    pair components of grad f + A_g' lambda+ + A_h' eta+ (sign-mapped), which
+    makes the full Lagrangian gradient vanish exactly on the pair
+    coordinates.
     """
-    x, z_g, z_h = _split_point(problem, new_point)
     lam = np.maximum(rho * problem.g(x) + safeguarded.lam, 0.0)
     eta = rho * problem.h(x) + safeguarded.eta
-    if z_g is not None:
-        mu = rho * (problem.G(x) - z_g) + safeguarded.mu
-        nu = rho * (problem.H(x) - z_h) + safeguarded.nu
-        return MultiplierSet(lam, eta, mu, nu)
-    if problem.t == 0:
-        return MultiplierSet(lam, eta, np.zeros(0), np.zeros(0))
     pairs = problem.pair_partition()
     partial = problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
     mu = -pairs.sign_g * partial[pairs.idx_g]
@@ -245,44 +220,52 @@ def update_multipliers(problem: QuadraticMpcc, new_point, rho: float,
     return MultiplierSet(lam, eta, mu, nu)
 
 
-def _identity_gap(problem, point, oracle, m_new) -> float:
-    """|grad of the penalty - grad of the Lagrangian at the updated multipliers|."""
-    _, grad_rho = oracle(point)
-    x, z_g, _ = _split_point(problem, point)
+def _identity_gap(problem, x, oracle, m_new) -> float:
+    """|grad of the penalty - grad of the Lagrangian at the updated multipliers|.
+
+    The pair components cancel by construction of the recovered (mu, nu).
+    """
+    _, grad_rho = oracle(x)
     grad_x = (problem.grad_f(x) + problem.A_g.T @ m_new.lam
               + problem.A_h.T @ m_new.eta)
-    if z_g is None:
-        # pair components cancel by construction of the recovered (mu, nu)
-        return float(np.max(np.abs(grad_rho - grad_x), initial=0.0))
-    grad_x = grad_x + problem.A_G.T @ m_new.mu + problem.A_H.T @ m_new.nu
-    grad_l = np.concatenate([grad_x, -m_new.mu, -m_new.nu])
-    return float(np.max(np.abs(grad_rho - grad_l), initial=0.0))
+    return float(np.max(np.abs(grad_rho - grad_x), initial=0.0))
+
+
+def _check_start(problem: QuadraticMpcc, x0, m0):
+    """x0 as a float vector of length n, and a copy of m0 (zeros if None)."""
+    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (problem.n,):
+        raise ValueError(f"x0 must have length n = {problem.n}, "
+                         f"got shape {x0.shape}")
+    m = (m0 or MultiplierSet.zeros(problem)).copy()
+    sizes = (problem.r, problem.s, problem.t, problem.t)
+    shapes = tuple(v.shape for v in (m.lam, m.eta, m.mu, m.nu))
+    if shapes != tuple((k,) for k in sizes):
+        raise ValueError(f"m0 blocks (lam, eta, mu, nu) must have lengths "
+                         f"(r, s, t, t) = {sizes}, got shapes {shapes}")
+    return x0, m
 
 
 def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
               x0=None, m0: MultiplierSet | None = None, subsolver=None,
               pgrad_cfg: pgrad.PgradConfig | None = None) -> AlmResult:
-    """Run the safeguarded outer loop from (x0, m0)."""
+    """Run the safeguarded outer loop from (x0, m0).
+
+    In slack mode, and for pair maps that do not select coordinates, the
+    loop runs on slack_problem(problem) from (x0, 0, 0), and the result
+    carries the slacks z_g, z_h (None otherwise).
+    """
     cfg = config or AlmConfig()
-    mode = _resolve_mode(problem, cfg)
-    n, t = problem.n, problem.t
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    m = (m0 or MultiplierSet.zeros(problem)).copy()
-
-    if mode == "slack":
+    n, s, t = problem.n, problem.s, problem.t
+    x0, m = _check_start(problem, x0, m0)
+    lifted = _lifts(problem, cfg)
+    solved, point = problem, x0.copy()
+    if lifted:
+        solved = slack_problem(problem)
         point = np.concatenate([x0, np.zeros(2 * t)])
-        pairs = _slack_pairs(n, t) if t else None
-    else:
-        point = x0.copy()
-        pairs = problem.pair_partition() if t else None
-    if pairs:
-        projector, stat_fn = pairs.project, pairs.stationarity
-    else:
-        def projector(p):
-            return np.array(p, dtype=float)
-
-        def stat_fn(p, grad):
-            return float(np.linalg.norm(grad))
+        m = MultiplierSet(m.lam, np.concatenate([m.eta, m.mu, m.nu]),
+                          m.mu, m.nu)
+    pairs = solved.pair_partition()
 
     if subsolver is None:
         sub_cfg = pgrad_cfg or pgrad.PgradConfig()
@@ -294,11 +277,11 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
     if cfg.rho0 is not None:
         rho = float(cfg.rho0)
     else:
-        v1 = feasibility_measure(problem, point, 1.0, m)
+        v1 = feasibility_measure(solved, point, 1.0, m)
         rho = float(np.clip(10.0 * max(1.0, abs(problem.f(x0)))
                             / max(1.0, v1 * v1), 1e-3, 1e3))
 
-    oracle_build = _oracle_factory(problem, slack=(mode == "slack"))
+    oracle_build = _oracle_factory(solved)
     trace = SolverTrace()
     prev_v_hat = math.inf
     v_guard = math.inf
@@ -317,27 +300,29 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
         oracle = oracle_build(rho, hat)
         try:
             new_point, sub_stat, sub_iters = subsolver(
-                oracle, projector, point, eps_k, stat_fn)
+                oracle, pairs.project, point, eps_k, pairs.stationarity)
         except pgrad.PgradError:
             status = "subsolver_failure"
             break
-        m_new = update_multipliers(problem, new_point, rho, hat)
-        v_hat = feasibility_measure(problem, new_point, rho, hat)
-        v_guard = feasibility_measure(problem, new_point, rho, m)
+        m_new = update_multipliers(solved, new_point, rho, hat)
+        v_hat = feasibility_measure(solved, new_point, rho, hat)
+        v_guard = feasibility_measure(solved, new_point, rho, m)
         increased = not (k == 0 or v_hat <= cfg.q_alm * prev_v_hat)
-        x_new = new_point[:n]
         trace.append(TraceRow(
-            k=k, objective=problem.f(x_new), residual=v_guard,
+            k=k, objective=problem.f(new_point[:n]), residual=v_guard,
             wall_time=time.perf_counter() - tic, rho=rho,
             sub_iters=sub_iters, sub_stat=sub_stat,
             sub_converged=bool(sub_stat <= eps_k),
-            identity_gap=_identity_gap(problem, new_point, oracle, m_new),
+            identity_gap=_identity_gap(solved, new_point, oracle, m_new),
             penalty_increased=increased))
         point, m, prev_v_hat = new_point, m_new, v_hat
         rho = rho * cfg.gamma if increased else rho
         k += 1
 
-    x, z_g, z_h = _split_point(problem, point)
+    x, z_g, z_h = point[:n], None, None
+    if lifted:
+        z_g, z_h = point[n:n + t], point[n + t:]
+        m = MultiplierSet(m.lam, m.eta[:s], m.mu, m.nu)
     final_rho = trace.rows[-1].rho if trace.rows else rho
     final_v = v_guard if math.isfinite(v_guard) else math.inf
     return AlmResult(x=x, z_g=z_g, z_h=z_h, multipliers=m, status=status,

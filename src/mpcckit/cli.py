@@ -205,8 +205,8 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     """Defaults, then the config file, then the flags (those not None).
 
     Within one source an explicit seed list beats a seed count. Unknown
-    keys and formats raise ValueError; run_experiment checks the algorithm
-    before it builds the problem.
+    keys, unknown formats and an empty seed set raise ValueError;
+    run_experiment checks the algorithm before it builds the problem.
     """
     unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
@@ -235,6 +235,9 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     if cfg.fmt not in _FORMATS:
         raise ValueError(f"unknown format {cfg.fmt!r} "
                          f"(expected one of {_FORMATS})")
+    if not cfg.seeds:
+        raise ValueError("no seeds to run: give --seeds N with N >= 1 or a "
+                         "non-empty seed list")
     return cfg
 
 

@@ -2,16 +2,16 @@
 
 The planar complementarity set is ``C2 = {(a, b) : a >= 0, b >= 0, ab = 0}``;
 stacked pair values live in its componentwise product C. For problems whose
-pair maps select (signed, offset) coordinates of x, the slack-free feasible
-set
+pair maps select (signed, offset) coordinates of x, the feasible set
 
     D = {x : G(x) >= 0, H(x) >= 0, G(x)' H(x) = 0}
 
 decouples into independent planar pairs, so nearest-point projection onto D
-is closed-form as well. This module provides those projections, the limiting
-normal cone of C2 at a feasible pair, and the stationarity measure
-dist(-grad, N_domain(point)) used to terminate the augmented-Lagrangian
-subproblems.
+is closed-form as well. `PairPartition` is the one representation of that
+geometry: its `project` is the projection onto D and its `stationarity` the
+measure dist(-grad, N_D(point)) that terminates the augmented-Lagrangian
+subproblems. A partition with no pairs is the whole space, where projection
+is a copy and the measure is the gradient norm.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PairPartition",
-    "project_pair",
-    "project_onto_C",
-    "project_onto_D",
-    "normal_cone_distance_pair",
-    "stationarity_distance",
-]
+__all__ = ["PairPartition", "project_onto_C"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,12 @@ class PairPartition:
         return a, b
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of D; see project_onto_D."""
+        """Nearest point of D.
+
+        Coordinates outside the pairs are untouched; each selected coordinate
+        is moved by the planar projection mapped through the (isometric)
+        signed, offset coordinate change.
+        """
         out = np.array(x, dtype=float)
         a, b = self.values(out)
         pa, pb = project_onto_C(a, b)
@@ -103,11 +101,13 @@ class PairPartition:
 
     def stationarity(self, point: np.ndarray, grad: np.ndarray,
                      tol: float = 1e-6) -> float:
-        """dist(-grad, N_D(point)) for float arrays; see stationarity_distance.
+        """dist(-grad, N_D(point)) for float arrays.
 
-        The subproblem solver calls this hundreds of thousands of times, so
-        the indices of the coordinates outside the pairs are computed once
-        per point length.
+        Pair components of -grad are tested against the planar cone in (a, b)
+        coordinates and the remaining components against {0}. Pair values
+        more than tol from C2 raise ValueError. The subproblem solver calls
+        this hundreds of thousands of times, so the indices of the coordinates
+        outside the pairs are computed once per point length.
         """
         idx_free = self._free.get(point.size)
         if idx_free is None:
@@ -123,12 +123,6 @@ class PairPartition:
         return float(np.sqrt(np.sum(gf ** 2) + np.sum(pair_d ** 2)))
 
 
-def project_pair(a: float, b: float) -> tuple[float, float]:
-    """Nearest point of {(s, u) : s >= 0, u >= 0, su = 0}; ties go to (a, 0)."""
-    pa, pb = project_onto_C([a], [b])
-    return (float(pa[0]), float(pb[0]))
-
-
 def project_onto_C(z_g, z_h) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise nearest point of the complementarity set."""
     a = np.asarray(z_g, dtype=float)
@@ -138,16 +132,6 @@ def project_onto_C(z_g, z_h) -> tuple[np.ndarray, np.ndarray]:
     first = d_first <= d_second
     return (np.where(first, np.maximum(a, 0.0), 0.0),
             np.where(first, 0.0, np.maximum(b, 0.0)))
-
-
-def project_onto_D(x, pairs: PairPartition) -> np.ndarray:
-    """Nearest point of D for coordinate-selection pair maps.
-
-    Coordinates outside the pairs are untouched; each selected coordinate is
-    moved by the planar projection mapped through the (isometric) signed,
-    offset coordinate change.
-    """
-    return pairs.project(x)
 
 
 def _pair_cone_distances(a, b, p, q, tol):
@@ -168,37 +152,3 @@ def _pair_cone_distances(a, b, p, q, tol):
     d_q_axis = np.abs(q)
     d_biactive = np.minimum(d_quad, np.minimum(d_p_axis, d_q_axis))
     return np.where(a > 0.0, d_p_axis, np.where(b > 0.0, d_q_axis, d_biactive))
-
-
-def normal_cone_distance_pair(a: float, b: float, p: float, q: float,
-                              tol: float = 1e-6) -> float:
-    """Distance of (p, q) to the limiting normal cone of C2 at (a, b)."""
-    d = _pair_cone_distances(np.array([a]), np.array([b]),
-                             np.array([p]), np.array([q]), tol)
-    return float(d[0])
-
-
-def stationarity_distance(grad, point, pairs: PairPartition | None = None,
-                          t: int = 0, tol: float = 1e-6) -> float:
-    """Distance of -grad to the limiting normal cone of the domain at point.
-
-    With ``pairs`` given, the domain is D (slack-free coordinate selection):
-    pair components of -grad are tested against the planar cone in (a, b)
-    coordinates and the remaining components against {0}. Otherwise the domain
-    is R^(n) x C with the trailing 2t components forming the slack pairs
-    (t = 0 reduces to the plain gradient norm).
-    """
-    grad = np.asarray(grad, dtype=float)
-    point = np.asarray(point, dtype=float)
-    if pairs is None and t:
-        pairs = _slack_pairs(point.size - 2 * t, t)
-    if pairs is not None:
-        return pairs.stationarity(point, grad, tol)
-    return float(np.linalg.norm(grad))
-
-
-def _slack_pairs(n_free: int, t: int) -> PairPartition:
-    """Partition of the slack pairs (z_G, z_H) trailing n_free coordinates."""
-    return PairPartition(np.arange(n_free, n_free + t),
-                         np.arange(n_free + t, n_free + 2 * t),
-                         np.zeros(t), np.zeros(t), np.ones(t), np.ones(t))

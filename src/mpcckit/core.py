@@ -80,6 +80,8 @@ class QuadraticMpcc:
     A_H: np.ndarray
     b_H: np.ndarray
     coordinate_selection: bool = False
+    _pairs: PairPartition | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         n, r, s, t = self.n, self.r, self.s, self.t
@@ -102,9 +104,10 @@ class QuadraticMpcc:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "c0", float(self.c0))
-        if self.coordinate_selection and t > 0:
+        if self.coordinate_selection or t == 0:
             # raises if rows are not signed units on pairwise-distinct coordinates
-            PairPartition.from_rows(self.A_G, self.b_G, self.A_H, self.b_H)
+            object.__setattr__(self, "_pairs", PairPartition.from_rows(
+                self.A_G, self.b_G, self.A_H, self.b_H))
 
     @classmethod
     def build(cls, Q=None, q=None, c0=0.0, A_g=None, b_g=None, A_h=None, b_h=None,
@@ -147,10 +150,14 @@ class QuadraticMpcc:
         return self.A_H @ np.asarray(x, dtype=float) + self.b_H
 
     def pair_partition(self) -> PairPartition:
-        """Pair structure for the slack-free geometry (coordinate selection only)."""
-        if not self.coordinate_selection:
+        """Pair structure of D, built once with the problem.
+
+        Available when the pair maps select coordinates, which they do
+        vacuously when there are no pairs.
+        """
+        if self._pairs is None:
             raise ValueError("problem is not in coordinate-selection form")
-        return PairPartition.from_rows(self.A_G, self.b_G, self.A_H, self.b_H)
+        return self._pairs
 
 
 @dataclass

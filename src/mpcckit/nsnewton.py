@@ -133,9 +133,13 @@ def _split(problem: QuadraticMpcc, v: np.ndarray):
 
 
 def _as_vec(problem: QuadraticMpcc, z) -> np.ndarray:
-    if isinstance(z, FullPoint):
-        return z.to_vector()
-    return np.asarray(z, dtype=float)
+    """The full point z as one vector of length n + r + s + 2t."""
+    v = z.to_vector() if isinstance(z, FullPoint) else np.asarray(z, dtype=float)
+    size = problem.n + problem.r + problem.s + 2 * problem.t
+    if v.shape != (size,):
+        raise ValueError(f"full point must have length n + r + s + 2t = {size}, "
+                         f"got shape {v.shape}")
+    return v
 
 
 def ncp_min(a, b):

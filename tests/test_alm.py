@@ -11,6 +11,7 @@ from mpcckit.alm import (
     augmented_lagrangian,
     feasibility_measure,
     safeguard_multipliers,
+    slack_problem,
     solve_alm,
     update_multipliers,
 )
@@ -39,17 +40,43 @@ def _m(lam=(), eta=(), mu=(), nu=()):
                          np.asarray(mu, float), np.asarray(nu, float))
 
 
+def _lifted(m):
+    """Multipliers of slack_problem(p) from those of p."""
+    return MultiplierSet(m.lam, np.concatenate([m.eta, m.mu, m.nu]),
+                         m.mu, m.nu)
+
+
+def _clean_pair_problem():
+    return QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),
+                               A_g=[[1.0, 0.0]], b_g=[-5.0],
+                               A_G=[[1.0, 0.0]], b_G=[0.0],
+                               A_H=[[0.0, 1.0]], b_H=[0.0],
+                               coordinate_selection=True)
+
+
+def _dense_pair_mpcc(rng):
+    """A random tiny MPCC seen through an orthogonal change of variables.
+
+    x = U y turns every coordinate-selection pair row into a dense one while
+    keeping the instance feasible and Q positive definite.
+    """
+    p = random_tiny_mpcc(rng)
+    U, _ = np.linalg.qr(rng.normal(size=(p.n, p.n)))
+    return QuadraticMpcc.build(Q=U.T @ p.Q @ U, q=U.T @ p.q, c0=p.c0,
+                               A_g=p.A_g @ U, b_g=p.b_g,
+                               A_h=p.A_h @ U, b_h=p.b_h,
+                               A_G=p.A_G @ U, b_G=p.b_G,
+                               A_H=p.A_H @ U, b_H=p.b_H, n=p.n)
+
+
 class TestAugmentedLagrangian:
     def test_exact_slacks_reduce_to_objective(self):
-        p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),
-                                A_g=[[1.0, 0.0]], b_g=[-5.0],
-                                A_G=[[1.0, 0.0]], b_G=[0.0],
-                                A_H=[[0.0, 1.0]], b_H=[0.0],
-                                coordinate_selection=True)
+        p = _clean_pair_problem()
+        lifted = slack_problem(p)
         x = np.array([1.0, 2.0])
         point = np.concatenate([x, p.G(x), p.H(x)])
-        value, grad = augmented_lagrangian(p, point, 3.0,
-                                           MultiplierSet.zeros(p))
+        value, grad = augmented_lagrangian(lifted, point, 3.0,
+                                           MultiplierSet.zeros(lifted))
         assert value == p.f(x)
         assert grad.shape == (4,)
 
@@ -71,24 +98,22 @@ class TestAugmentedLagrangian:
                      eta=rng.normal(size=p.s),
                      mu=rng.normal(size=p.t), nu=rng.normal(size=p.t))
             rho = float(rng.uniform(0.5, 5.0))
-            for length in (p.n, p.n + 2 * p.t):
-                point = rng.normal(size=length)
-                _, grad = augmented_lagrangian(p, point, rho, hat)
+            for prob, m in ((p, hat), (slack_problem(p), _lifted(hat))):
+                point = rng.normal(size=prob.n)
+                _, grad = augmented_lagrangian(prob, point, rho, m)
                 num = finite_diff(
-                    lambda v: augmented_lagrangian(p, v, rho, hat)[0], point)
+                    lambda v: augmented_lagrangian(prob, v, rho, m)[0], point)
                 np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-5)
 
 
 class TestFeasibilityMeasure:
     def test_zero_at_clean_point(self):
-        p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),
-                                A_g=[[1.0, 0.0]], b_g=[-5.0],
-                                A_G=[[1.0, 0.0]], b_G=[0.0],
-                                A_H=[[0.0, 1.0]], b_H=[0.0],
-                                coordinate_selection=True)
+        p = _clean_pair_problem()
+        lifted = slack_problem(p)
         x = np.array([1.0, 0.0])
         point = np.concatenate([x, p.G(x), p.H(x)])
-        assert feasibility_measure(p, point, 2.0, MultiplierSet.zeros(p)) == 0.0
+        assert feasibility_measure(lifted, point, 2.0,
+                                   MultiplierSet.zeros(lifted)) == 0.0
 
     def test_violated_complementarity_slackness(self):
         p = QuadraticMpcc.build(n=1, A_g=[[1.0]], b_g=[0.0])
@@ -119,14 +144,11 @@ class TestSafeguardMultipliers:
 
 class TestUpdateMultipliers:
     def test_zero_at_clean_point(self):
-        p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),
-                                A_g=[[1.0, 0.0]], b_g=[-5.0],
-                                A_G=[[1.0, 0.0]], b_G=[0.0],
-                                A_H=[[0.0, 1.0]], b_H=[0.0],
-                                coordinate_selection=True)
+        p = _clean_pair_problem()
+        lifted = slack_problem(p)
         x = np.array([1.0, 0.0])
         point = np.concatenate([x, p.G(x), p.H(x)])
-        m = update_multipliers(p, point, 2.0, MultiplierSet.zeros(p))
+        m = update_multipliers(lifted, point, 2.0, MultiplierSet.zeros(lifted))
         assert all(np.all(getattr(m, k) == 0.0)
                    for k in ("lam", "eta", "mu", "nu"))
 
@@ -139,14 +161,21 @@ class TestUpdateMultipliers:
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = random_tiny_mpcc(rng)
-            hat = safeguard_multipliers(
+            lifted = slack_problem(p)
+            hat = _lifted(safeguard_multipliers(
                 _m(lam=rng.normal(size=p.r), eta=rng.normal(size=p.s),
-                   mu=rng.normal(size=p.t), nu=rng.normal(size=p.t)), 1e20)
+                   mu=rng.normal(size=p.t), nu=rng.normal(size=p.t)), 1e20))
             rho = float(rng.uniform(0.5, 20.0))
-            point = rng.normal(size=p.n + 2 * p.t)
-            m_new = update_multipliers(p, point, rho, hat)
-            _, grad_pen = augmented_lagrangian(p, point, rho, hat)
-            _, grad_l, _ = eval_lagrangian(p, point[:p.n], m_new)
+            point = rng.normal(size=lifted.n)
+            m_new = update_multipliers(lifted, point, rho, hat)
+            # the recovered pair multipliers are the coupling multipliers
+            coupling = m_new.eta[p.s:]
+            np.testing.assert_array_equal(m_new.mu, coupling[:p.t])
+            np.testing.assert_array_equal(m_new.nu, coupling[p.t:])
+            _, grad_pen = augmented_lagrangian(lifted, point, rho, hat)
+            m_orig = MultiplierSet(m_new.lam, m_new.eta[:p.s],
+                                   m_new.mu, m_new.nu)
+            _, grad_l, _ = eval_lagrangian(p, point[:p.n], m_orig)
             full = np.concatenate([grad_l, -m_new.mu, -m_new.nu])
             np.testing.assert_allclose(grad_pen, full, rtol=0, atol=1e-10)
 
@@ -168,6 +197,28 @@ class TestUpdateMultipliers:
             free = np.setdiff1d(np.arange(p.n), sel)
             np.testing.assert_allclose(grad_l[free], grad_pen[free],
                                        rtol=0, atol=1e-12)
+
+
+class TestSlackProblem:
+    def test_pairs_select_slacks_and_coupling_rows_close_h(self):
+        rng = np.random.default_rng(35)
+        for p in (random_tiny_mpcc(rng), _dense_pair_mpcc(rng)):
+            n, s, t = p.n, p.s, p.t
+            lifted = slack_problem(p)
+            assert (lifted.n, lifted.r, lifted.s, lifted.t) == \
+                (n + 2 * t, p.r, s + 2 * t, t)
+            pairs = lifted.pair_partition()
+            np.testing.assert_array_equal(pairs.idx_g, n + np.arange(t))
+            np.testing.assert_array_equal(pairs.idx_h, n + t + np.arange(t))
+            x, z_g, z_h = (rng.normal(size=n), rng.normal(size=t),
+                           rng.normal(size=t))
+            point = np.concatenate([x, z_g, z_h])
+            np.testing.assert_allclose(lifted.h(point), np.concatenate(
+                [p.h(x), p.G(x) - z_g, p.H(x) - z_h]), rtol=0, atol=1e-14)
+            a, b = pairs.values(point)
+            np.testing.assert_array_equal(a, z_g)
+            np.testing.assert_array_equal(b, z_h)
+            assert lifted.f(point) == pytest.approx(p.f(x), rel=1e-14)
 
 
 class TestAlmConfig:
@@ -286,6 +337,30 @@ class TestSolveAlm:
         p = _toy_pair_problem()
         with pytest.raises(ValueError):
             solve_alm(p, AlmConfig(slack_mode="nope"))
+
+    def test_general_pair_maps_match_branch_oracle(self):
+        # pair rows that select no coordinate are solved on the lifted problem
+        rng = np.random.default_rng(34)
+        cfg = AlmConfig(tau_alm=1e-8, eps_schedule=lambda k: 1e-8)
+        for _ in range(5):
+            p = _dense_pair_mpcc(rng)
+            assert np.count_nonzero(p.A_G) == p.A_G.size
+            with pytest.raises(ValueError):
+                p.pair_partition()
+            res = solve_alm(p, cfg, x0=rng.normal(size=p.n))
+            assert res.status == "converged"
+            cands = [x for x, _, _ in enumerate_branch_nlps(p)]
+            assert min(np.max(np.abs(res.x - c)) for c in cands) <= 1e-6
+            assert classify_stationarity(p, res.x, res.multipliers,
+                                         tol=1e-6).is_M
+
+    def test_wrong_start_lengths_rejected(self):
+        p = _toy_pair_problem()
+        with pytest.raises(ValueError, match="length n = 2"):
+            solve_alm(p, x0=np.zeros(3))
+        m0 = _m(mu=[0.0], nu=[0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\(0, 0, 1, 1\)"):
+            solve_alm(p, m0=m0)
 
     def test_slack_free_requires_coordinate_selection(self):
         p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),

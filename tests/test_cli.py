@@ -221,6 +221,17 @@ class TestConfigMerge:
         with pytest.raises(ValueError, match="'alm'.*tau"):
             main(["--config", cfg_path])
 
+    @pytest.mark.parametrize("doc, flags", [
+        ({}, ["--seeds", "0"]),
+        ({"seeds": []}, []),
+    ])
+    def test_empty_seed_set_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve, doc, flags):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}", **doc})
+        with pytest.raises(ValueError, match="no seeds"):
+            main(["--config", cfg_path] + flags)
+
     def test_unknown_format_rejected_before_solving(self, toy_instance_path,
                                                     tmp_path, no_solve):
         out = tmp_path / "rows.html"

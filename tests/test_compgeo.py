@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from mpcckit.compgeo import (
-    PairPartition,
-    normal_cone_distance_pair,
-    project_onto_C,
-    project_onto_D,
-    project_pair,
-    stationarity_distance,
-)
+from mpcckit.compgeo import PairPartition, project_onto_C
 
 
 def _in_C(a, b, tol=0.0):
@@ -26,30 +19,53 @@ def _reference_project_pair(a, b):
     return (0.0, max(b, 0.0))
 
 
+def _single_pair(off_g=0.0, off_h=0.0, sign_g=1.0, sign_h=1.0):
+    return PairPartition(idx_g=[0], idx_h=[1], off_g=[off_g], off_h=[off_h],
+                         sign_g=[sign_g], sign_h=[sign_h])
+
+
+def _trailing_pair(n_free):
+    """One plain pair (z_G, z_H) after n_free unconstrained coordinates."""
+    return PairPartition(idx_g=[n_free], idx_h=[n_free + 1], off_g=[0.0],
+                         off_h=[0.0], sign_g=[1.0], sign_h=[1.0])
+
+
+def _project_pair(a, b):
+    """Nearest point of C2: a one-pair partition with no free coordinates."""
+    out = _single_pair().project([a, b])
+    return (float(out[0]), float(out[1]))
+
+
+def _cone_distance(a, b, p, q, tol=1e-6):
+    """Distance of (p, q) to the limiting normal cone of C2 at (a, b)."""
+    return _single_pair().stationarity(np.array([a, b]), -np.array([p, q]),
+                                       tol)
+
+
 class TestProjectPair:
     def test_negative_orthant_projects_to_origin(self):
-        assert project_pair(-1.0, -2.0) == (0.0, 0.0)
+        assert _project_pair(-1.0, -2.0) == (0.0, 0.0)
 
     def test_first_branch(self):
-        assert project_pair(3.0, -1.0) == (3.0, 0.0)
+        assert _project_pair(3.0, -1.0) == (3.0, 0.0)
 
     def test_tie_breaks_toward_first_branch(self):
-        assert project_pair(2.0, 2.0) == (2.0, 0.0)
+        assert _project_pair(2.0, 2.0) == (2.0, 0.0)
 
     def test_idempotent_and_feasible(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             a, b = rng.uniform(-3, 3, size=2)
-            pa, pb = project_pair(a, b)
+            pa, pb = _project_pair(a, b)
             assert _in_C(pa, pb)
-            assert project_pair(pa, pb) == (pa, pb)
+            assert _project_pair(pa, pb) == (pa, pb)
 
     def test_beats_both_branch_candidates(self):
         # output is never farther than either closed-form candidate
         rng = np.random.default_rng(1)
         pts = rng.uniform(-5, 5, size=(100_000, 2))
         for a, b in pts[::101]:  # keep the loop cheap, still ~1000 samples
-            pa, pb = project_pair(a, b)
+            pa, pb = _project_pair(a, b)
             d = np.hypot(pa - a, pb - b)
             d1 = np.hypot(max(a, 0.0) - a, 0.0 - b)
             d2 = np.hypot(0.0 - a, max(b, 0.0) - b)
@@ -74,7 +90,7 @@ class TestProjectOntoC:
         pa, pb = project_onto_C(a, b)
         for i in range(a.size):
             assert (pa[i], pb[i]) == _reference_project_pair(a[i], b[i])
-            assert project_pair(a[i], b[i]) == (pa[i], pb[i])
+            assert _project_pair(a[i], b[i]) == (pa[i], pb[i])
 
     def test_optimality_against_sampled_feasible_points(self):
         rng = np.random.default_rng(3)
@@ -89,26 +105,20 @@ class TestProjectOntoC:
             assert np.all(base <= d + 1e-12)
 
 
-def _single_pair(off_g=0.0, off_h=0.0, sign_g=1.0, sign_h=1.0):
-    return PairPartition(idx_g=[0], idx_h=[1], off_g=[off_g], off_h=[off_h],
-                         sign_g=[sign_g], sign_h=[sign_h])
-
-
 class TestProjectOntoD:
     def test_point_in_D_unchanged(self):
         pairs = _single_pair()
         x = np.array([0.0, 5.0, -3.0])
-        np.testing.assert_array_equal(project_onto_D(x, pairs), x)
+        np.testing.assert_array_equal(pairs.project(x), x)
 
     def test_single_pair_example(self):
         pairs = _single_pair()
-        np.testing.assert_array_equal(project_onto_D([-1.0, 5.0], pairs),
-                                      [0.0, 5.0])
+        np.testing.assert_array_equal(pairs.project([-1.0, 5.0]), [0.0, 5.0])
 
     def test_untouched_coordinate_preserved_exactly(self):
         pairs = _single_pair()
         x = np.array([-1.0, 5.0, 0.123456789])
-        out = project_onto_D(x, pairs)
+        out = pairs.project(x)
         assert out[2] == x[2]
 
     def test_signed_offset_coordinate_change(self):
@@ -118,9 +128,9 @@ class TestProjectOntoD:
         rng = np.random.default_rng(4)
         for _ in range(200):
             x = rng.uniform(-4, 4, size=2)
-            out = project_onto_D(x, pairs)
+            out = pairs.project(x)
             a, b = pairs.values(x)
-            pa, pb = project_pair(float(a[0]), float(b[0]))
+            pa, pb = _project_pair(float(a[0]), float(b[0]))
             np.testing.assert_allclose(
                 out, [-(pa - 1.0), (pb + 2.0)], rtol=0, atol=1e-15)
             oa, ob = pairs.values(out)
@@ -144,51 +154,53 @@ class TestProjectOntoD:
 
 class TestNormalConeDistancePair:
     def test_inactive_first_component(self):
-        assert normal_cone_distance_pair(1.0, 0.0, 3.0, -7.0) == 3.0
+        assert _cone_distance(1.0, 0.0, 3.0, -7.0) == 3.0
 
     def test_biactive_negative_pair_in_cone(self):
-        assert normal_cone_distance_pair(0.0, 0.0, -1.0, -2.0) == 0.0
+        assert _cone_distance(0.0, 0.0, -1.0, -2.0) == 0.0
 
     def test_biactive_positive_pair(self):
-        assert normal_cone_distance_pair(0.0, 0.0, 1.0, 1.0) == 1.0
+        assert _cone_distance(0.0, 0.0, 1.0, 1.0) == 1.0
 
     def test_infeasible_pair_rejected(self):
         with pytest.raises(ValueError):
-            normal_cone_distance_pair(1.0, 1.0, 0.0, 0.0)
+            _cone_distance(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            normal_cone_distance_pair(-1.0, 0.0, 0.0, 0.0)
+            _cone_distance(-1.0, 0.0, 0.0, 0.0)
 
     def test_snaps_within_tolerance(self):
         # a within tol of 0 is treated as exactly biactive
-        assert normal_cone_distance_pair(1e-8, 1e-9, -1.0, -2.0) == 0.0
+        assert _cone_distance(1e-8, 1e-9, -1.0, -2.0) == 0.0
 
     def test_zero_iff_m_condition_on_grid(self):
         vals = [-1.0, -0.5, 0.0, 0.5, 1.0]
         for p in vals:
             for q in vals:
-                d = normal_cone_distance_pair(0.0, 0.0, p, q)
+                d = _cone_distance(0.0, 0.0, p, q)
                 in_cone = (p < 0 and q < 0) or p * q == 0
                 assert (d == 0.0) == in_cone
 
 
 class TestStationarityDistance:
     def test_zero_gradient(self):
-        assert stationarity_distance(np.zeros(4), np.zeros(4), t=1) == 0.0
+        assert _trailing_pair(2).stationarity(np.zeros(4), np.zeros(4)) == 0.0
 
     def test_free_block_norm(self):
-        assert stationarity_distance([3.0, 4.0], [0.5, -2.0]) == 5.0
+        no_pairs = PairPartition([], [], [], [], [], [])
+        assert no_pairs.stationarity(np.array([0.5, -2.0]),
+                                     np.array([3.0, 4.0])) == 5.0
 
     def test_biactive_pair_membership(self):
         # one slack pair at the origin; -grad = (-1, -2) lies in the cone
         grad = np.array([0.0, 1.0, 2.0])
         point = np.array([7.0, 0.0, 0.0])
-        assert stationarity_distance(grad, point, t=1) == 0.0
+        assert _trailing_pair(1).stationarity(point, grad) == 0.0
 
     def test_slack_mode_combines_blocks(self):
         # free block contributes 3, inactive pair (a>0) contributes |p|=4
         grad = np.array([3.0, 4.0, 0.0])
         point = np.array([0.0, 2.0, 0.0])
-        assert stationarity_distance(grad, point, t=1) == 5.0
+        assert _trailing_pair(1).stationarity(point, grad) == 5.0
 
     def test_pairs_mode_matches_manual_sum(self):
         pairs = _single_pair(off_g=0.5, sign_h=-1.0)
@@ -196,9 +208,9 @@ class TestStationarityDistance:
         grad = np.array([-2.0, -1.0, 2.0])
         # p = -grad[0] = 2 (sign +1), q = +grad[1] = 1 (sign -1): distance
         # min(hypot(2,1), 2, 1) = 1; free block adds grad[2] = 2
-        d = stationarity_distance(grad, point, pairs=pairs)
+        d = pairs.stationarity(point, grad)
         np.testing.assert_allclose(d, np.sqrt(1.0 + 4.0), rtol=0, atol=1e-15)
 
     def test_infeasible_point_rejected(self):
         with pytest.raises(ValueError):
-            stationarity_distance(np.zeros(2), np.array([1.0, 1.0]), t=1)
+            _trailing_pair(0).stationarity(np.array([1.0, 1.0]), np.zeros(2))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from helpers_tiny import random_tiny_mpcc
-from mpcckit.compgeo import project_onto_D
 from mpcckit.core import (
     MultiplierSet,
     QuadraticMpcc,
@@ -48,6 +47,17 @@ class TestProblemContainer:
             QuadraticMpcc.build(n=2, A_G=[[1.0, 1.0]], b_G=[0.0],
                                 A_H=[[0.0, 1.0]], b_H=[0.0],
                                 coordinate_selection=True)
+
+    def test_pair_partition_is_built_once(self):
+        p = _pair_problem()
+        pairs = p.pair_partition()
+        assert p.pair_partition() is pairs
+        np.testing.assert_array_equal(pairs.idx_g, [0])
+        np.testing.assert_array_equal(pairs.idx_h, [1])
+        general = QuadraticMpcc.build(n=2, A_G=[[1.0, 1.0]], b_G=[0.0],
+                                      A_H=[[0.0, 1.0]], b_H=[0.0])
+        with pytest.raises(ValueError):
+            general.pair_partition()
 
 
 class TestEvalLagrangian:
@@ -107,7 +117,7 @@ class TestIndexSets:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = random_tiny_mpcc(rng)
-            x = project_onto_D(rng.normal(size=p.n), p.pair_partition())
+            x = p.pair_partition().project(rng.normal(size=p.n))
             sets = compute_index_sets(p, x, MultiplierSet.zeros(p))
             merged = np.concatenate([sets.i_plus0, sets.i_0plus, sets.i_00])
             np.testing.assert_array_equal(np.sort(merged), np.arange(p.t))
@@ -155,7 +165,7 @@ class TestClassifyStationarity:
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = random_tiny_mpcc(rng)
-            x = project_onto_D(rng.normal(size=p.n), p.pair_partition())
+            x = p.pair_partition().project(rng.normal(size=p.n))
             m = MultiplierSet(lam=rng.normal(size=p.r),
                               eta=rng.normal(size=p.s),
                               mu=rng.choice([-1.0, 0.0, 1.0], size=p.t),
@@ -201,7 +211,7 @@ class TestConstraintQualifications:
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = random_tiny_mpcc(rng)  # Q = basis^T basis + I/2 is PD
-            x = project_onto_D(rng.normal(size=p.n), p.pair_partition())
+            x = p.pair_partition().project(rng.normal(size=p.n))
             m = MultiplierSet.zeros(p)
             sets = compute_index_sets(p, x, m)
             assert check_mpcc_ssoc(p, x, m, sets) is True

@@ -490,6 +490,14 @@ class TestAgainstDenseAssembly:
 
 
 class TestSolveNewton:
+    def test_wrong_start_length_rejected(self):
+        p = _toy_problem()
+        wrong = [np.zeros(5), FullPoint(x=[1.0, 0.0], lam=[0.0], eta=[],
+                                        mu=[0.0], nu=[0.0])]
+        for z0 in wrong:
+            with pytest.raises(ValueError, match=r"n \+ r \+ s \+ 2t = 4"):
+                solve_newton(p, z0=z0)
+
     def test_zero_iterations_at_solution(self):
         res = solve_newton(_toy_problem(), z0=_toy_solution())
         assert res.status == "converged"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mpcckit import pgrad
-from mpcckit.compgeo import (PairPartition, project_onto_C, project_onto_D,
-                             stationarity_distance)
+from mpcckit.compgeo import PairPartition, project_onto_C
 from mpcckit.pgrad import PgradConfig, PgradError, solve_subproblem
 
 
@@ -14,8 +13,11 @@ def _pair_projector(p):
     return np.concatenate([a, b])
 
 
+_ONE_PAIR = PairPartition([0], [1], [0.0], [0.0], [1.0], [1.0])
+
+
 def _pair_stationarity(p, grad):
-    return stationarity_distance(grad, p, t=1)
+    return _ONE_PAIR.stationarity(p, grad)
 
 
 def _bowl(center):
@@ -181,10 +183,10 @@ class TestSolveSubproblem:
             return float(0.5 * x @ Q @ x + c @ x), Q @ x + c
 
         def projector(x):
-            return project_onto_D(x, pairs)
+            return pairs.project(x)
 
         def stationarity(x, grad):
-            return stationarity_distance(grad, x, pairs)
+            return pairs.stationarity(x, grad)
 
         attempts, counting = _spy_face_phase(monkeypatch, stationarity)
         x, stat, iters = solve_subproblem(oracle, projector, x0, eps=1e-8,
@@ -242,7 +244,7 @@ class TestSolveSubproblem:
             return float(0.5 * (x - m) @ Q @ (x - m)), Q @ (x - m)
 
         def projector(x):
-            return project_onto_D(x, pairs)
+            return pairs.project(x)
 
         x = np.array([0.5, 0.0, 0.5])
         val, grad = oracle(x)
@@ -270,8 +272,8 @@ class TestSolveSubproblem:
         x0 = rng.normal(size=n)
         _, stat, iters = solve_subproblem(
             lambda x: (float(0.5 * x @ Q @ x + c @ x), Q @ x + c),
-            lambda x: project_onto_D(x, pairs), x0, eps=1e-8,
-            stationarity=lambda x, grad: stationarity_distance(grad, x, pairs))
+            lambda x: pairs.project(x), x0, eps=1e-8,
+            stationarity=lambda x, grad: pairs.stationarity(x, grad))
         assert stat <= 1e-8
         assert iters <= 300
 
