@@ -14,14 +14,23 @@ is exactly the pairwise M-stationarity set
     {(a,0,0,nu) : a >= 0} u {(0,b,mu,0) : b >= 0} u {(0,0,mu,nu) : mu,nu <= 0},
 
 built from componentwise max/min compositions, so each row of the Newton
-derivative DF is +-1 times a row of K or a unit row. On that set the selected
-linearization is exact in a neighborhood (the Newton iteration terminates
-finitely for piecewise linear residuals), but F is discontinuous elsewhere, so
-globalization uses the continuously differentiable merit
-Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of the same system,
-whose gradient is the transposed product K y_w + y_v of the partials y of
-F_FB in w and v; the merit Jacobian is never formed. Each trial point is
-evaluated once, and an accepted trial's values serve the next iteration.
+derivative DF is +-1 times a row of K or a unit row, and the same selection
+gives F: F_i = +-w_j for the row j of K, or +-v_j for the unit row e_j. On
+that set the selected linearization is exact in a neighborhood (the Newton
+iteration terminates finitely for piecewise linear residuals), but F is
+discontinuous elsewhere, so globalization uses the continuously
+differentiable merit Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of
+the same system, whose gradient is the transposed product K y_w + y_v of the
+partials y of F_FB in w and v; the merit Jacobian is never formed. Nor is DF
+on the solver's path: its singleton rows (the unit rows, and the rows of K
+with a single nonzero, such as coordinate selections in A_g, A_G and A_H) fix
+the Newton step on their columns, and LU with partial pivoting factors only
+the square block of the other rows on the other columns. DF is nonsingular iff
+the singleton columns are distinct and that block is nonsingular; the linear
+system counts as well defined iff the singleton columns are distinct and
+every singleton value and every pivot of the block exceeds pivot_tol times
+the largest row 1-norm of DF. Each trial point is evaluated once, and an
+accepted trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -225,12 +234,9 @@ def _fb_partials(u, v):
     return du, dv
 
 
-_ROW_BLOCK = 256  # rows of K copied into DF at a time
-
-
 def _kkt(problem: QuadraticMpcc):
-    """(K, k, row 1-norms of K) of w = K v + k, built on first use and kept
-    with the problem."""
+    """(K, k, row 1-norms of K, column of each row's single nonzero or -1)
+    of w = K v + k, built on first use and kept with the problem."""
     kkt = vars(problem).get("_kkt")
     if kkt is None:
         n = problem.n
@@ -241,7 +247,10 @@ def _kkt(problem: QuadraticMpcc):
         K[n:, :n] = rows
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        kkt = (K, k, np.abs(K).sum(axis=1))
+        norms = np.abs(K).sum(axis=1)
+        nonzero = K != 0.0
+        single = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
+        kkt = (K, k, norms, single)
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 
@@ -260,38 +269,34 @@ def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
     return _kkt_times(problem, v) + _kkt(problem)[1]
 
 
-def _residual(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
-              fb: bool = False) -> np.ndarray:
-    """F at v (F_FB if fb), given w = K v + k."""
+def _fb_residual(problem: QuadraticMpcc, w: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """F_FB at v, given w = K v + k."""
     n, r, s = problem.n, problem.r, problem.s
     _, g, _, a, b = _split(problem, w)
     _, lam, _, mu, nu = _split(problem, v)
-    if fb:
-        ncp, pair = ncp_fb(-g, lam), _theta_vec(a, b, mu, nu)
-    else:
-        ncp, pair = ncp_min(-g, lam), _phi_vec(a, b, mu, nu)[0]
-    return np.concatenate((w[:n], ncp, w[n + r:n + r + s], pair.ravel()))
+    return np.concatenate((w[:n], ncp_fb(-g, lam), w[n + r:n + r + s],
+                           _theta_vec(a, b, mu, nu).ravel()))
 
 
 def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
     """(v, w, F_FB, merit) at v, the one evaluation of each point."""
     w = _affine(problem, v)
-    res = _residual(problem, w, v, fb=True)
+    res = _fb_residual(problem, w, v)
     return v, w, res, float(0.5 * res @ res)
 
 
-def _derivative(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
-    """(DF, largest row 1-norm of DF) at v: row i of DF is sign_i times row
-    src_i of K, or the unit row sign_i e_{src_i}. DF is in Fortran order, so
-    LAPACK factors it in place; it is filled from K a block of rows at a
-    time, so no second N x N array is made."""
-    K, _, norms = _kkt(problem)
+def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
+    """(src, sign, unit, row_scale) of DF at v: row i of DF is sign_i times
+    row src_i of K, or the unit row sign_i e_{src_i} where unit_i, and
+    row_scale is the largest row 1-norm of DF."""
+    _, _, norms, _ = _kkt(problem)
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     _, g, _, a, b = _split(problem, w)
     _, lam, _, mu, nu = _split(problem, v)
-    src = np.arange(K.shape[0])
-    sign = np.ones(K.shape[0])
-    unit = np.zeros(K.shape[0], dtype=bool)
+    src = np.arange(v.size)
+    sign = np.ones(v.size)
+    unit = np.zeros(v.size, dtype=bool)
     # min(-g_i, lam_i): smallest attaining index wins ties
     g_side = -g <= lam
     sign[n:n + r][g_side] = -1.0
@@ -303,15 +308,15 @@ def _derivative(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
     src[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)).ravel()
     sign[base:] = pair_sign.ravel()
     unit[base:] = (axis >= 2).ravel()
-    df = np.empty(K.shape, order="F")
-    for start in range(0, K.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        np.multiply(K[src[rows]], sign[rows, None], out=df[rows])
-    df[unit] = 0.0
-    df[unit, src[unit]] = sign[unit]
-    row_norms = norms[src]
-    row_norms[unit] = 1.0
-    return df, float(row_norms.max())
+    return src, sign, unit, float(np.where(unit, 1.0, norms[src]).max())
+
+
+def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
+    """F at v from the row description of DF at v: F_i = sign_i w_{src_i},
+    or sign_i v_{src_i} on a unit row, so F and DF share one selection. A
+    selected |t| at t = -0.0 gives F_i = -0.0, by sign(0) := +1."""
+    src, sign, unit, _ = rows
+    return sign * np.where(unit, v[src], w[src])
 
 
 def _merit_gradient(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
@@ -344,13 +349,19 @@ def _merit_gradient(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
 def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
     """Residual of the M-stationarity system at the full point z."""
     v = _as_vec(problem, z)
-    return _residual(problem, _affine(problem, v), v)
+    w = _affine(problem, v)
+    return _residual(w, v, _rows(problem, w, v))
 
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
-    return _derivative(problem, _affine(problem, v), v)[0]
+    src, sign, unit, _ = _rows(problem, _affine(problem, v), v)
+    df = _kkt(problem)[0].take(src, axis=0)
+    df *= sign[:, None]
+    df[unit] = 0.0
+    df[unit, src[unit]] = sign[unit]
+    return df
 
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
@@ -359,23 +370,50 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
     return value, _merit_gradient(problem, w, v, res)
 
 
-def _solve_linear(df: np.ndarray, row_scale: float, rhs: np.ndarray,
-                  pivot_tol: float):
-    """LU with partial pivoting, overwriting df; the step is well defined iff
-    every pivot exceeds pivot_tol times row_scale, the largest row norm of
-    DF."""
+def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
+                 pivot_tol: float):
+    """The solution d of DF d = rhs, or None where the step is not well
+    defined, for DF given by its row description rows; DF itself is not
+    formed.
+
+    A singleton row of DF, a unit row or a row of K with one nonzero, fixes
+    d at its column: d[col] = rhs / value. The other rows on the other
+    columns form a square block, whose right-hand side takes the known part
+    of d; it is factored by LU with partial pivoting. The step is well
+    defined iff the singleton columns are distinct and every singleton value
+    and every pivot of the block exceeds pivot_tol times the largest row
+    1-norm of DF."""
+    K, _, _, single = _kkt(problem)
+    src, sign, unit, row_scale = rows
+    col = np.where(unit, src, single[src])
+    fixed = col >= 0
+    cols = col[fixed]
+    free = np.ones(src.size, dtype=bool)
+    free[cols] = False
+    if np.count_nonzero(free) != src.size - cols.size:
+        return None  # two singleton rows on one column
+    value = sign[fixed] * np.where(unit[fixed], 1.0, K[src[fixed], cols])
+    if not (np.abs(value) > pivot_tol * row_scale).all():
+        return None
+    step = np.zeros(src.size)
+    step[cols] = rhs[fixed] / value
+    keep = ~fixed
+    k_rows = K[src[keep]]
+    block_rhs = rhs[keep] - sign[keep] * (k_rows @ step)
+    block = k_rows[:, free]  # Fortran order, so LAPACK factors it in place
+    block *= sign[keep, None]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(df, overwrite_a=True,
+            lu, piv = scipy.linalg.lu_factor(block, overwrite_a=True,
                                               check_finite=False)
-    except Exception:
+    except (ValueError, scipy.linalg.LinAlgError):
         return None
-    pivots = np.abs(np.diag(lu))
-    if not np.all(pivots > pivot_tol * row_scale):
+    if not (np.abs(lu.diagonal()) > pivot_tol * row_scale).all():
         return None
-    step = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    if not np.all(np.isfinite(step)):
+    step[free] = scipy.linalg.lu_solve((lu, piv), block_rhs,
+                                       check_finite=False)
+    if not np.isfinite(step).all():
         return None
     return step
 
@@ -393,7 +431,8 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     status = None
     while True:
         v, w, res_fb, merit_val = point
-        f_res = _residual(problem, w, v)
+        rows = _rows(problem, w, v)
+        f_res = _residual(w, v, rows)
         norm_f = float(np.linalg.norm(f_res))
         if norm_f <= cfg.tau_nsn:
             status = "converged"
@@ -408,8 +447,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "stationary_merit"
             break
 
-        direction = _solve_linear(*_derivative(problem, w, v), -f_res,
-                                  cfg.pivot_tol)
+        direction = _newton_step(problem, rows, -f_res, cfg.pivot_tol)
         alpha = 1.0
         trial = None if direction is None else _evaluate(problem, v + direction)
         if trial is not None and trial[3] <= cfg.q_nsn * merit_val:

@@ -13,8 +13,9 @@ from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
     _affine,
-    _derivative,
+    _newton_step,
     _phi_vec,
+    _rows,
     merit_phi_fb,
     ncp_fb,
     ncp_min,
@@ -474,11 +475,25 @@ class TestAgainstDenseAssembly:
                 name: 1e-3 * getattr(p, name)
                 for name in ("Q", "A_g", "A_h", "A_G", "A_H")})
             for q in (p, small):
-                _, scale = _derivative(q, _affine(q, v), v)
+                *_, scale = _rows(q, _affine(q, v), v)
                 ref = np.abs(_reference_df(q, v)).sum(axis=1).max()
                 assert scale == ref
                 unit_largest += ref == 1.0
         assert unit_largest >= 30
+
+    def test_reduced_step_solves_the_full_system(self):
+        solved = 0
+        for p, v in _reference_points():
+            df = newton_derivative_DF(p, v)
+            if np.linalg.cond(df) >= 1e8:
+                continue
+            rhs = -residual_F(p, v)
+            step = _newton_step(p, _rows(p, _affine(p, v), v), rhs, 1e-12)
+            ref = np.linalg.solve(df, rhs)
+            assert step is not None
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+            solved += 1
+        assert solved >= 30
 
     def test_merit_gradient_equals_transposed_jacobian_product(self):
         for p, v in _reference_points():
@@ -487,6 +502,39 @@ class TestAgainstDenseAssembly:
             value, grad = merit_phi_fb(p, v)
             assert value == pytest.approx(0.5 * res @ res, rel=1e-12)
             assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestSingularStep:
+    """Where DF is singular to within pivot_tol, the reduced step is None."""
+
+    @staticmethod
+    def _assert_no_step(p, v):
+        v = np.asarray(v, dtype=float)
+        pivot_tol = NewtonConfig().pivot_tol
+        assert np.linalg.cond(newton_derivative_DF(p, v)) > 1.0 / pivot_tol
+        assert _newton_step(p, _rows(p, _affine(p, v), v), np.ones(len(v)),
+                            pivot_tol) is None
+
+    def test_two_singleton_rows_on_one_column(self):
+        # row 0 of K is e_lam (Q's row 0 is zero), and -g = 1 > lam = 0
+        # selects the unit row e_lam: both rows fix the step's lam
+        p = QuadraticMpcc.build(Q=[[0.0, 0.0], [0.0, 1.0]], q=np.zeros(2),
+                                A_g=[[1.0, 0.0]], b_g=[0.0])
+        v = np.array([-1.0, 0.0, 0.0])
+        src, _, unit, _ = _rows(p, _affine(p, v), v)
+        assert unit[2] and src[2] == 2
+        self._assert_no_step(p, v)
+
+    def test_singleton_value_below_pivot_tolerance(self):
+        # every row is a singleton; row 0's value is 1e-20
+        p = QuadraticMpcc.build(Q=np.diag([1e-20, 1.0]), q=np.zeros(2))
+        self._assert_no_step(p, [0.0, 0.0])
+
+    def test_reduced_block_pivot_below_pivot_tolerance(self):
+        # no singleton rows; the block is Q, whose second pivot is 1e-14
+        p = QuadraticMpcc.build(Q=[[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+                                q=np.zeros(2))
+        self._assert_no_step(p, [0.0, 0.0])
 
 
 class TestSolveNewton:
