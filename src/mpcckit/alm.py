@@ -14,7 +14,11 @@ Outer iteration k solves the subproblem to stationarity eps_{k+1}, updates the
 multipliers with the classical shifted formulas, and enlarges the penalty by
 gamma unless the feasibility measure V dropped by the factor q_alm (first
 iteration always keeps it). The loop guard evaluates V with the previous raw
-multipliers; the penalty test uses the safeguarded ones.
+multipliers; the penalty test uses the safeguarded ones. The loop stops with
+status "converged" once V <= tau_alm, "max_iters" after max_outer_iters,
+"penalty_limit" when the next penalty would exceed safeguard_bound (V has
+stalled, as at an infeasible limit point), and "subsolver_failure" when the
+subproblem solver fails.
 """
 
 from __future__ import annotations
@@ -87,9 +91,6 @@ class SolverTrace:
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass
 class AlmResult:
@@ -97,7 +98,7 @@ class AlmResult:
     z_g: np.ndarray | None
     z_h: np.ndarray | None
     multipliers: MultiplierSet
-    status: str  # {"converged", "max_iters", "subsolver_failure"}
+    status: str  # {"converged", "max_iters", "penalty_limit", "subsolver_failure"}
     iterations: int
     objective: float
     final_V: float
@@ -109,10 +110,9 @@ def _lifts(problem: QuadraticMpcc, cfg: AlmConfig) -> bool:
     """Whether solve_alm runs on slack_problem(problem)."""
     if cfg.slack_mode not in ("auto", "slack", "slack_free"):
         raise ValueError(f"unknown slack_mode {cfg.slack_mode!r}")
-    selects = problem.coordinate_selection or problem.t == 0
-    if cfg.slack_mode == "slack_free" and not selects:
+    if cfg.slack_mode == "slack_free" and not problem.coordinate_selection:
         raise ValueError("slack_free mode requires coordinate-selection pair maps")
-    return cfg.slack_mode == "slack" or not selects
+    return cfg.slack_mode == "slack" or not problem.coordinate_selection
 
 
 def slack_problem(problem: QuadraticMpcc) -> QuadraticMpcc:
@@ -125,7 +125,7 @@ def slack_problem(problem: QuadraticMpcc) -> QuadraticMpcc:
     """
     n, s, t = problem.n, problem.s, problem.t
     eye, zero = np.eye(t), np.zeros((t, t))
-    return QuadraticMpcc.build(
+    return QuadraticMpcc(
         Q=np.pad(problem.Q, (0, 2 * t)), q=np.pad(problem.q, (0, 2 * t)),
         c0=problem.c0,
         A_g=np.pad(problem.A_g, ((0, 0), (0, 2 * t))), b_g=problem.b_g,
@@ -134,8 +134,7 @@ def slack_problem(problem: QuadraticMpcc) -> QuadraticMpcc:
                       [problem.A_H, zero, -eye]]),
         b_h=np.concatenate([problem.b_h, problem.b_G, problem.b_H]),
         A_G=np.hstack([np.zeros((t, n)), eye, zero]), b_G=np.zeros(t),
-        A_H=np.hstack([np.zeros((t, n)), zero, eye]), b_H=np.zeros(t),
-        coordinate_selection=True, n=n + 2 * t)
+        A_H=np.hstack([np.zeros((t, n)), zero, eye]), b_H=np.zeros(t))
 
 
 def safeguard_multipliers(m: MultiplierSet, bound: float) -> MultiplierSet:
@@ -293,6 +292,9 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
             break
         if k >= cfg.max_outer_iters:
             status = "max_iters"
+            break
+        if rho > cfg.safeguard_bound:
+            status = "penalty_limit"
             break
         tic = time.perf_counter()
         hat = safeguard_multipliers(m, cfg.safeguard_bound)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairPartition", "project_onto_C"]
+__all__ = ["PairPartition", "project_onto_C", "singleton_columns"]
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,21 @@ class PairPartition:
 
     @classmethod
     def from_rows(cls, A_G, b_G, A_H, b_H) -> "PairPartition":
-        """Extract the partition from signed unit constraint rows."""
+        """Extract the partition from signed unit constraint rows; any other
+        rows, or a coordinate selected twice, raise ValueError."""
 
         def split(A):
             A = np.asarray(A, dtype=float)
-            idx = np.zeros(A.shape[0], dtype=int)
-            sign = np.zeros(A.shape[0])
-            for i, row in enumerate(A):
-                nz = np.flatnonzero(row)
-                if nz.size != 1 or abs(row[nz[0]]) != 1.0:
-                    raise ValueError(
-                        "coordinate-selection rows must be signed unit vectors"
-                    )
-                idx[i], sign[i] = nz[0], row[nz[0]]
-            return idx, sign
+            idx = singleton_columns(A)
+            if np.any(idx < 0):
+                raise ValueError(
+                    "coordinate-selection rows must be signed unit vectors"
+                )
+            return idx, A[np.arange(idx.size), idx]
 
         idx_g, sign_g = split(A_G)
         idx_h, sign_h = split(A_H)
-        return cls(idx_g, idx_h, np.asarray(b_G, float), np.asarray(b_H, float),
-                   sign_g, sign_h)
+        return cls(idx_g, idx_h, b_G, b_H, sign_g, sign_h)
 
     def values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair values (a, b) = (G(x), H(x)) read off the coordinates."""
@@ -121,6 +117,14 @@ class PairPartition:
         pair_d = _pair_cone_distances(a, b, p, q, tol)
         gf = grad[idx_free]
         return float(np.sqrt(np.sum(gf ** 2) + np.sum(pair_d ** 2)))
+
+
+def singleton_columns(A: np.ndarray) -> np.ndarray:
+    """For each row of A, the column of its single nonzero, or -1."""
+    nonzero = np.asarray(A) != 0.0
+    if nonzero.shape[1] == 0:
+        return np.full(len(nonzero), -1)
+    return np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
 
 
 def project_onto_C(z_g, z_h) -> tuple[np.ndarray, np.ndarray]:

@@ -46,88 +46,91 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:
-    a = np.zeros((rows, cols)) if a is None else np.asarray(a, dtype=float)
-    if a.shape != (rows, cols):
-        raise ValueError(f"{name} must have shape {(rows, cols)}, got {a.shape}")
-    return a
-
-
-def _as_vector(a, size: int, name: str) -> np.ndarray:
-    a = np.zeros(size) if a is None else np.asarray(a, dtype=float)
-    if a.shape != (size,):
-        raise ValueError(f"{name} must have shape {(size,)}, got {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class QuadraticMpcc:
-    """Immutable data of one linear-quadratic MPCC instance."""
+    """Immutable data of one linear-quadratic MPCC instance.
 
-    n: int
-    r: int
-    s: int
-    t: int
-    Q: np.ndarray
-    q: np.ndarray
-    c0: float
-    A_g: np.ndarray
-    b_g: np.ndarray
-    A_h: np.ndarray
-    b_h: np.ndarray
-    A_G: np.ndarray
-    b_G: np.ndarray
-    A_H: np.ndarray
-    b_H: np.ndarray
-    coordinate_selection: bool = False
+    Every dimension comes from the blocks: r, s and t are the row counts of
+    A_g, A_h and A_G, and n is the length of q or the order of Q unless it is
+    given. Absent blocks are empty or zero. The pair structure of D is
+    detected from A_G and A_H on construction (see pair_partition).
+    """
+
+    Q: np.ndarray | None = None
+    q: np.ndarray | None = None
+    c0: float = 0.0
+    A_g: np.ndarray | None = None
+    b_g: np.ndarray | None = None
+    A_h: np.ndarray | None = None
+    b_h: np.ndarray | None = None
+    A_G: np.ndarray | None = None
+    b_G: np.ndarray | None = None
+    A_H: np.ndarray | None = None
+    b_H: np.ndarray | None = None
+    n: int | None = None
     _pairs: PairPartition | None = field(default=None, init=False,
                                          repr=False, compare=False)
 
     def __post_init__(self):
-        n, r, s, t = self.n, self.r, self.s, self.t
-        conv = {
-            "Q": _as_matrix(self.Q, n, n, "Q"),
-            "q": _as_vector(self.q, n, "q"),
-            "A_g": _as_matrix(self.A_g, r, n, "A_g"),
-            "b_g": _as_vector(self.b_g, r, "b_g"),
-            "A_h": _as_matrix(self.A_h, s, n, "A_h"),
-            "b_h": _as_vector(self.b_h, s, "b_h"),
-            "A_G": _as_matrix(self.A_G, t, n, "A_G"),
-            "b_G": _as_vector(self.b_G, t, "b_G"),
-            "A_H": _as_matrix(self.A_H, t, n, "A_H"),
-            "b_H": _as_vector(self.b_H, t, "b_H"),
-        }
-        sym_gap = np.linalg.norm(conv["Q"] - conv["Q"].T)
-        if sym_gap > 1e-12 * np.linalg.norm(conv["Q"]):
-            raise ValueError("Q must be symmetric")
-        for name, arr in conv.items():
+        n = self.n
+        if n is None:
+            given = self.q if self.q is not None else self.Q
+            if given is None:
+                raise ValueError("cannot infer n: provide Q, q, or n")
+            n = np.asarray(given).shape[-1]
+        r, s, t = (0 if a is None else np.asarray(a).shape[0]
+                   for a in (self.A_g, self.A_h, self.A_G))
+        shapes = {"Q": (n, n), "q": (n,), "A_g": (r, n), "b_g": (r,),
+                  "A_h": (s, n), "b_h": (s,), "A_G": (t, n), "b_G": (t,),
+                  "A_H": (t, n), "b_H": (t,)}
+        for name, shape in shapes.items():
+            given = getattr(self, name)
+            arr = np.zeros(shape) if given is None else np.asarray(given, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.linalg.norm(self.Q - self.Q.T) > 1e-12 * np.linalg.norm(self.Q):
+            raise ValueError("Q must be symmetric")
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c0", float(self.c0))
-        if self.coordinate_selection or t == 0:
-            # raises if rows are not signed units on pairwise-distinct coordinates
-            object.__setattr__(self, "_pairs", PairPartition.from_rows(
-                self.A_G, self.b_G, self.A_H, self.b_H))
+        try:
+            pairs = PairPartition.from_rows(self.A_G, self.b_G,
+                                            self.A_H, self.b_H)
+        except ValueError:
+            pairs = None  # the pair maps do not select coordinates
+        object.__setattr__(self, "_pairs", pairs)
 
     @classmethod
     def build(cls, Q=None, q=None, c0=0.0, A_g=None, b_g=None, A_h=None, b_h=None,
               A_G=None, b_G=None, A_H=None, b_H=None,
               coordinate_selection=False, n=None) -> "QuadraticMpcc":
-        """Construct with dimensions inferred and absent blocks left empty."""
-        if n is None:
-            for cand in (q, Q):
-                if cand is not None:
-                    n = np.asarray(cand).shape[-1]
-                    break
-            else:
-                raise ValueError("cannot infer n: provide Q, q, or n")
-        r = 0 if A_g is None else np.asarray(A_g).shape[0]
-        s = 0 if A_h is None else np.asarray(A_h).shape[0]
-        t = 0 if A_G is None else np.asarray(A_G).shape[0]
-        return cls(n=n, r=r, s=s, t=t, Q=Q, q=q, c0=c0,
-                   A_g=A_g, b_g=b_g, A_h=A_h, b_h=b_h,
-                   A_G=A_G, b_G=b_G, A_H=A_H, b_H=b_H,
-                   coordinate_selection=coordinate_selection)
+        """QuadraticMpcc(...); a true coordinate_selection requires pair maps
+        that select coordinates."""
+        problem = cls(Q=Q, q=q, c0=c0, A_g=A_g, b_g=b_g, A_h=A_h, b_h=b_h,
+                      A_G=A_G, b_G=b_G, A_H=A_H, b_H=b_H, n=n)
+        if coordinate_selection and not problem.coordinate_selection:
+            raise ValueError("coordinate_selection requires the rows of A_G "
+                             "and A_H to be signed unit vectors on pairwise "
+                             "distinct coordinates")
+        return problem
+
+    @property
+    def r(self) -> int:
+        return self.A_g.shape[0]
+
+    @property
+    def s(self) -> int:
+        return self.A_h.shape[0]
+
+    @property
+    def t(self) -> int:
+        return self.A_G.shape[0]
+
+    @property
+    def coordinate_selection(self) -> bool:
+        """Whether the pair maps were detected to select coordinates."""
+        return self._pairs is not None
 
     # pointwise evaluations
     def f(self, x) -> float:
@@ -152,11 +155,12 @@ class QuadraticMpcc:
     def pair_partition(self) -> PairPartition:
         """Pair structure of D, built once with the problem.
 
-        Available when the pair maps select coordinates, which they do
-        vacuously when there are no pairs.
+        Available when the rows of A_G and A_H are signed unit vectors on
+        pairwise distinct coordinates, which they are vacuously when there
+        are no pairs.
         """
         if self._pairs is None:
-            raise ValueError("problem is not in coordinate-selection form")
+            raise ValueError("the pair maps do not select coordinates")
         return self._pairs
 
 
@@ -411,23 +415,21 @@ def save_instance(problem: QuadraticMpcc, path) -> None:
 
 
 def load_instance(path) -> QuadraticMpcc:
+    """Read a save_instance file. A stored "coordinate_selection": true is
+    a requirement on the pair rows; the dimensions come from the blocks."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
-    n, r, s, t = (int(doc[k]) for k in ("n", "r", "s", "t"))
     obj = doc["objective"]
-    return QuadraticMpcc(
-        n=n, r=r, s=s, t=t,
-        Q=_decode_matrix(obj["Q"], n, n, "Q"),
-        q=_finite(obj["q"], "q"),
-        c0=float(_finite(obj["c0"], "c0")),
-        A_g=_decode_matrix(doc["ineq"]["A"], r, n, "A_g"),
-        b_g=_finite(doc["ineq"]["b"], "b_g"),
-        A_h=_decode_matrix(doc["eq"]["A"], s, n, "A_h"),
-        b_h=_finite(doc["eq"]["b"], "b_h"),
-        A_G=_decode_matrix(doc["comp_G"]["A"], t, n, "A_G"),
-        b_G=_finite(doc["comp_G"]["b"], "b_G"),
-        A_H=_decode_matrix(doc["comp_H"]["A"], t, n, "A_H"),
-        b_H=_finite(doc["comp_H"]["b"], "b_H"),
+    q = _finite(obj["q"], "q")
+    blocks = {}
+    for key, a_name, b_name in (("ineq", "A_g", "b_g"), ("eq", "A_h", "b_h"),
+                                ("comp_G", "A_G", "b_G"),
+                                ("comp_H", "A_H", "b_H")):
+        b = blocks[b_name] = _finite(doc[key]["b"], b_name)
+        blocks[a_name] = _decode_matrix(doc[key]["A"], b.size, q.size, a_name)
+    return QuadraticMpcc.build(
+        Q=_decode_matrix(obj["Q"], q.size, q.size, "Q"), q=q,
+        c0=float(_finite(obj["c0"], "c0")), **blocks,
         coordinate_selection=bool(doc.get("coordinate_selection", False)))

@@ -185,10 +185,8 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     b_big_h = np.zeros(n_el)
 
     problem = QuadraticMpcc(
-        n=n, r=n_int, s=n_el, t=n_el, Q=big_q, q=lin, c0=c0,
-        A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
-        A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h,
-        coordinate_selection=True)
+        Q=big_q, q=lin, c0=c0, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
+        A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h)
     return FemInstance(problem=problem, mesh=mesh, params=params,
                        stiffness=stiffness, load=load, mean_w=mean_w,
                        u_idx=u_idx, xi_idx=xi_idx, w_idx=w_idx)

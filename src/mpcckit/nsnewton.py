@@ -55,13 +55,13 @@ import numpy as np
 import scipy.linalg
 
 from .alm import SolverTrace, TraceRow
+from .compgeo import singleton_columns
 from .core import MultiplierSet, QuadraticMpcc
 
 __all__ = [
     "FullPoint",
     "NewtonConfig",
     "NewtonResult",
-    "ncp_min",
     "ncp_fb",
     "phi",
     "theta",
@@ -149,11 +149,6 @@ def _as_vec(problem: QuadraticMpcc, z) -> np.ndarray:
         raise ValueError(f"full point must have length n + r + s + 2t = {size}, "
                          f"got shape {v.shape}")
     return v
-
-
-def ncp_min(a, b):
-    """Componentwise min complementarity function."""
-    return np.minimum(a, b)
 
 
 def ncp_fb(a, b):
@@ -247,10 +242,7 @@ def _kkt(problem: QuadraticMpcc):
         K[n:, :n] = rows
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        norms = np.abs(K).sum(axis=1)
-        nonzero = K != 0.0
-        single = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
-        kkt = (K, k, norms, single)
+        kkt = (K, k, np.abs(K).sum(axis=1), singleton_columns(K))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 

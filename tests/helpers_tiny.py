@@ -52,6 +52,13 @@ def random_tiny_mpcc(rng: np.random.Generator) -> QuadraticMpcc:
                                A_H=A_H, b_H=b_H, coordinate_selection=True)
 
 
+def without_flag(problem: QuadraticMpcc) -> QuadraticMpcc:
+    """The same instance built from its blocks alone, with no
+    coordinate_selection argument."""
+    return QuadraticMpcc(**{name: getattr(problem, name) for name in (
+        "Q", "q", "c0", "A_g", "b_g", "A_h", "b_h", "A_G", "b_G", "A_H", "b_H")})
+
+
 def point_in_D(problem: QuadraticMpcc, rng: np.random.Generator) -> np.ndarray:
     """A random point of D: both sides of every pair placed at zero."""
     pairs = problem.pair_partition()

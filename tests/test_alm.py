@@ -1,11 +1,12 @@
 """Safeguarded augmented Lagrangian outer loop and its building blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers_tiny import random_tiny_mpcc
+from helpers_tiny import random_tiny_mpcc, without_flag
 from mpcckit.alm import (
     AlmConfig,
     augmented_lagrangian,
@@ -332,6 +333,31 @@ class TestSolveAlm:
 
         res = solve_alm(p, subsolver=broken)
         assert res.status == "subsolver_failure"
+
+    def test_penalty_limit_at_infeasible_limit_point(self):
+        # the lifted iterates settle on the branch z_G = 0, where h = 0 and
+        # G = z_G contradict: V stalls at 1/sqrt(2) and rho grows each time
+        p = QuadraticMpcc(Q=np.eye(2), q=np.zeros(2),
+                          A_h=[[1.0, 1.0]], b_h=[1.0],
+                          A_G=[[1.0, 1.0]], A_H=[[1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_alm(p, x0=[0.3, 0.1],
+                            pgrad_cfg=PgradConfig(max_iters=2000))
+        assert res.status == "penalty_limit"
+        assert res.iterations < 40
+        assert res.final_rho <= AlmConfig().safeguard_bound
+
+    def test_auto_mode_detects_selecting_rows(self):
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            flagged = random_tiny_mpcc(rng)
+            x0 = rng.normal(size=flagged.n)
+            want = solve_alm(flagged, x0=x0)
+            got = solve_alm(without_flag(flagged), x0=x0)
+            assert got.z_g is None and got.z_h is None
+            np.testing.assert_array_equal(got.x, want.x)
+            assert got.objective == want.objective
 
     def test_unknown_slack_mode_rejected(self):
         p = _toy_pair_problem()

@@ -1,11 +1,13 @@
 """Problem container, Lagrangian, index sets, and stationarity grading."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers_tiny import random_tiny_mpcc
+from helpers_tiny import random_tiny_mpcc, without_flag
+from mpcckit.compgeo import PairPartition, singleton_columns
 from mpcckit.core import (
     MultiplierSet,
     QuadraticMpcc,
@@ -56,6 +58,67 @@ class TestProblemContainer:
         np.testing.assert_array_equal(pairs.idx_h, [1])
         general = QuadraticMpcc.build(n=2, A_G=[[1.0, 1.0]], b_G=[0.0],
                                       A_H=[[0.0, 1.0]], b_H=[0.0])
+        with pytest.raises(ValueError):
+            general.pair_partition()
+
+
+class TestPairDetection:
+    def test_selecting_rows_are_detected_without_the_flag(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            flagged = random_tiny_mpcc(rng)
+            auto = without_flag(flagged)
+            assert auto.coordinate_selection is True
+            want, got = flagged.pair_partition(), auto.pair_partition()
+            for name in ("idx_g", "idx_h", "sign_g", "sign_h",
+                         "off_g", "off_h"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+
+    def test_no_pairs_select_vacuously(self):
+        p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2))
+        assert p.coordinate_selection
+        assert p.pair_partition().t == 0
+
+    def test_singleton_columns(self):
+        A = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, -2.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(singleton_columns(A),
+                                      [-1, -1, 1, 2, 2])
+        # against a row loop, on rows with 0, 1 or several nonzeros
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(200, 6)) * (rng.random((200, 6)) < 0.2)
+        loop = [np.flatnonzero(row)[0] if np.count_nonzero(row) == 1 else -1
+                for row in A]
+        np.testing.assert_array_equal(singleton_columns(A), loop)
+        assert singleton_columns(np.zeros((0, 3))).shape == (0,)
+        np.testing.assert_array_equal(singleton_columns(np.zeros((2, 0))),
+                                      [-1, -1])
+
+    @pytest.mark.parametrize("A_G, A_H", [
+        ([[0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
+        ([[1.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]),
+        ([[-2.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
+        ([[1.0, 0.0, 0.0]], [[-1.0, 0.0, 0.0]]),
+    ], ids=["zero-row", "two-nonzeros", "entry-of-2", "repeated-coordinate"])
+    def test_rows_that_select_no_coordinates(self, A_G, A_H):
+        with pytest.raises(ValueError):
+            PairPartition.from_rows(A_G, [0.0], A_H, [0.0])
+        p = QuadraticMpcc(n=3, A_G=A_G, A_H=A_H)
+        assert p.coordinate_selection is False
+        with pytest.raises(ValueError):
+            p.pair_partition()
+        with pytest.raises(ValueError, match="coordinate_selection"):
+            QuadraticMpcc.build(n=3, A_G=A_G, A_H=A_H,
+                                coordinate_selection=True)
+
+    def test_replace_derives_dimensions_and_detects_again(self):
+        p = _pair_problem()
+        more = replace(p, A_g=[[1.0, 0.0], [0.0, 1.0]], b_g=[0.0, -1.0])
+        assert (more.n, more.r, more.s, more.t) == (2, 2, 0, 1)
+        assert more.coordinate_selection
+        general = replace(p, A_G=[[1.0, 1.0]])
+        assert general.coordinate_selection is False
         with pytest.raises(ValueError):
             general.pair_partition()
 
@@ -253,6 +316,30 @@ class TestInstanceFiles:
         path = tmp_path / "sparse.json"
         save_instance(p, path)
         np.testing.assert_array_equal(load_instance(path).Q, Q)
+
+    def test_stored_false_over_selecting_rows_loads_with_partition(
+            self, tmp_path):
+        path = tmp_path / "pair.json"
+        save_instance(_pair_problem(), path)
+        doc = json.loads(path.read_text())
+        assert doc["coordinate_selection"] is True
+        doc["coordinate_selection"] = False
+        path.write_text(json.dumps(doc))
+        loaded = load_instance(path)
+        assert loaded.coordinate_selection
+        np.testing.assert_array_equal(loaded.pair_partition().idx_h, [1])
+
+    def test_stored_true_over_general_rows_is_rejected(self, tmp_path):
+        general = QuadraticMpcc.build(n=2, A_G=[[1.0, 1.0]], b_G=[0.0],
+                                      A_H=[[0.0, 1.0]], b_H=[0.0])
+        path = tmp_path / "general.json"
+        save_instance(general, path)
+        doc = json.loads(path.read_text())
+        assert doc["coordinate_selection"] is False
+        doc["coordinate_selection"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="coordinate_selection"):
+            load_instance(path)
 
     @pytest.mark.parametrize("field, value, message", [
         (0, -1, "out of range"),

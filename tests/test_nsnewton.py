@@ -18,7 +18,6 @@ from mpcckit.nsnewton import (
     _rows,
     merit_phi_fb,
     ncp_fb,
-    ncp_min,
     newton_derivative_DF,
     phi,
     residual_F,
@@ -47,9 +46,6 @@ class TestNcpFunctions:
 
     def test_fb_formula(self):
         assert ncp_fb(3.0, 4.0) == -2.0
-
-    def test_min_formula(self):
-        assert ncp_min(2.0, -1.0) == -1.0
 
 
 class TestPhi:
@@ -471,7 +467,7 @@ class TestAgainstDenseAssembly:
         # largest row of DF is a unit row
         unit_largest = 0
         for p, v in _reference_points():
-            small = replace(p, coordinate_selection=False, **{
+            small = replace(p, **{
                 name: 1e-3 * getattr(p, name)
                 for name in ("Q", "A_g", "A_h", "A_G", "A_H")})
             for q in (p, small):
