@@ -52,8 +52,10 @@ class QuadraticMpcc:
 
     Every dimension comes from the blocks: r, s and t are the row counts of
     A_g, A_h and A_G, and n is the length of q or the order of Q unless it is
-    given. Absent blocks are empty or zero. The pair structure of D is
-    detected from A_G and A_H on construction (see pair_partition).
+    given. Absent blocks are empty or zero. Every block is stored read-only:
+    a block the caller can still write is copied, and a read-only one, such
+    as another problem's, is shared. The pair structure of D is detected
+    from A_G and A_H on construction (see pair_partition).
     """
 
     Q: np.ndarray | None = None
@@ -88,6 +90,8 @@ class QuadraticMpcc:
             arr = np.zeros(shape) if given is None else np.asarray(given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if _caller_can_write(arr, given):
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.linalg.norm(self.Q - self.Q.T) > 1e-12 * np.linalg.norm(self.Q):
@@ -162,6 +166,19 @@ class QuadraticMpcc:
         if self._pairs is None:
             raise ValueError("the pair maps do not select coordinates")
         return self._pairs
+
+
+def _caller_can_write(arr: np.ndarray, given) -> bool:
+    """Whether arr, the array of the block given, is memory the caller can
+    reach and still write: given itself or a view, with a writeable array
+    or a buffer of another kind anywhere down its bases."""
+    if arr is not given and arr.base is None:
+        return False  # the conversion made a new array
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return arr is not None
 
 
 @dataclass

@@ -184,9 +184,11 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     a_big_h[np.arange(n_el), xi_idx] = 1.0
     b_big_h = np.zeros(n_el)
 
-    problem = QuadraticMpcc(
-        Q=big_q, q=lin, c0=c0, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
-        A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h)
+    blocks = dict(Q=big_q, q=lin, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
+                  A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h)
+    for block in blocks.values():
+        block.setflags(write=False)  # handed over: shared, not copied
+    problem = QuadraticMpcc(c0=c0, **blocks)
     return FemInstance(problem=problem, mesh=mesh, params=params,
                        stiffness=stiffness, load=load, mean_w=mean_w,
                        u_idx=u_idx, xi_idx=xi_idx, w_idx=w_idx)

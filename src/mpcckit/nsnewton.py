@@ -29,8 +29,11 @@ the square block of the other rows on the other columns. DF is nonsingular iff
 the singleton columns are distinct and that block is nonsingular; the linear
 system counts as well defined iff the singleton columns are distinct and
 every singleton value and every pivot of the block exceeds pivot_tol times
-the largest row 1-norm of DF. Each trial point is evaluated once, and an
-accepted trial's values serve the next iteration.
+the largest row 1-norm of DF. Each trial point is evaluated once, by one
+product with K and one stacked Fischer-Burmeister pass: all r + 4t FB terms
+of F_FB from a single ncp_fb call, whose arguments and values also give the
+merit gradient its partials in one call. An accepted trial's values serve
+the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -50,6 +53,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -204,34 +208,88 @@ def phi(a: float, b: float, mu: float, nu: float):
 
 
 def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
-    """Four-dimensional Fischer-Burmeister recast of the pairwise system."""
-    vals = _theta_vec(np.array([a]), np.array([b]),
-                      np.array([mu]), np.array([nu]))
-    return vals[0]
+    """Four-dimensional Fischer-Burmeister recast of the pairwise system:
+    F_FB of one pair alone, with w = (a, b) and v = (mu, nu)."""
+    return _fb_residual(_PAIR_LAYOUT, np.array([a, b], dtype=float),
+                        np.array([mu, nu], dtype=float))[0]
 
 
-def _theta_vec(a, b, mu, nu) -> np.ndarray:
-    out = np.empty((a.size, 4))
-    out[:, 0] = np.abs(ncp_fb(a, b))
-    out[:, 1] = ncp_fb(np.abs(a), np.abs(mu))
-    out[:, 2] = ncp_fb(np.abs(b), np.abs(nu))
-    out[:, 3] = np.where((mu <= 0.0) & (nu <= 0.0), 0.0,
-                         ncp_fb(np.abs(mu), np.abs(nu)))
-    return out
+class _FbLayout(NamedTuple):
+    """Index maps of the stacked Fischer-Burmeister pass of _fb_residual for
+    blocks of sizes dims = (n, r, s, t, n + r + s): args picks the arguments
+    uv = (U, V) of the r + 4t terms from (w, v, |w|, |v|, -w), and order
+    picks F_FB from (w[:n + r + s], the terms, theta_1)."""
+
+    dims: tuple
+    args: np.ndarray
+    order: np.ndarray
 
 
-def _fb_partials(u, v):
-    """Partials of ncp_fb, with the limit selection (-1, -1) at the origin."""
-    rn = np.hypot(u, v)
+def _fb_layout(n: int, r: int, s: int, t: int) -> _FbLayout:
+    size, base = n + r + s + 2 * t, n + r + s
+    g, pair = np.arange(n, n + r), np.arange(base, base + t)
+    a, b, mu, nu = pair, pair + t, size + pair, size + pair + t
+    absolute, negated = 2 * size, 4 * size  # offsets of |w| and -w
+    U = (negated + g, a, absolute + a, absolute + b, absolute + mu)
+    V = (size + g, b, absolute + mu, absolute + nu, absolute + nu)
+    # the pair terms (FB(a, b), FB(|a|, |mu|), FB(|b|, |nu|), theta_4) and
+    # theta_1 = |FB(a, b)|, t entries each
+    term = base + r + t * np.arange(5)[:, None] + np.arange(t)
+    pairs = term[[4, 1, 2, 3]].T.ravel()
+    order = np.concatenate((np.arange(n), base + np.arange(r),
+                            np.arange(n + r, base), pairs))
+    return _FbLayout((n, r, s, t, base),
+                     np.stack((np.concatenate(U), np.concatenate(V))), order)
+
+
+_PAIR_LAYOUT = _fb_layout(0, 0, 0, 1)
+
+
+def _fb_residual(layout: _FbLayout, w: np.ndarray, v: np.ndarray):
+    """(F_FB, uv, terms) at v, given w = K v + k and the layout of the
+    problem's blocks.
+
+    Every Fischer-Burmeister term of F_FB comes from one ncp_fb call on the
+    stacked arguments uv = (U, V), U = (-g, a, |a|, |b|, |mu|) and
+    V = (lambda, b, |mu|, |nu|, |nu|), with (a, b) = (G, H). Pair i of F_FB
+    is theta = (|FB(a, b)|, FB(|a|, |mu|), FB(|b|, |nu|), theta_4), where
+    theta_4 is FB(|mu|, |nu|), or 0 where mu, nu <= 0. terms holds the r + 4t
+    values in the order of uv, with theta_4 in place and FB(a, b) signed.
+    """
+    _, r, _, t, base = layout.dims
+    uv = np.concatenate((w, v, np.abs(w), np.abs(v), -w)).take(layout.args)
+    terms = ncp_fb(*uv)
+    # mu, nu <= 0 iff max(mu, nu) <= 0
+    terms[r + 3 * t:][np.maximum(v[base:base + t], v[base + t:]) <= 0.0] = 0.0
+    res = np.concatenate((w[:base], terms, np.abs(terms[r:r + t])))
+    return res.take(layout.order), uv, terms
+
+
+def _fb_partials(uv):
+    """Partials (d/du, d/dv) of ncp_fb at the stacked arguments uv = (u, v),
+    with the limit selection (-1, -1) at the origin."""
+    rn = np.hypot(*uv)
     safe = np.where(rn > 0.0, rn, 1.0)
-    du = np.where(rn > 0.0, u / safe - 1.0, -1.0)
-    dv = np.where(rn > 0.0, v / safe - 1.0, -1.0)
-    return du, dv
+    return np.where(rn > 0.0, uv / safe - 1.0, -1.0)
 
 
-def _kkt(problem: QuadraticMpcc):
-    """(K, k, row 1-norms of K, column of each row's single nonzero or -1)
-    of w = K v + k, built on first use and kept with the problem."""
+class _Kkt(NamedTuple):
+    """w = K v + k, with the row 1-norms of K, the column of each row's
+    single nonzero or -1, and the layout of the blocks."""
+
+    K: np.ndarray
+    k: np.ndarray
+    norms: np.ndarray
+    single: np.ndarray
+    layout: _FbLayout
+
+
+# rows of K per block of its row 1-norms, so |K| is never formed whole
+_NORM_ROWS = 256
+
+
+def _kkt(problem: QuadraticMpcc) -> _Kkt:
+    """The _Kkt of the problem, built on first use and kept with it."""
     kkt = vars(problem).get("_kkt")
     if kkt is None:
         n = problem.n
@@ -242,65 +300,61 @@ def _kkt(problem: QuadraticMpcc):
         K[n:, :n] = rows
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        kkt = (K, k, np.abs(K).sum(axis=1), singleton_columns(K))
+        norms = np.empty(len(K))
+        for i in range(0, len(K), _NORM_ROWS):
+            norms[i:i + _NORM_ROWS] = np.abs(K[i:i + _NORM_ROWS]).sum(axis=1)
+        kkt = _Kkt(K, k, norms, singleton_columns(K),
+                   _fb_layout(n, problem.r, problem.s, problem.t))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
     """K y, skipping the zero block K[n:, n:]. The rows of A are multiplied
-    as in problem.g(x) and the others, which gives their bits (a stacked
-    product can round differently), so a tie -g_i = lambda_i is one tie."""
+    one block at a time, as in problem.g(x) and the others, which gives
+    their bits (a stacked product can round differently), so a tie
+    -g_i = lambda_i is one tie; A.dot(x) runs the gemv of A @ x with less
+    call overhead."""
     n, x = problem.n, y[:problem.n]
-    return np.concatenate((_kkt(problem)[0][:n] @ y, problem.A_g @ x,
-                           problem.A_h @ x, problem.A_G @ x, problem.A_H @ x))
+    return np.concatenate((_kkt(problem).K[:n].dot(y), problem.A_g.dot(x),
+                           problem.A_h.dot(x), problem.A_G.dot(x),
+                           problem.A_H.dot(x)))
 
 
 def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
     """w = K v + k = (grad_x L, g, h, G, H) at v."""
-    return _kkt_times(problem, v) + _kkt(problem)[1]
-
-
-def _fb_residual(problem: QuadraticMpcc, w: np.ndarray,
-                 v: np.ndarray) -> np.ndarray:
-    """F_FB at v, given w = K v + k."""
-    n, r, s = problem.n, problem.r, problem.s
-    _, g, _, a, b = _split(problem, w)
-    _, lam, _, mu, nu = _split(problem, v)
-    return np.concatenate((w[:n], ncp_fb(-g, lam), w[n + r:n + r + s],
-                           _theta_vec(a, b, mu, nu).ravel()))
+    return _kkt_times(problem, v) + _kkt(problem).k
 
 
 def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
-    """(v, w, F_FB, merit) at v, the one evaluation of each point."""
+    """(v, w, F_FB, merit, uv, terms) at v, the one evaluation of each point
+    (see _fb_residual)."""
     w = _affine(problem, v)
-    res = _fb_residual(problem, w, v)
-    return v, w, res, float(0.5 * res @ res)
+    res, uv, terms = _fb_residual(_kkt(problem).layout, w, v)
+    return v, w, res, float((0.5 * res).dot(res)), uv, terms
 
 
 def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
     """(src, sign, unit, row_scale) of DF at v: row i of DF is sign_i times
     row src_i of K, or the unit row sign_i e_{src_i} where unit_i, and
     row_scale is the largest row 1-norm of DF."""
-    _, _, norms, _ = _kkt(problem)
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    _, g, _, a, b = _split(problem, w)
-    _, lam, _, mu, nu = _split(problem, v)
+    kkt = _kkt(problem)
+    n, r, _, t, base = kkt.layout.dims
     src = np.arange(v.size)
     sign = np.ones(v.size)
     unit = np.zeros(v.size, dtype=bool)
     # min(-g_i, lam_i): smallest attaining index wins ties
-    g_side = -g <= lam
+    g_side = -w[n:n + r] <= v[n:n + r]
     sign[n:n + r][g_side] = -1.0
     unit[n:n + r] = ~g_side
     # phi rows pick a, b, mu or nu of pair i: the row of G_i or H_i in K, or
     # the column of mu_i or nu_i, which share the index base + i (+ t)
-    _, axis, pair_sign = _phi_vec(a, b, mu, nu)
-    base = n + r + s
+    _, axis, pair_sign = _phi_vec(w[base:base + t], w[base + t:],
+                                  v[base:base + t], v[base + t:])
     src[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)).ravel()
     sign[base:] = pair_sign.ravel()
     unit[base:] = (axis >= 2).ravel()
-    return src, sign, unit, float(np.where(unit, 1.0, norms[src]).max())
+    return src, sign, unit, float(np.where(unit, 1.0, kkt.norms[src]).max())
 
 
 def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
@@ -311,30 +365,27 @@ def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
     return sign * np.where(unit, v[src], w[src])
 
 
-def _merit_gradient(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray,
-                    res: np.ndarray) -> np.ndarray:
-    """Gradient of 1/2 |F_FB|^2 at v: K y_w + y_v, where y_w and y_v are the
-    transposed partials of F_FB with respect to w and v applied to res."""
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    _, g, _, a, b = _split(problem, w)
-    _, lam, _, mu, nu = _split(problem, v)
-    base = n + r + s
+def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
+    """Gradient of 1/2 |F_FB|^2 at the evaluated point (see _evaluate):
+    K y_w + y_v, where y_w and y_v are the transposed partials of F_FB with
+    respect to w and v applied to F_FB."""
+    v, w, res, _, uv, terms = point
+    n, r, _, t, base = _kkt(problem).layout.dims
+    # theta_1 = |FB(a, b)| enters as sign(FB) |FB| = FB, since inside the
+    # merit d|t| = 0 at t = 0
+    d = _fb_partials(uv)
+    d_terms = d * terms
     y_w = res[:w.size].copy()  # right for the identity rows w_x and w_h
     y_v = np.zeros_like(v)
-    du, dv = _fb_partials(-g, lam)
-    y_w[n:n + r] = -du * res[n:n + r]
-    y_v[n:n + r] = dv * res[n:n + r]
-    r1, r2, r3, r4 = res[base:].reshape(t, 4).T
-    d1a, d1b = _fb_partials(a, b)
-    d2u, d2v = _fb_partials(np.abs(a), np.abs(mu))
-    d3u, d3v = _fb_partials(np.abs(b), np.abs(nu))
-    d4u, d4v = _fb_partials(np.abs(mu), np.abs(nu))
-    s1 = np.sign(ncp_fb(a, b)) * r1  # |t| in the merit: 0 at 0
-    y_w[base:base + t] = d1a * s1 + d2u * np.sign(a) * r2
-    y_w[base + t:] = d1b * s1 + d3u * np.sign(b) * r3
-    # r4 is exactly 0 where mu, nu <= 0, which drops the fourth row there
-    y_v[base:base + t] = np.sign(mu) * (d2v * r2 + d4u * r4)
-    y_v[base + t:] = np.sign(nu) * (d3v * r3 + d4v * r4)
+    y_w[n:n + r] = -d[0, :r] * terms[:r]
+    y_v[n:n + r] = d_terms[1, :r]
+    # d(a, b) of FB(a, b), then of FB(|a|, |mu|) and FB(|b|, |nu|)
+    y_w[base:] = d_terms[:, r:r + t].ravel() + \
+        d[0, r + t:r + 3 * t] * np.sign(w[base:]) * terms[r + t:r + 3 * t]
+    # d(mu, nu) of FB(|a|, |mu|) and FB(|b|, |nu|), then of theta_4, which
+    # is exactly 0 where mu, nu <= 0 and so drops its row there
+    y_v[base:] = np.sign(v[base:]) * (d_terms[1, r + t:r + 3 * t]
+                                      + d_terms[:, r + 3 * t:].ravel())
     return _kkt_times(problem, y_w) + y_v
 
 
@@ -349,7 +400,7 @@ def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
     src, sign, unit, _ = _rows(problem, _affine(problem, v), v)
-    df = _kkt(problem)[0].take(src, axis=0)
+    df = _kkt(problem).K.take(src, axis=0)
     df *= sign[:, None]
     df[unit] = 0.0
     df[unit, src[unit]] = sign[unit]
@@ -358,8 +409,8 @@ def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
     """Value and exact gradient of the C^1 merit 1/2 |F_FB|^2."""
-    v, w, res, value = _evaluate(problem, _as_vec(problem, z))
-    return value, _merit_gradient(problem, w, v, res)
+    point = _evaluate(problem, _as_vec(problem, z))
+    return point[3], _merit_gradient(problem, point)
 
 
 def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
@@ -375,7 +426,8 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
     defined iff the singleton columns are distinct and every singleton value
     and every pivot of the block exceeds pivot_tol times the largest row
     1-norm of DF."""
-    K, _, _, single = _kkt(problem)
+    kkt = _kkt(problem)
+    K, single = kkt.K, kkt.single
     src, sign, unit, row_scale = rows
     col = np.where(unit, src, single[src])
     fixed = col >= 0
@@ -422,7 +474,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     it = 0
     status = None
     while True:
-        v, w, res_fb, merit_val = point
+        v, w, _, merit_val, _, _ = point
         rows = _rows(problem, w, v)
         f_res = _residual(w, v, rows)
         norm_f = float(np.linalg.norm(f_res))
@@ -433,7 +485,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "max_iters"
             break
         tic = time.perf_counter()
-        merit_grad = _merit_gradient(problem, w, v, res_fb)
+        merit_grad = _merit_gradient(problem, point)
         grad_norm = float(np.linalg.norm(merit_grad))
         if grad_norm <= cfg.merit_grad_tol:
             status = "stationary_merit"

@@ -44,6 +44,23 @@ class TestProblemContainer:
         with pytest.raises(ValueError):
             p.Q[0, 0] = 1.0
 
+    def test_caller_arrays_stay_writeable_and_apart(self):
+        Q, q = np.eye(2), np.zeros(2)
+        p = QuadraticMpcc(Q=Q, q=q)
+        Q[0, 0] = 2.0
+        q[1] = 3.0
+        np.testing.assert_array_equal(p.Q, np.eye(2))
+        np.testing.assert_array_equal(p.q, np.zeros(2))
+        view = Q.view()
+        view.setflags(write=False)  # Q can still write through it
+        assert not np.shares_memory(QuadraticMpcc(Q=view, q=q).Q, Q)
+
+    def test_read_only_blocks_are_shared(self):
+        p = _pair_problem(Q=np.eye(2))
+        other = replace(p, c0=1.0)
+        for name in ("Q", "q", "A_g", "b_g", "A_G", "b_G", "A_H", "b_H"):
+            assert getattr(other, name) is getattr(p, name), name
+
     def test_coordinate_selection_validates_rows(self):
         with pytest.raises(ValueError):
             QuadraticMpcc.build(n=2, A_G=[[1.0, 1.0]], b_G=[0.0],

@@ -13,6 +13,10 @@ from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
     _affine,
+    _evaluate,
+    _fb_residual,
+    _kkt,
+    _merit_gradient,
     _newton_step,
     _phi_vec,
     _rows,
@@ -195,6 +199,11 @@ class TestTheta:
         out = theta(0.0, 0.0, 2.0, 2.0)
         np.testing.assert_allclose(out[3], 2.0 * np.sqrt(2.0) - 4.0,
                                    rtol=0, atol=1e-15)
+
+    def test_signed_zeros_count_as_zero(self):
+        for args in [(-0.0, -0.0, -0.0, -0.0), (-0.0, 1.0, 2.0, -0.0),
+                     (1.0, -0.0, -0.0, 3.0)]:
+            assert theta(*args).tobytes() == np.zeros(4).tobytes(), args
 
     def test_zero_set_matches_phi_on_grid(self):
         grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
@@ -490,6 +499,35 @@ class TestAgainstDenseAssembly:
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
             solved += 1
         assert solved >= 30
+
+    def test_stacked_fb_residual_equals_reference(self):
+        # the reference sums grad_x L in another order than K v + k, so its
+        # first n rows may differ in the last bits; those rows are w_x
+        for p, v in _reference_points():
+            w = _affine(p, v)
+            res = _fb_residual(_kkt(p).layout, w, v)[0]
+            ref = _reference_fb_residual(p, v)
+            # bit for bit, signed zeros included
+            assert res[p.n:].tobytes() == ref[p.n:].tobytes()
+            assert res[:p.n].tobytes() == w[:p.n].tobytes()
+            np.testing.assert_allclose(res[:p.n], ref[:p.n], rtol=1e-12,
+                                       atol=1e-12)
+            value, _ = merit_phi_fb(p, v)
+            assert value == 0.5 * res @ res
+
+    def test_one_fb_pass_per_evaluation_and_gradient(self, monkeypatch):
+        import mpcckit.nsnewton as nsn
+        calls = {"ncp_fb": 0, "_fb_partials": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(nsn, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(nsn, name, counted)
+        p, v = next(_reference_points())
+        point = _evaluate(p, v)
+        assert calls == {"ncp_fb": 1, "_fb_partials": 0}
+        _merit_gradient(p, point)
+        assert calls == {"ncp_fb": 1, "_fb_partials": 1}
 
     def test_merit_gradient_equals_transposed_jacobian_product(self):
         for p, v in _reference_points():
