@@ -26,14 +26,16 @@ on the solver's path: its singleton rows (the unit rows, and the rows of K
 with a single nonzero, such as coordinate selections in A_g, A_G and A_H) fix
 the Newton step on their columns, and LU with partial pivoting factors only
 the square block of the other rows on the other columns. DF is nonsingular iff
-the singleton columns are distinct and that block is nonsingular; the linear
-system counts as well defined iff the singleton columns are distinct and
-every singleton value and every pivot of the block exceeds pivot_tol times
-the largest row 1-norm of DF. Each trial point is evaluated once, by one
-product with K and one stacked Fischer-Burmeister pass: all r + 4t FB terms
-of F_FB from a single ncp_fb call, whose arguments and values also give the
-merit gradient its partials in one call. An accepted trial's values serve
-the next iteration.
+the singleton columns are distinct and that block is nonsingular. The block
+is singular whatever its values when its rows from A, which are zero on the
+multiplier columns since K[n:, n:] = 0, outnumber its x columns; that count
+rejects the step before any factorization. The linear system counts as well
+defined iff the singleton columns are distinct and every singleton value and
+every pivot of the block exceeds pivot_tol times the largest row 1-norm of
+DF. Each trial point is evaluated once, by one product with K and one
+stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
+ncp_fb call, whose arguments and values also give the merit gradient its
+partials in one call. An accepted trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -425,7 +427,10 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
     of d; it is factored by LU with partial pivoting. The step is well
     defined iff the singleton columns are distinct and every singleton value
     and every pivot of the block exceeds pivot_tol times the largest row
-    1-norm of DF."""
+    1-norm of DF. A kept row of A is zero on every multiplier column, as
+    K[n:, n:] = 0, so it lives on the block's x columns alone: when such rows
+    outnumber those columns, the block is singular exactly, and the step is
+    rejected without the gather or the LU."""
     kkt = _kkt(problem)
     K, single = kkt.K, kkt.single
     src, sign, unit, row_scale = rows
@@ -439,9 +444,12 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
     value = sign[fixed] * np.where(unit[fixed], 1.0, K[src[fixed], cols])
     if not (np.abs(value) > pivot_tol * row_scale).all():
         return None
+    keep = ~fixed
+    n = problem.n
+    if np.count_nonzero(src[keep] >= n) > np.count_nonzero(free[:n]):
+        return None  # more kept rows of A than free x columns
     step = np.zeros(src.size)
     step[cols] = rhs[fixed] / value
-    keep = ~fixed
     k_rows = K[src[keep]]
     block_rhs = rhs[keep] - sign[keep] * (k_rows @ step)
     block = k_rows[:, free]  # Fortran order, so LAPACK factors it in place

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import structural_rank
 
 from helpers_tiny import point_in_D, random_tiny_mpcc
 from mpcckit.core import (MultiplierSet, QuadraticMpcc, classify_stationarity,
@@ -452,6 +455,14 @@ def _reference_points():
         yield p, rng.normal(size=dim) if k % 3 == 0 else _kink_point(p, rng)
 
 
+@pytest.fixture
+def no_lu(monkeypatch):
+    """Fail the test if the Newton step factors a block."""
+    def lu_factor(*args, **kwargs):
+        raise AssertionError("lu_factor called")
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
+
+
 class TestAgainstDenseAssembly:
     """DF and the merit gradient against the dense Jacobian assembly, at
     random points and at kinks, where finite differences cannot check the
@@ -499,6 +510,27 @@ class TestAgainstDenseAssembly:
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
             solved += 1
         assert solved >= 30
+
+    def test_row_count_rejects_only_structurally_singular_df(self, no_lu):
+        # the count fires where the kept rows of A outnumber the free x
+        # columns; DF is then singular by its pattern alone, and the step is
+        # rejected without an LU
+        fired = 0
+        for p, v in _reference_points():
+            src, _, unit, _ = rows = _rows(p, _affine(p, v), v)
+            col = np.where(unit, src, _kkt(p).single[src])
+            fixed = col >= 0
+            cols = col[fixed]
+            if np.unique(cols).size < cols.size:
+                continue  # rejected earlier, by the singleton columns
+            if np.count_nonzero(src[~fixed] >= p.n) <= \
+                    p.n - np.count_nonzero(cols < p.n):
+                continue
+            df = newton_derivative_DF(p, v)
+            assert structural_rank(csr_matrix(df)) < len(v)
+            assert _newton_step(p, rows, np.ones(len(v)), 1e-12) is None
+            fired += 1
+        assert fired >= 10
 
     def test_stacked_fb_residual_equals_reference(self):
         # the reference sums grad_x L in another order than K v + k, so its
@@ -569,6 +601,19 @@ class TestSingularStep:
         p = QuadraticMpcc.build(Q=[[1.0, 1.0], [1.0, 1.0 + 1e-14]],
                                 q=np.zeros(2))
         self._assert_no_step(p, [0.0, 0.0])
+
+    def test_more_kept_rows_of_a_than_free_x_columns(self, no_lu):
+        # the pair's G and H rows select x1 and x2, which leaves x3 as the
+        # only free x column for the two dense rows of A_h
+        p = QuadraticMpcc.build(Q=np.eye(3), q=np.zeros(3),
+                                A_h=[[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]],
+                                b_h=[0.0, 0.0], A_G=[[1.0, 0.0, 0.0]],
+                                b_G=[0.0], A_H=[[0.0, 1.0, 0.0]], b_H=[0.0])
+        v = np.array([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0, -2.0])
+        src, _, unit, _ = _rows(p, _affine(p, v), v)
+        assert list(src[5:]) == [5, 6] and not unit[5:].any()
+        assert structural_rank(csr_matrix(newton_derivative_DF(p, v))) < 7
+        self._assert_no_step(p, v)
 
 
 class TestSolveNewton:
