@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import scipy.sparse as sp
-
 from . import pgrad
 from .core import MultiplierSet, QuadraticMpcc
 
@@ -152,25 +150,16 @@ def augmented_lagrangian(problem: QuadraticMpcc, x, rho: float,
         np.asarray(x, dtype=float))
 
 
-def _as_operator(mat: np.ndarray):
-    """CSR when clearly sparse, else the dense array itself."""
-    if mat.size >= 4096 and np.count_nonzero(mat) < 0.25 * mat.size:
-        return sp.csr_array(mat)
-    return mat
-
-
 def _oracle_factory(problem: QuadraticMpcc):
     """build(rho, hat) -> penalty oracle, the value and gradient at a point.
 
     The subproblem solver evaluates the penalty hundreds of thousands of
-    times, so the constraint matrices are bound once (CSR when sparse) and
-    the multiplier shifts are folded in per outer iteration.
+    times, so it multiplies through the problem's bound operators, and the
+    multiplier shifts are folded in per outer iteration.
     """
-    Q, q, c0 = _as_operator(problem.Q), problem.q, problem.c0
-    Ag, Ah = _as_operator(problem.A_g), _as_operator(problem.A_h)
-    AgT = _as_operator(np.ascontiguousarray(problem.A_g.T))
-    AhT = _as_operator(np.ascontiguousarray(problem.A_h.T))
-    b_g, b_h = problem.b_g, problem.b_h
+    Q, Ag, Ah = map(problem.operator, ("Q", "A_g", "A_h"))
+    AgT, AhT = (problem.operator(a, transposed=True) for a in ("A_g", "A_h"))
+    q, c0, b_g, b_h = problem.q, problem.c0, problem.b_g, problem.b_h
 
     def build(rho, hat):
         shift_g = hat.lam / rho

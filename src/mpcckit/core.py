@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from .compgeo import PairPartition
@@ -54,8 +55,8 @@ class QuadraticMpcc:
     A_g, A_h and A_G, and n is the length of q or the order of Q unless it is
     given. Absent blocks are empty or zero. Every block is stored read-only:
     a block the caller can still write is copied, and a read-only one, such
-    as another problem's, is shared. The pair structure of D is detected
-    from A_G and A_H on construction (see pair_partition).
+    as another problem's, is shared. The pair structure of D is detected on
+    construction (see pair_partition), each block's operator on first use.
     """
 
     Q: np.ndarray | None = None
@@ -72,6 +73,7 @@ class QuadraticMpcc:
     n: int | None = None
     _pairs: PairPartition | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -136,25 +138,34 @@ class QuadraticMpcc:
         """Whether the pair maps were detected to select coordinates."""
         return self._pairs is not None
 
+    def operator(self, name: str, transposed: bool = False):
+        """The block name (Q, A_g, A_h, A_G or A_H), or its transpose, as
+        as_operator binds it, on first use, once per problem."""
+        if (name, transposed) not in self._ops:
+            mat = getattr(self, name)
+            self._ops[name, transposed] = as_operator(
+                np.ascontiguousarray(mat.T) if transposed else mat)
+        return self._ops[name, transposed]
+
     # pointwise evaluations
     def f(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.Q @ x) + self.q @ x + self.c0)
+        return float(0.5 * x @ (self.operator("Q") @ x) + self.q @ x + self.c0)
 
     def grad_f(self, x) -> np.ndarray:
-        return self.Q @ np.asarray(x, dtype=float) + self.q
+        return self.operator("Q") @ np.asarray(x, dtype=float) + self.q
 
     def g(self, x) -> np.ndarray:
-        return self.A_g @ np.asarray(x, dtype=float) + self.b_g
+        return self.operator("A_g") @ np.asarray(x, dtype=float) + self.b_g
 
     def h(self, x) -> np.ndarray:
-        return self.A_h @ np.asarray(x, dtype=float) + self.b_h
+        return self.operator("A_h") @ np.asarray(x, dtype=float) + self.b_h
 
     def G(self, x) -> np.ndarray:
-        return self.A_G @ np.asarray(x, dtype=float) + self.b_G
+        return self.operator("A_G") @ np.asarray(x, dtype=float) + self.b_G
 
     def H(self, x) -> np.ndarray:
-        return self.A_H @ np.asarray(x, dtype=float) + self.b_H
+        return self.operator("A_H") @ np.asarray(x, dtype=float) + self.b_H
 
     def pair_partition(self) -> PairPartition:
         """Pair structure of D, built once with the problem.
@@ -166,6 +177,14 @@ class QuadraticMpcc:
         if self._pairs is None:
             raise ValueError("the pair maps do not select coordinates")
         return self._pairs
+
+
+def as_operator(mat: np.ndarray):
+    """CSR when clearly sparse, else the dense array itself: the one rule
+    by which the solvers multiply with the problem's blocks."""
+    if mat.size >= 4096 and np.count_nonzero(mat) < 0.25 * mat.size:
+        return sp.csr_array(mat)
+    return mat
 
 
 def _caller_can_write(arr: np.ndarray, given) -> bool:
@@ -191,10 +210,8 @@ class MultiplierSet:
     nu: np.ndarray
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.nu = np.asarray(self.nu, dtype=float)
+        for name in ("lam", "eta", "mu", "nu"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
     def zeros(cls, problem: QuadraticMpcc) -> "MultiplierSet":
@@ -243,8 +260,9 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
     x = np.asarray(x, dtype=float)
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
-    grad = (problem.grad_f(x) + problem.A_g.T @ m.lam + problem.A_h.T @ m.eta
-            + problem.A_G.T @ m.mu + problem.A_H.T @ m.nu)
+    op = problem.operator
+    grad = (problem.grad_f(x) + m.lam @ op("A_g") + m.eta @ op("A_h")
+            + m.mu @ op("A_G") + m.nu @ op("A_H"))
     return float(value), grad, problem.Q
 
 
@@ -372,6 +390,8 @@ def check_mpcc_ssoc(problem: QuadraticMpcc, x, m: MultiplierSet,
 # portable instance files: JSON with dense or coordinate-list matrix blocks
 
 _FORMAT_NAME = "mpcc-instance"
+_SECTIONS = (("ineq", "A_g", "b_g"), ("eq", "A_h", "b_h"),
+             ("comp_G", "A_G", "b_G"), ("comp_H", "A_H", "b_H"))
 
 
 def _encode_matrix(mat: np.ndarray):
@@ -395,16 +415,15 @@ def _finite(values, name: str) -> np.ndarray:
 def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         return _finite(obj, name).reshape(rows, cols)
-    shape = tuple(int(k) for k in obj["shape"])
+    shape = tuple(obj["shape"])
     if shape != (rows, cols):
         raise ValueError(f"{name}: coordinate-list shape {shape} "
                          f"does not match {(rows, cols)}")
     mat = np.zeros(shape)
     for i, j, v in obj["entries"]:
-        i, j = int(i), int(j)
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"{name}: coordinate-list index ({i}, {j}) "
-                             f"out of range for shape {shape}")
+        if not (type(i) is type(j) is int and 0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{name}: coordinate-list index ({i!r}, {j!r}) "
+                             f"is not an integer or out of range for shape {shape}")
         mat[i, j] = float(v)
     return _finite(mat, name)
 
@@ -418,15 +437,10 @@ def save_instance(problem: QuadraticMpcc, path) -> None:
         "objective": {"Q": _encode_matrix(problem.Q),
                       "q": [float(v) for v in problem.q],
                       "c0": problem.c0},
-        "ineq": {"A": _encode_matrix(problem.A_g),
-                 "b": [float(v) for v in problem.b_g]},
-        "eq": {"A": _encode_matrix(problem.A_h),
-               "b": [float(v) for v in problem.b_h]},
-        "comp_G": {"A": _encode_matrix(problem.A_G),
-                   "b": [float(v) for v in problem.b_G]},
-        "comp_H": {"A": _encode_matrix(problem.A_H),
-                   "b": [float(v) for v in problem.b_H]},
     }
+    for key, a_name, b_name in _SECTIONS:
+        doc[key] = {"A": _encode_matrix(getattr(problem, a_name)),
+                    "b": [float(v) for v in getattr(problem, b_name)]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -438,15 +452,16 @@ def load_instance(path) -> QuadraticMpcc:
         doc = json.load(fh)
     if doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
-    obj = doc["objective"]
-    q = _finite(obj["q"], "q")
-    blocks = {}
-    for key, a_name, b_name in (("ineq", "A_g", "b_g"), ("eq", "A_h", "b_h"),
-                                ("comp_G", "A_G", "b_G"),
-                                ("comp_H", "A_H", "b_H")):
-        b = blocks[b_name] = _finite(doc[key]["b"], b_name)
-        blocks[a_name] = _decode_matrix(doc[key]["A"], b.size, q.size, a_name)
+    try:
+        obj = doc["objective"]
+        q = _finite(obj["q"], "q")
+        blocks = {"Q": _decode_matrix(obj["Q"], q.size, q.size, "Q"), "q": q,
+                  "c0": float(_finite(obj["c0"], "c0"))}
+        for key, a_name, b_name in _SECTIONS:
+            b = blocks[b_name] = _finite(doc[key]["b"], b_name)
+            blocks[a_name] = _decode_matrix(doc[key]["A"], b.size, q.size, a_name)
+    except KeyError as err:
+        raise ValueError(f"{path}: missing section or key {err}") from None
     return QuadraticMpcc.build(
-        Q=_decode_matrix(obj["Q"], q.size, q.size, "Q"), q=q,
-        c0=float(_finite(obj["c0"], "c0")), **blocks,
+        **blocks,
         coordinate_selection=bool(doc.get("coordinate_selection", False)))

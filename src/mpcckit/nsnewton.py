@@ -62,7 +62,7 @@ import scipy.linalg
 
 from .alm import SolverTrace, TraceRow
 from .compgeo import singleton_columns
-from .core import MultiplierSet, QuadraticMpcc
+from .core import MultiplierSet, QuadraticMpcc, as_operator
 
 __all__ = [
     "FullPoint",
@@ -102,8 +102,8 @@ class FullPoint:
 
     @classmethod
     def from_vector(cls, problem: QuadraticMpcc, v) -> "FullPoint":
-        x, lam, eta, mu, nu = _split(problem, np.asarray(v, dtype=float))
-        return cls(x, lam, eta, mu, nu)
+        ends = np.cumsum([problem.n, problem.r, problem.s, problem.t])
+        return cls(*np.split(_as_vec(problem, v), ends))
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.lam, self.eta, self.mu, self.nu])
@@ -137,14 +137,6 @@ class NewtonResult:
     final_residual: float
     final_merit: float
     trace: SolverTrace
-
-
-def _split(problem: QuadraticMpcc, v: np.ndarray):
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    if v.size != n + r + s + 2 * t:
-        raise ValueError(f"full point must have length {n + r + s + 2 * t}")
-    return (v[:n], v[n:n + r], v[n + r:n + r + s],
-            v[n + r + s:n + r + s + t], v[n + r + s + t:])
 
 
 def _as_vec(problem: QuadraticMpcc, z) -> np.ndarray:
@@ -276,10 +268,12 @@ def _fb_partials(uv):
 
 
 class _Kkt(NamedTuple):
-    """w = K v + k, with the row 1-norms of K, the column of each row's
-    single nonzero or -1, and the layout of the blocks."""
+    """w = K v + k, with the operators of K[:n] and of A's blocks, the row
+    1-norms of K, the column of each row's single nonzero or -1, and the
+    layout of the blocks."""
 
     K: np.ndarray
+    ops: tuple
     k: np.ndarray
     norms: np.ndarray
     single: np.ndarray
@@ -305,7 +299,9 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
         norms = np.empty(len(K))
         for i in range(0, len(K), _NORM_ROWS):
             norms[i:i + _NORM_ROWS] = np.abs(K[i:i + _NORM_ROWS]).sum(axis=1)
-        kkt = _Kkt(K, k, norms, singleton_columns(K),
+        ops = (as_operator(K[:n]),
+               *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
+        kkt = _Kkt(K, ops, k, norms, singleton_columns(K),
                    _fb_layout(n, problem.r, problem.s, problem.t))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
@@ -313,14 +309,14 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
     """K y, skipping the zero block K[n:, n:]. The rows of A are multiplied
-    one block at a time, as in problem.g(x) and the others, which gives
-    their bits (a stacked product can round differently), so a tie
-    -g_i = lambda_i is one tie; A.dot(x) runs the gemv of A @ x with less
-    call overhead."""
-    n, x = problem.n, y[:problem.n]
-    return np.concatenate((_kkt(problem).K[:n].dot(y), problem.A_g.dot(x),
-                           problem.A_h.dot(x), problem.A_G.dot(x),
-                           problem.A_H.dot(x)))
+    one block at a time by the operators of problem.g(x) and the others,
+    which gives their bits (a stacked product can round differently), so a
+    tie -g_i = lambda_i is one tie; op.dot(x) runs the product op @ x with
+    less call overhead."""
+    top, a_g, a_h, a_G, a_H = _kkt(problem).ops
+    x = y[:problem.n]
+    return np.concatenate((top.dot(y), a_g.dot(x), a_h.dot(x), a_G.dot(x),
+                           a_H.dot(x)))
 
 
 def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:

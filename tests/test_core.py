@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from helpers_tiny import random_tiny_mpcc, without_flag
+from mpcckit.alm import solve_alm
+from mpcckit.cli import make_start
 from mpcckit.compgeo import PairPartition, singleton_columns
 from mpcckit.core import (
     MultiplierSet,
@@ -19,6 +22,8 @@ from mpcckit.core import (
     load_instance,
     save_instance,
 )
+from mpcckit.iocfem import IocParams, assemble_instance
+from mpcckit.nsnewton import FullPoint, solve_newton
 from mpcckit.oracle import finite_diff
 
 
@@ -77,6 +82,44 @@ class TestProblemContainer:
                                       A_H=[[0.0, 1.0]], b_H=[0.0])
         with pytest.raises(ValueError):
             general.pair_partition()
+
+
+class TestBoundOperators:
+    def test_dense_or_csr_by_size_and_density(self):
+        p = assemble_instance(IocParams()).problem
+        for name in ("Q", "A_g", "A_h", "A_G", "A_H"):
+            block = getattr(p, name)
+            sparse = block.size >= 4096 and \
+                np.count_nonzero(block) < 0.25 * block.size
+            for transposed in (False, True):
+                op = p.operator(name, transposed)
+                assert p.operator(name, transposed) is op
+                assert scipy.sparse.issparse(op) == sparse, (name, transposed)
+                dense = op.toarray() if sparse else op
+                np.testing.assert_array_equal(
+                    dense, block.T if transposed else block)
+        assert p.operator("A_h") is p.A_h  # 43 % nonzero: kept dense
+
+    def test_solvers_bind_each_block_once(self, monkeypatch):
+        p = assemble_instance(IocParams()).problem
+        built, csr_array = [], scipy.sparse.csr_array
+
+        def spy(*args, **kwargs):
+            built.append(np.shape(args[0]))
+            return csr_array(*args, **kwargs)
+        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
+        x0, m0 = make_start(p, 1)
+        z0 = FullPoint.from_parts(x0, m0)
+        solve_alm(p, x0=x0)
+        assert built  # Q and A_g are sparse
+        built.clear()
+        solve_alm(p, x0=x0)
+        assert built == []
+        solve_newton(p, z0=z0)
+        assert (p.n, len(z0.to_vector())) in built  # K[:n], on first use
+        built.clear()
+        solve_newton(p, z0=z0)
+        assert built == []
 
 
 class TestPairDetection:
@@ -361,9 +404,12 @@ class TestInstanceFiles:
     @pytest.mark.parametrize("field, value, message", [
         (0, -1, "out of range"),
         (1, 40, "out of range"),
+        (0, 0.5, "not an integer"),
+        (1, "7", "not an integer"),
         (2, float("nan"), "NaN or infinite"),
         ("shape", [41, 40], "does not match"),
-    ], ids=["negative-index", "index-too-large", "nan-value", "shape-mismatch"])
+    ], ids=["negative-index", "index-too-large", "fractional-index",
+            "string-index", "nan-value", "shape-mismatch"])
     def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,
                                                    value, message):
         Q = np.zeros((40, 40))
@@ -378,4 +424,23 @@ class TestInstanceFiles:
             q_block["entries"][0][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            load_instance(path)
+
+    @pytest.mark.parametrize("section, key", [
+        ((), "objective"), ((), "eq"), (("ineq",), "b"), (("comp_H",), "A"),
+        (("objective",), "c0"), (("objective", "Q"), "shape"),
+        (("objective", "Q"), "entries"),
+    ])
+    def test_missing_section_or_key_is_rejected(self, tmp_path, section, key):
+        Q = np.zeros((40, 40))
+        Q[3, 7] = Q[7, 3] = 1.5
+        path = tmp_path / "bad.json"
+        save_instance(QuadraticMpcc.build(Q=Q, q=np.zeros(40)), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for name in section:
+            parent = parent[name]
+        del parent[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"missing section or key '{key}'"):
             load_instance(path)

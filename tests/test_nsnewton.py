@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import structural_rank
 
 from helpers_tiny import point_in_D, random_tiny_mpcc
 from mpcckit.core import (MultiplierSet, QuadraticMpcc, classify_stationarity,
                           eval_lagrangian)
+from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
@@ -19,6 +21,7 @@ from mpcckit.nsnewton import (
     _evaluate,
     _fb_residual,
     _kkt,
+    _kkt_times,
     _merit_gradient,
     _newton_step,
     _phi_vec,
@@ -45,6 +48,19 @@ def _toy_problem():
 def _toy_solution():
     # S-stationary point: x = (1, 0) with all multipliers zero
     return FullPoint(x=[1.0, 0.0], lam=[], eta=[], mu=[0.0], nu=[0.0])
+
+
+class TestFullPoint:
+    def test_from_vector_splits_the_blocks(self):
+        z = FullPoint.from_vector(_toy_problem(), [1.0, 2.0, 3.0, 4.0])
+        assert [b.tolist() for b in (z.x, z.lam, z.eta, z.mu, z.nu)] == \
+            [[1.0, 2.0], [], [], [3.0], [4.0]]
+
+    @pytest.mark.parametrize("v", [np.zeros((1, 4)), np.zeros(5)],
+                             ids=["two-dimensional", "wrong-length"])
+    def test_from_vector_rejects_a_malformed_vector(self, v):
+        with pytest.raises(ValueError, match=r"n \+ r \+ s \+ 2t"):
+            FullPoint.from_vector(_toy_problem(), v)
 
 
 class TestNcpFunctions:
@@ -531,6 +547,30 @@ class TestAgainstDenseAssembly:
             assert _newton_step(p, rows, np.ones(len(v)), 1e-12) is None
             fired += 1
         assert fired >= 10
+
+    def test_kkt_product_on_dense_blocks_keeps_its_bits(self):
+        # tiny blocks stay dense, so K[:n] is bound as the array itself and
+        # K y has the bits of the full-row product K[:n].dot(y)
+        for p, v in _reference_points():
+            kkt, x = _kkt(p), v[:p.n]
+            assert all(isinstance(op, np.ndarray) for op in kkt.ops)
+            ref = np.concatenate((kkt.K[:p.n].dot(v), p.A_g.dot(x),
+                                  p.A_h.dot(x), p.A_G.dot(x), p.A_H.dot(x)))
+            assert _kkt_times(p, v).tobytes() == ref.tobytes()
+
+    def test_kkt_product_through_sparse_top_rows(self):
+        p = assemble_instance(IocParams()).problem
+        kkt = _kkt(p)
+        assert scipy.sparse.issparse(kkt.ops[0])
+        y = np.random.default_rng(61).normal(size=len(kkt.K))
+        ref = kkt.K @ y
+        assert np.linalg.norm(_kkt_times(p, y) - ref) <= \
+            1e-12 * np.linalg.norm(ref)
+        # the rows of A go through the operators of problem.g(x) and the
+        # others, so w keeps their bits and a tie -g_i = lambda_i is one tie
+        x = y[:p.n]
+        rows = np.concatenate((p.g(x), p.h(x), p.G(x), p.H(x)))
+        assert _affine(p, y)[p.n:].tobytes() == rows.tobytes()
 
     def test_stacked_fb_residual_equals_reference(self):
         # the reference sums grad_x L in another order than K v + k, so its
