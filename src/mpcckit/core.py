@@ -415,8 +415,8 @@ def _finite(values, name: str) -> np.ndarray:
 def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
         return _finite(obj, name).reshape(rows, cols)
-    shape = tuple(obj["shape"])
-    if shape != (rows, cols):
+    shape = obj["shape"]
+    if not isinstance(shape, list) or tuple(shape) != (rows, cols):
         raise ValueError(f"{name}: coordinate-list shape {shape} "
                          f"does not match {(rows, cols)}")
     mat = np.zeros(shape)
@@ -426,6 +426,13 @@ def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
                              f"is not an integer or out of range for shape {shape}")
         mat[i, j] = float(v)
     return _finite(mat, name)
+
+
+def _section(doc: dict, key: str) -> dict:
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"section '{key}' is not a JSON object")
+    return section
 
 
 def save_instance(problem: QuadraticMpcc, path) -> None:
@@ -450,16 +457,17 @@ def load_instance(path) -> QuadraticMpcc:
     a requirement on the pair rows; the dimensions come from the blocks."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != _FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
     try:
-        obj = doc["objective"]
+        obj = _section(doc, "objective")
         q = _finite(obj["q"], "q")
         blocks = {"Q": _decode_matrix(obj["Q"], q.size, q.size, "Q"), "q": q,
                   "c0": float(_finite(obj["c0"], "c0"))}
         for key, a_name, b_name in _SECTIONS:
-            b = blocks[b_name] = _finite(doc[key]["b"], b_name)
-            blocks[a_name] = _decode_matrix(doc[key]["A"], b.size, q.size, a_name)
+            section = _section(doc, key)
+            b = blocks[b_name] = _finite(section["b"], b_name)
+            blocks[a_name] = _decode_matrix(section["A"], b.size, q.size, a_name)
     except KeyError as err:
         raise ValueError(f"{path}: missing section or key {err}") from None
     return QuadraticMpcc.build(

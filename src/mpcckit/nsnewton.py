@@ -22,17 +22,22 @@ discontinuous elsewhere, so globalization uses the continuously
 differentiable merit Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of
 the same system, whose gradient is the transposed product K y_w + y_v of the
 partials y of F_FB in w and v; the merit Jacobian is never formed. Nor is DF
-on the solver's path: its singleton rows (the unit rows, and the rows of K
-with a single nonzero, such as coordinate selections in A_g, A_G and A_H) fix
-the Newton step on their columns, and LU with partial pivoting factors only
-the square block of the other rows on the other columns. DF is nonsingular iff
-the singleton columns are distinct and that block is nonsingular. The block
-is singular whatever its values when its rows from A, which are zero on the
-multiplier columns since K[n:, n:] = 0, outnumber its x columns; that count
-rejects the step before any factorization. The linear system counts as well
-defined iff the singleton columns are distinct and every singleton value and
-every pivot of the block exceeds pivot_tol times the largest row 1-norm of
-DF. Each trial point is evaluated once, by one product with K and one
+on the solver's path. K is stored once per problem, stacked over the
+identity as a CSR [K; I], and the Newton step peels DF's rows and columns
+with one entry left: the unit rows and the rows of K with a single nonzero
+(such as coordinate selections in A_g, A_G and A_H) fix the step on their
+columns, which can leave further rows with one entry, round after round; a
+column with one entry left then fixes its row, which is solved last. LU with
+partial pivoting factors only the dense core of rows and columns left. DF is
+nonsingular iff every peeled value is nonzero and the core is
+nonsingular; a peel that leaves a row or column empty, or two rows on one
+column, shows DF singular by its pattern. So does a count after the first
+round: the live rows from A are zero on the multiplier columns since
+K[n:, n:] = 0, and when they outnumber the live x columns the step is
+rejected before any factorization. The linear system counts as well defined
+iff DF passes these pattern checks and every peeled value and every pivot
+of the core exceeds pivot_tol times the largest row 1-norm of DF. Each trial
+point is evaluated once, by one product with K and one
 stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
 ncp_fb call, whose arguments and values also give the merit gradient its
 partials in one call. An accepted trial's values serve the next iteration.
@@ -53,15 +58,13 @@ gradient.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .alm import SolverTrace, TraceRow
-from .compgeo import singleton_columns
 from .core import MultiplierSet, QuadraticMpcc, as_operator
 
 __all__ = [
@@ -268,15 +271,19 @@ def _fb_partials(uv):
 
 
 class _Kkt(NamedTuple):
-    """w = K v + k, with the operators of K[:n] and of A's blocks, the row
-    1-norms of K, the column of each row's single nonzero or -1, and the
-    layout of the blocks."""
+    """w = K v + k, with the operators of K[:n] and of A's blocks. Row i of
+    DF is sign_i times a row of K or of the identity, so K is stored stacked
+    over I, as [K; I] in CSR: its row starts ptr, and for each entry its
+    column, its value and its row (row N + j is the unit row e_j). Besides,
+    the row 1-norms of K and the layout of the blocks."""
 
-    K: np.ndarray
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    row_of: np.ndarray
     ops: tuple
     k: np.ndarray
     norms: np.ndarray
-    single: np.ndarray
     layout: _FbLayout
 
 
@@ -290,21 +297,46 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
     if kkt is None:
         n = problem.n
         rows = np.vstack([problem.A_g, problem.A_h, problem.A_G, problem.A_H])
-        K = np.zeros((n + len(rows),) * 2)
-        K[:n, :n] = problem.Q
-        K[:n, n:] = rows.T
-        K[n:, :n] = rows
+        size = n + len(rows)
+        top = np.hstack((problem.Q, rows.T))  # K[:n]
+        # [K; I]: the rows of K[:n], of A (zero past column n) and of I
+        top_i, top_j = np.nonzero(top)
+        a_i, a_j = np.nonzero(rows)
+        length = np.concatenate((np.count_nonzero(top, axis=1),
+                                 np.count_nonzero(rows, axis=1),
+                                 np.ones(size, dtype=int)))
+        ptr = np.concatenate(([0], np.cumsum(length)))
+        cols = np.concatenate((top_j, a_j, np.arange(size)))
+        vals = np.concatenate((top[top_i, top_j], rows[a_i, a_j],
+                               np.ones(size)))
+        row_of = np.repeat(np.arange(2 * size), length)
+        # the row 1-norms of K, summed over dense blocks of its rows as |K|
+        # row by row, whose bits they keep
+        norms = np.empty(size)
+        for i in range(0, size, _NORM_ROWS):
+            end = min(i + _NORM_ROWS, size)
+            at = slice(ptr[i], ptr[end])
+            block = np.zeros((end - i, size))
+            block[row_of[at] - i, cols[at]] = np.abs(vals[at])
+            norms[i:end] = block.sum(axis=1)
+        ops = (as_operator(top),
+               *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        norms = np.empty(len(K))
-        for i in range(0, len(K), _NORM_ROWS):
-            norms[i:i + _NORM_ROWS] = np.abs(K[i:i + _NORM_ROWS]).sum(axis=1)
-        ops = (as_operator(K[:n]),
-               *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
-        kkt = _Kkt(K, ops, k, norms, singleton_columns(K),
+        kkt = _Kkt(ptr, cols, vals, row_of, ops, k, norms,
                    _fb_layout(n, problem.r, problem.s, problem.t))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
+
+
+def _entries(kkt: _Kkt, ext: np.ndarray):
+    """(i, column, value) of every entry of the rows ext_i of [K; I]."""
+    at = np.empty(kkt.ptr.size - 1, np.intp)
+    at.fill(-1)
+    at[ext] = np.arange(ext.size)
+    row = at[kkt.row_of]
+    at = row >= 0
+    return row[at], kkt.cols[at], kkt.vals[at]
 
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
@@ -398,10 +430,9 @@ def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
     src, sign, unit, _ = _rows(problem, _affine(problem, v), v)
-    df = _kkt(problem).K.take(src, axis=0)
-    df *= sign[:, None]
-    df[unit] = 0.0
-    df[unit, src[unit]] = sign[unit]
+    row, col, val = _entries(_kkt(problem), src + src.size * unit)
+    df = np.zeros((src.size, src.size))
+    df[row, col] = sign[row] * val
     return df
 
 
@@ -417,51 +448,116 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
     defined, for DF given by its row description rows; DF itself is not
     formed.
 
-    A singleton row of DF, a unit row or a row of K with one nonzero, fixes
-    d at its column: d[col] = rhs / value. The other rows on the other
-    columns form a square block, whose right-hand side takes the known part
-    of d; it is factored by LU with partial pivoting. The step is well
-    defined iff the singleton columns are distinct and every singleton value
-    and every pivot of the block exceeds pivot_tol times the largest row
-    1-norm of DF. A kept row of A is zero on every multiplier column, as
-    K[n:, n:] = 0, so it lives on the block's x columns alone: when such rows
-    outnumber those columns, the block is singular exactly, and the step is
-    rejected without the gather or the LU."""
+    Row i of DF is sign_i times row ext_i of [K; I], where ext_i is src_i,
+    or N + src_i on a unit row, so the system is solved as
+    (row ext_i of [K; I]) d = sign_i rhs_i, in three parts:
+
+    1. Forward peel, in rounds: a row with one live entry fixes d at that
+       entry's column (round 0 holds the unit rows and the rows of K with
+       one nonzero); its column dies, which moves its other rows' known part
+       to their right-hand side and may leave them with one live entry.
+    2. Column peel, in rounds: a live column with one live row fixes that
+       row to it; both die, and the row is solved last, by back
+       substitution in reverse round order.
+    3. Core: LU with partial pivoting on the square block of the rows and
+       columns still live.
+
+    The step is None where two rows peel onto one column, or two columns
+    onto one row, or a live row or column is left empty: DF is then
+    singular by its pattern alone. It is None where any value divided by,
+    a peeled entry or a pivot of the core, is at most pivot_tol times the
+    largest row 1-norm of DF, and where the step is not finite. So DF is
+    nonsingular iff every peeled value is nonzero and the core is
+    nonsingular. A live row of A after round 0 is zero on every multiplier
+    column, as K[n:, n:] = 0, so it lives on the live x columns alone: when
+    such rows outnumber those columns, DF is singular whatever its values,
+    and the step is rejected right after round 0."""
     kkt = _kkt(problem)
-    K, single = kkt.K, kkt.single
     src, sign, unit, row_scale = rows
-    col = np.where(unit, src, single[src])
-    fixed = col >= 0
-    cols = col[fixed]
-    free = np.ones(src.size, dtype=bool)
-    free[cols] = False
-    if np.count_nonzero(free) != src.size - cols.size:
-        return None  # two singleton rows on one column
-    value = sign[fixed] * np.where(unit[fixed], 1.0, K[src[fixed], cols])
-    if not (np.abs(value) > pivot_tol * row_scale).all():
+    size = src.size
+    tol = pivot_tol * row_scale
+    ext = src + size * unit
+    start = kkt.ptr[ext]
+    # round 0 of the forward peel, from the row lengths alone
+    single = kkt.ptr[ext + 1] - start == 1
+    at = start[single]
+    col = kkt.cols[at]
+    live_col = np.ones(size, bool)
+    live_col[col] = False
+    n_live = size - col.size
+    if np.count_nonzero(live_col) != n_live:
+        return None  # two rows on one column
+    value = kkt.vals[at]
+    if np.count_nonzero(np.abs(value) > tol) != value.size:
         return None
-    keep = ~fixed
+    res = sign * rhs
+    step = np.zeros(size)
+    step[col] = res[single] / value
+    live_row = ~single
     n = problem.n
-    if np.count_nonzero(src[keep] >= n) > np.count_nonzero(free[:n]):
-        return None  # more kept rows of A than free x columns
-    step = np.zeros(src.size)
-    step[cols] = rhs[fixed] / value
-    k_rows = K[src[keep]]
-    block_rhs = rhs[keep] - sign[keep] * (k_rows @ step)
-    block = k_rows[:, free]  # Fortran order, so LAPACK factors it in place
-    block *= sign[keep, None]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(block, overwrite_a=True,
-                                              check_finite=False)
-    except (ValueError, scipy.linalg.LinAlgError):
-        return None
-    if not (np.abs(lu.diagonal()) > pivot_tol * row_scale).all():
-        return None
-    step[free] = scipy.linalg.lu_solve((lu, piv), block_rhs,
-                                       check_finite=False)
-    if not np.isfinite(step).all():
+    if np.count_nonzero(src[live_row] >= n) > np.count_nonzero(live_col[:n]):
+        return None  # more live rows of A than live x columns
+    # each round moves the entries of the columns it fixed to the
+    # right-hand side by one product, as new is zero on the other columns
+    row, col, val = _entries(kkt, ext)
+    new = step
+    while True:
+        res -= np.bincount(row, val * new[col], size)
+        on = live_col[col]
+        count = np.bincount(row, on, size)
+        if np.count_nonzero(count < live_row):
+            return None  # an empty row
+        single = count == 1.0
+        if not np.count_nonzero(single):
+            break
+        at = single[row] & on
+        peel, col_at, value = row[at], col[at], val[at]
+        live_row[peel] = False
+        live_col[col_at] = False
+        n_live -= peel.size
+        if np.count_nonzero(live_col) != n_live:
+            return None  # two rows on one column
+        if np.count_nonzero(np.abs(value) > tol) != value.size:
+            return None
+        new = np.zeros(size)
+        new[col_at] = res[peel] / value
+        step += new
+    row, col, val = row[on], col[on], val[on]
+    back = []
+    while True:
+        on = live_row[row]
+        count = np.bincount(col, on, size)
+        if np.count_nonzero(count < live_col):
+            return None  # an empty column
+        single = count == 1.0
+        if not np.count_nonzero(single):
+            break
+        at = single[col] & on
+        peel, col_at, value = row[at], col[at], val[at]
+        live_row[peel] = False
+        live_col[col_at] = False
+        n_live -= peel.size
+        if np.count_nonzero(live_row) != n_live:
+            return None  # two columns on one row
+        if np.count_nonzero(np.abs(value) > tol) != value.size:
+            return None
+        back.append((peel, col_at, value))
+    if n_live:
+        # the live rows and columns, numbered in order
+        rank = np.zeros((2, size), np.intp)
+        rank[0, live_row] = rank[1, live_col] = np.arange(n_live)
+        core = np.zeros((n_live, n_live), order="F")
+        core[rank[0, row[on]], rank[1, col[on]]] = val[on]
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
+        if np.count_nonzero(np.abs(lu.diagonal()) > tol) != n_live:
+            return None
+        step[live_col] = scipy.linalg.lapack.dgetrs(lu, piv, res[live_row])[0]
+    # a row peeled onto a column has no entry on the columns peeled before
+    # it, so its step is known once the later rounds are solved
+    for peel, col_at, value in reversed(back):
+        dot = np.bincount(row, val * step[col], size)
+        step[col_at] = (res[peel] - dot[peel]) / value
+    if np.count_nonzero(np.isfinite(step)) != size:
         return None
     return step
 

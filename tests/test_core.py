@@ -408,8 +408,9 @@ class TestInstanceFiles:
         (1, "7", "not an integer"),
         (2, float("nan"), "NaN or infinite"),
         ("shape", [41, 40], "does not match"),
+        ("shape", 5, "does not match"),
     ], ids=["negative-index", "index-too-large", "fractional-index",
-            "string-index", "nan-value", "shape-mismatch"])
+            "string-index", "nan-value", "shape-mismatch", "shape-not-a-list"])
     def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,
                                                    value, message):
         Q = np.zeros((40, 40))
@@ -443,4 +444,22 @@ class TestInstanceFiles:
         del parent[key]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"missing section or key '{key}'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        (None, [1], "not an mpcc-instance file"),
+        ("objective", [1], "section 'objective' is not a JSON object"),
+        ("comp_G", 5, "section 'comp_G' is not a JSON object"),
+    ], ids=["top-level-list", "objective-list", "section-number"])
+    def test_wrong_typed_document_or_section_is_rejected(self, tmp_path, key,
+                                                         value, message):
+        path = tmp_path / "bad.json"
+        save_instance(_pair_problem(), path)
+        doc = json.loads(path.read_text())
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             load_instance(path)

@@ -11,6 +11,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import structural_rank
 
 from helpers_tiny import point_in_D, random_tiny_mpcc
+from mpcckit.compgeo import singleton_columns
+from mpcckit.cli import make_start
 from mpcckit.core import (MultiplierSet, QuadraticMpcc, classify_stationarity,
                           eval_lagrangian)
 from mpcckit.iocfem import IocParams, assemble_instance
@@ -398,6 +400,16 @@ def _reference_df(p, v):
     return df
 
 
+def _reference_kkt(p):
+    """K = [[Q, A'], [A, 0]] as a dense array, from the problem's blocks."""
+    rows = np.vstack([p.A_g, p.A_h, p.A_G, p.A_H])
+    K = np.zeros((p.n + len(rows),) * 2)
+    K[:p.n, :p.n] = p.Q
+    K[:p.n, p.n:] = rows.T
+    K[p.n:, :p.n] = rows
+    return K
+
+
 def _reference_fb_partials(u, v):
     rn = np.hypot(u, v)
     safe = np.where(rn > 0.0, rn, 1.0)
@@ -473,10 +485,12 @@ def _reference_points():
 
 @pytest.fixture
 def no_lu(monkeypatch):
-    """Fail the test if the Newton step factors a block."""
-    def lu_factor(*args, **kwargs):
-        raise AssertionError("lu_factor called")
-    monkeypatch.setattr(scipy.linalg, "lu_factor", lu_factor)
+    """Fail the test if the Newton step factors a block, through scipy's
+    lu_factor or LAPACK's dgetrf."""
+    def lu(*args, **kwargs):
+        raise AssertionError("LU factorization called")
+    monkeypatch.setattr(scipy.linalg, "lu_factor", lu)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lu)
 
 
 class TestAgainstDenseAssembly:
@@ -533,8 +547,9 @@ class TestAgainstDenseAssembly:
         # rejected without an LU
         fired = 0
         for p, v in _reference_points():
-            src, _, unit, _ = rows = _rows(p, _affine(p, v), v)
-            col = np.where(unit, src, _kkt(p).single[src])
+            src, _, _, _ = rows = _rows(p, _affine(p, v), v)
+            df = newton_derivative_DF(p, v)
+            col = singleton_columns(df)
             fixed = col >= 0
             cols = col[fixed]
             if np.unique(cols).size < cols.size:
@@ -542,7 +557,6 @@ class TestAgainstDenseAssembly:
             if np.count_nonzero(src[~fixed] >= p.n) <= \
                     p.n - np.count_nonzero(cols < p.n):
                 continue
-            df = newton_derivative_DF(p, v)
             assert structural_rank(csr_matrix(df)) < len(v)
             assert _newton_step(p, rows, np.ones(len(v)), 1e-12) is None
             fired += 1
@@ -554,16 +568,18 @@ class TestAgainstDenseAssembly:
         for p, v in _reference_points():
             kkt, x = _kkt(p), v[:p.n]
             assert all(isinstance(op, np.ndarray) for op in kkt.ops)
-            ref = np.concatenate((kkt.K[:p.n].dot(v), p.A_g.dot(x),
-                                  p.A_h.dot(x), p.A_G.dot(x), p.A_H.dot(x)))
+            top = _reference_kkt(p)[:p.n]
+            ref = np.concatenate((top.dot(v), p.A_g.dot(x), p.A_h.dot(x),
+                                  p.A_G.dot(x), p.A_H.dot(x)))
             assert _kkt_times(p, v).tobytes() == ref.tobytes()
 
     def test_kkt_product_through_sparse_top_rows(self):
         p = assemble_instance(IocParams()).problem
         kkt = _kkt(p)
         assert scipy.sparse.issparse(kkt.ops[0])
-        y = np.random.default_rng(61).normal(size=len(kkt.K))
-        ref = kkt.K @ y
+        K = _reference_kkt(p)
+        y = np.random.default_rng(61).normal(size=len(K))
+        ref = K @ y
         assert np.linalg.norm(_kkt_times(p, y) - ref) <= \
             1e-12 * np.linalg.norm(ref)
         # the rows of A go through the operators of problem.g(x) and the
@@ -654,6 +670,162 @@ class TestSingularStep:
         assert list(src[5:]) == [5, 6] and not unit[5:].any()
         assert structural_rank(csr_matrix(newton_derivative_DF(p, v))) < 7
         self._assert_no_step(p, v)
+
+
+def _dense_df(p, src, sign, unit):
+    """DF of the row description (src, sign, unit), from the dense K."""
+    K = _reference_kkt(p)
+    return sign[:, None] * np.where(unit[:, None], np.eye(len(K))[src],
+                                    K[src])
+
+
+def _description(p, src, unit):
+    """The row description of _rows for rows chosen by hand: row i of DF is
+    row src_i of K, or the unit row e_{src_i} where unit_i."""
+    src, unit = np.asarray(src), np.asarray(unit, dtype=bool)
+    sign = np.ones(src.size)
+    scale = np.abs(_dense_df(p, src, sign, unit)).sum(axis=1).max()
+    return src, sign, unit, scale
+
+
+def _column_peel_problem(eps):
+    """Q whose rows 0, 1, 2 with the unit row e_0 leave, once column 0 is
+    fixed, three rows with two or more entries each, and column 3 with
+    one entry, eps in row 1; rows 0 and 2 then form a 2 x 2 core."""
+    Q = [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 2.0, eps],
+         [1.0, 2.0, 3.0, 0.0], [0.0, eps, 0.0, 1.0]]
+    p = QuadraticMpcc.build(Q=Q, q=np.zeros(4))
+    return p, _description(p, [0, 1, 2, 0], [False, False, False, True])
+
+
+class TestPeel:
+    """The forward peel, the column peel and the core, on rows chosen by
+    hand."""
+
+    def test_no_lu_fixture_trips_on_a_core(self, no_lu):
+        # no row or column of Q has a single entry, so the core is all of it
+        p = QuadraticMpcc.build(Q=[[1.0, 1.0], [1.0, 2.0]], q=np.zeros(2))
+        with pytest.raises(AssertionError, match="LU factorization"):
+            _newton_step(p, _description(p, [0, 1], [False, False]),
+                         np.ones(2), 1e-12)
+
+    def test_complete_forward_peel_makes_no_lu(self, no_lu):
+        # row 0 has one entry, on column 2; once it is known, row 1 has one,
+        # on column 1, and then row 2, on column 0: three rounds
+        p = QuadraticMpcc.build(Q=[[0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                   [1.0, 1.0, 1.0]], q=np.zeros(3))
+        rows = _description(p, [0, 1, 2], [False] * 3)
+        rhs = np.array([1.0, -2.0, 3.0])
+        step = _newton_step(p, rows, rhs, 1e-12)
+        np.testing.assert_allclose(
+            step, np.linalg.solve(_dense_df(p, *rows[:3]), rhs), rtol=1e-14)
+
+    def test_two_rows_peel_onto_one_column_in_a_later_round(self, no_lu):
+        # once the unit rows have fixed x1 and x3, the rows of A_h[0] and
+        # A_g, (0, 1, 1, 1) and (0, 0, 1, 1), both have their one live entry
+        # on x2; the rest would leave one more column than rows
+        p = QuadraticMpcc.build(Q=[[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                   [0.0] * 4, [0.0] * 4], q=np.zeros(4),
+                                A_g=[[0.0, 0.0, 1.0, 1.0]], b_g=[0.0],
+                                A_h=[[0.0, 1.0, 1.0, 1.0], [1.0] * 4],
+                                b_h=[0.0, 0.0])
+        rows = _description(p, [1, 2, 1, 3, 3, 5, 4],
+                            [False, False, True, False, True, False, False])
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 7
+        assert _newton_step(p, rows, np.ones(7), 1e-12) is None
+
+    def test_value_below_pivot_tolerance_in_a_later_round(self, no_lu):
+        # once e_3 has fixed the multiplier column, row 1 of K has its one
+        # live entry, 1e-20, on column 0
+        p = QuadraticMpcc.build(Q=[[1.0, 1e-20, 1.0], [1e-20, 0.0, 0.0],
+                                   [1.0, 0.0, 2.0]], q=np.zeros(3),
+                                A_g=[[0.0, 1.0, 0.0]], b_g=[0.0])
+        rows = _description(p, [0, 1, 2, 3], [False, False, False, True])
+        pivot_tol = NewtonConfig().pivot_tol
+        assert np.linalg.cond(_dense_df(p, *rows[:3])) > 1.0 / pivot_tol
+        assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
+
+    def test_two_columns_peel_onto_one_row(self, no_lu):
+        # once e_4 and e_5 have fixed the multiplier columns, no row has one
+        # live entry, and columns 2 and 3 each have theirs in row 0
+        p = QuadraticMpcc.build(Q=[[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.0, 0.0],
+                                   [1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+                                q=np.zeros(4), A_h=[[1.0, 1.0, 0.0, 0.0],
+                                                    [1.0, 2.0, 0.0, 0.0]],
+                                b_h=[0.0, 0.0])
+        rows = _description(p, [0, 1, 4, 5, 4, 5],
+                            [False, False, False, False, True, True])
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 6
+        assert _newton_step(p, rows, np.ones(6), 1e-12) is None
+
+    def test_column_peel_and_back_substitution(self, monkeypatch):
+        cores = []
+        dgetrf = scipy.linalg.lapack.dgetrf
+
+        def spy(a, **kwargs):
+            cores.append(a.shape)
+            return dgetrf(a, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", spy)
+        p, rows = _column_peel_problem(0.5)
+        rhs = np.array([1.0, -2.0, 3.0, 0.5])
+        step = _newton_step(p, rows, rhs, 1e-12)
+        np.testing.assert_allclose(
+            step, np.linalg.solve(_dense_df(p, *rows[:3]), rhs), rtol=1e-12)
+        assert cores == [(2, 2)]
+
+    def test_column_singleton_below_pivot_tolerance(self, no_lu):
+        p, rows = _column_peel_problem(1e-20)
+        pivot_tol = NewtonConfig().pivot_tol
+        assert np.linalg.cond(_dense_df(p, *rows[:3])) > 1.0 / pivot_tol
+        assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
+
+    def test_row_emptied_by_peeling(self, no_lu):
+        # the unit rows fix columns 0 and 1, which hold every entry of row 0
+        # of Q; that row is then empty, while rows 2 and 3 cover columns 2,
+        # 3 and 4 twice each, so no column check could see it
+        p = QuadraticMpcc.build(Q=[[1.0, 1.0, 0.0, 0.0, 0.0],
+                                   [1.0, 1.0, 1.0, 1.0, 1.0],
+                                   [0.0, 1.0, 2.0, 1.0, 1.0],
+                                   [0.0, 1.0, 1.0, 3.0, 1.0],
+                                   [0.0, 1.0, 1.0, 1.0, 4.0]], q=np.zeros(5))
+        rows = _description(p, [0, 1, 0, 2, 3], [True, True, False, False,
+                                                 False])
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 5
+        assert _newton_step(p, rows, np.ones(5), 1e-12) is None
+
+    def test_column_left_empty(self, no_lu):
+        # rows 0 and 1 of Q and the row of A_h have entries on columns 0 and
+        # 1 alone once the unit row e_3 has fixed column 3: column 2 is empty
+        p = QuadraticMpcc.build(Q=[[1.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                                   [0.0, 0.0, 1.0]], q=np.zeros(3),
+                                A_h=[[2.0, 1.0, 0.0]], b_h=[0.0])
+        rows = _description(p, [0, 1, 3, 3], [False, False, False, True])
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 4
+        assert _newton_step(p, rows, np.ones(4), 1e-12) is None
+
+    def test_steps_of_a_cold_start_solve_the_full_system(self, monkeypatch):
+        # criterion 1's first start at n_div = 8, whose first and last steps
+        # are solved and the eight between them rejected
+        p = assemble_instance(IocParams()).problem
+        steps = []
+
+        def spy(problem, rows, rhs, pivot_tol, _step=_newton_step):
+            step = _step(problem, rows, rhs, pivot_tol)
+            steps.append((rows, rhs, step))
+            return step
+        monkeypatch.setattr("mpcckit.nsnewton._newton_step", spy)
+        x0, m0 = make_start(p, 1)
+        assert solve_newton(p, z0=FullPoint.from_parts(x0, m0)).status == \
+            "converged"
+        assert [step is None for *_, step in steps] == [False] + [True] * 8 \
+            + [False]
+        for (src, sign, unit, _), rhs, step in steps:
+            if step is None:
+                continue
+            df = _dense_df(p, src, sign, unit)
+            assert np.linalg.cond(df) < 1e8
+            ref = np.linalg.solve(df, rhs)
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 class TestSolveNewton:
