@@ -406,10 +406,21 @@ def _encode_matrix(mat: np.ndarray):
 
 
 def _finite(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number or an array of numbers") \
+            from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} holds a NaN or infinite value")
     return arr
+
+
+def _scalar(value, name: str) -> float:
+    arr = _finite(value, name)
+    if arr.ndim:
+        raise ValueError(f"{name} is not a number")
+    return float(arr)
 
 
 def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
@@ -419,12 +430,22 @@ def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
     if not isinstance(shape, list) or tuple(shape) != (rows, cols):
         raise ValueError(f"{name}: coordinate-list shape {shape} "
                          f"does not match {(rows, cols)}")
+    entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{name}: coordinate-list 'entries' is not a list")
     mat = np.zeros(shape)
-    for i, j, v in obj["entries"]:
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"{name}: coordinate-list 'entries' item {entry!r} "
+                             "is not an [i, j, v] triple")
+        i, j, v = entry
         if not (type(i) is type(j) is int and 0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"{name}: coordinate-list index ({i!r}, {j!r}) "
                              f"is not an integer or out of range for shape {shape}")
-        mat[i, j] = float(v)
+        if type(v) not in (int, float):
+            raise ValueError(f"{name}: coordinate-list value {v!r} at "
+                             f"({i}, {j}) is not a number")
+        mat[i, j] = v
     return _finite(mat, name)
 
 
@@ -463,7 +484,7 @@ def load_instance(path) -> QuadraticMpcc:
         obj = _section(doc, "objective")
         q = _finite(obj["q"], "q")
         blocks = {"Q": _decode_matrix(obj["Q"], q.size, q.size, "Q"), "q": q,
-                  "c0": float(_finite(obj["c0"], "c0"))}
+                  "c0": _scalar(obj["c0"], "c0")}
         for key, a_name, b_name in _SECTIONS:
             section = _section(doc, key)
             b = blocks[b_name] = _finite(section["b"], b_name)

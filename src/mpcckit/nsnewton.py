@@ -36,7 +36,12 @@ round: the live rows from A are zero on the multiplier columns since
 K[n:, n:] = 0, and when they outnumber the live x columns the step is
 rejected before any factorization. The linear system counts as well defined
 iff DF passes these pattern checks and every peeled value and every pivot
-of the core exceeds pivot_tol times the largest row 1-norm of DF. Each trial
+of the core exceeds pivot_tol times the largest row 1-norm of DF. All of
+this depends on the rows of [K; I] that DF selects, ext, alone: the signs of
+DF's rows enter only the right-hand side. So the peel and the LU are one
+factorization of DF, or the verdict that it is singular, and the iteration
+keeps the previous step's; while consecutive steps select the same rows, a
+step only replays the peel's arithmetic on its right-hand side. Each trial
 point is evaluated once, by one product with K and one
 stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
 ncp_fb call, whose arguments and values also give the merit gradient its
@@ -335,8 +340,15 @@ def _entries(kkt: _Kkt, ext: np.ndarray):
     at.fill(-1)
     at[ext] = np.arange(ext.size)
     row = at[kkt.row_of]
-    at = row >= 0
-    return row[at], kkt.cols[at], kkt.vals[at]
+    return _pick(row >= 0, row, kkt.cols, kkt.vals)
+
+
+def _pick(mask: np.ndarray, *arrays):
+    """The elements of each array where mask holds. One index array and a
+    take per array cost less than boolean indexing on long, irregular
+    masks."""
+    at = np.flatnonzero(mask)
+    return tuple(a.take(at) for a in arrays)
 
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
@@ -429,8 +441,8 @@ def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
-    src, sign, unit, _ = _rows(problem, _affine(problem, v), v)
-    row, col, val = _entries(_kkt(problem), src + src.size * unit)
+    src, sign, _, _ = rows = _rows(problem, _affine(problem, v), v)
+    row, col, val = _entries(_kkt(problem), _ext(rows))
     df = np.zeros((src.size, src.size))
     df[row, col] = sign[row] * val
     return df
@@ -442,15 +454,42 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
     return point[3], _merit_gradient(problem, point)
 
 
-def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
-                 pivot_tol: float):
-    """The solution d of DF d = rhs, or None where the step is not well
-    defined, for DF given by its row description rows; DF itself is not
-    formed.
+def _ext(rows) -> np.ndarray:
+    """ext of DF's row description rows: row i of DF is sign_i times row
+    ext_i of [K; I], where ext_i is src_i, or N + src_i on a unit row."""
+    src, _, unit, _ = rows
+    return src + src.size * unit
 
-    Row i of DF is sign_i times row ext_i of [K; I], where ext_i is src_i,
-    or N + src_i on a unit row, so the system is solved as
-    (row ext_i of [K; I]) d = sign_i rhs_i, in three parts:
+
+class _Factor(NamedTuple):
+    """DF factored by _factor, for any row signs. forward holds, per round
+    of the forward peel, the rows it peels, their columns and values, and
+    the entries (row, column, value) of the rows still live on those
+    columns. The core is given by its rows, its columns and their LU (None
+    for an empty core). back holds, per round of the column peel, the rows
+    it peels, their columns and values, and the entries of those rows on
+    the columns the forward peel left, each entry's row numbered by its
+    place among the round's rows."""
+
+    forward: list
+    core_rows: np.ndarray
+    core_cols: np.ndarray
+    lu: np.ndarray | None
+    piv: np.ndarray | None
+    back: list
+
+
+def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
+    """DF of the row description rows, factored by peeling its singleton
+    rows and columns and an LU of the dense core that is left, or None
+    where DF is singular by its pattern or to within pivot_tol; DF itself is
+    not formed.
+
+    DF depends on ext alone (see _ext): its row signs only scale the
+    right-hand side, as row i reads (row ext_i of [K; I]) d = sign_i rhs_i,
+    and row_scale is the largest row 1-norm of the rows ext. So the
+    factorization serves every step that selects the same ext, whatever its
+    signs (see _solve). It has three parts:
 
     1. Forward peel, in rounds: a row with one live entry fixes d at that
        entry's column (round 0 holds the unit rows and the rows of K with
@@ -462,56 +501,56 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
     3. Core: LU with partial pivoting on the square block of the rows and
        columns still live.
 
-    The step is None where two rows peel onto one column, or two columns
-    onto one row, or a live row or column is left empty: DF is then
+    The factorization is None where two rows peel onto one column, or two
+    columns onto one row, or a live row or column is left empty: DF is then
     singular by its pattern alone. It is None where any value divided by,
     a peeled entry or a pivot of the core, is at most pivot_tol times the
-    largest row 1-norm of DF, and where the step is not finite. So DF is
-    nonsingular iff every peeled value is nonzero and the core is
-    nonsingular. A live row of A after round 0 is zero on every multiplier
-    column, as K[n:, n:] = 0, so it lives on the live x columns alone: when
-    such rows outnumber those columns, DF is singular whatever its values,
-    and the step is rejected right after round 0."""
+    largest row 1-norm of DF. So DF is nonsingular iff every peeled value
+    is nonzero and the core is nonsingular. A live row of A after round 0
+    is zero on every multiplier column, as K[n:, n:] = 0, so it lives on
+    the live x columns alone: when such rows outnumber those columns, DF is
+    singular whatever its values, and None is returned right after
+    round 0."""
     kkt = _kkt(problem)
-    src, sign, unit, row_scale = rows
+    src, _, _, row_scale = rows
     size = src.size
     tol = pivot_tol * row_scale
-    ext = src + size * unit
+    ext = _ext(rows)
     start = kkt.ptr[ext]
     # round 0 of the forward peel, from the row lengths alone
     single = kkt.ptr[ext + 1] - start == 1
     at = start[single]
-    col = kkt.cols[at]
+    col_at = kkt.cols[at]
     live_col = np.ones(size, bool)
-    live_col[col] = False
-    n_live = size - col.size
+    live_col[col_at] = False
+    n_live = size - col_at.size
     if np.count_nonzero(live_col) != n_live:
         return None  # two rows on one column
     value = kkt.vals[at]
     if np.count_nonzero(np.abs(value) > tol) != value.size:
         return None
-    res = sign * rhs
-    step = np.zeros(size)
-    step[col] = res[single] / value
+    peel = np.flatnonzero(single)
     live_row = ~single
     n = problem.n
     if np.count_nonzero(src[live_row] >= n) > np.count_nonzero(live_col[:n]):
         return None  # more live rows of A than live x columns
-    # each round moves the entries of the columns it fixed to the
-    # right-hand side by one product, as new is zero on the other columns
     row, col, val = _entries(kkt, ext)
-    new = step
+    on = np.ones(row.size, bool)
+    forward = []
     while True:
-        res -= np.bincount(row, val * new[col], size)
-        on = live_col[col]
+        # the entries of the live rows on the columns the round fixed; the
+        # others would move zeros, or reach rows that are solved already
+        now = live_col[col]
+        moved = on & ~now & live_row[row]
+        forward.append((peel, col_at, value, *_pick(moved, row, col, val)))
+        on = now
         count = np.bincount(row, on, size)
         if np.count_nonzero(count < live_row):
             return None  # an empty row
         single = count == 1.0
         if not np.count_nonzero(single):
             break
-        at = single[row] & on
-        peel, col_at, value = row[at], col[at], val[at]
+        peel, col_at, value = _pick(single[row] & on, row, col, val)
         live_row[peel] = False
         live_col[col_at] = False
         n_live -= peel.size
@@ -519,11 +558,9 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
             return None  # two rows on one column
         if np.count_nonzero(np.abs(value) > tol) != value.size:
             return None
-        new = np.zeros(size)
-        new[col_at] = res[peel] / value
-        step += new
-    row, col, val = row[on], col[on], val[on]
+    row, col, val = _pick(on, row, col, val)
     back = []
+    place = np.empty(size, np.intp)
     while True:
         on = live_row[row]
         count = np.bincount(col, on, size)
@@ -532,8 +569,7 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
         single = count == 1.0
         if not np.count_nonzero(single):
             break
-        at = single[col] & on
-        peel, col_at, value = row[at], col[at], val[at]
+        peel, col_at, value = _pick(single[col] & on, row, col, val)
         live_row[peel] = False
         live_col[col_at] = False
         n_live -= peel.size
@@ -541,25 +577,85 @@ def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
             return None  # two columns on one row
         if np.count_nonzero(np.abs(value) > tol) != value.size:
             return None
-        back.append((peel, col_at, value))
+        place.fill(-1)
+        place[peel] = np.arange(peel.size)
+        mine = place[row]
+        back.append((peel, col_at, value, *_pick(mine >= 0, mine, col, val)))
+    lu = piv = None
     if n_live:
         # the live rows and columns, numbered in order
         rank = np.zeros((2, size), np.intp)
         rank[0, live_row] = rank[1, live_col] = np.arange(n_live)
         core = np.zeros((n_live, n_live), order="F")
-        core[rank[0, row[on]], rank[1, col[on]]] = val[on]
+        row, col, val = _pick(on, row, col, val)
+        core[rank[0, row], rank[1, col]] = val
         lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
         if np.count_nonzero(np.abs(lu.diagonal()) > tol) != n_live:
             return None
-        step[live_col] = scipy.linalg.lapack.dgetrs(lu, piv, res[live_row])[0]
-    # a row peeled onto a column has no entry on the columns peeled before
-    # it, so its step is known once the later rounds are solved
-    for peel, col_at, value in reversed(back):
-        dot = np.bincount(row, val * step[col], size)
-        step[col_at] = (res[peel] - dot[peel]) / value
+    return _Factor(forward, np.flatnonzero(live_row), np.flatnonzero(live_col),
+                   lu, piv, back)
+
+
+def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):
+    """The solution d of DF d = rhs for DF factored by _factor with the row
+    signs sign, or None where factor is None or d is not finite.
+
+    The peel's arithmetic runs on sign * rhs in _factor's order: each
+    forward round divides by its peeled values and moves its columns to
+    the right-hand side with one product, the core is solved by its LU, and
+    the column rounds are solved back in reverse order. A row peeled onto a
+    column has no entry on the columns peeled before it, so its step is
+    known once the later rounds are solved."""
+    if factor is None:
+        return None
+    res = sign * rhs
+    size = res.size
+    step = None
+    for peel, col_at, value, row, col, val in factor.forward:
+        new = np.zeros(size)
+        new[col_at] = res[peel] / value
+        if step is None:
+            step = new
+        else:
+            step += new  # an add, not a store: it turns an earlier -0.0 to 0.0
+        res -= np.bincount(row, val * new[col], size)
+    if factor.lu is not None:
+        step[factor.core_cols] = scipy.linalg.lapack.dgetrs(
+            factor.lu, factor.piv, res[factor.core_rows])[0]
+    for peel, col_at, value, mine, col, val in reversed(factor.back):
+        dot = np.bincount(mine, val * step[col], peel.size)
+        step[col_at] = (res[peel] - dot) / value
     if np.count_nonzero(np.isfinite(step)) != size:
         return None
     return step
+
+
+def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
+                 pivot_tol: float):
+    """The solution d of DF d = rhs, or None where the step is not well
+    defined, for DF given by its row description rows (see _factor)."""
+    return _solve(_factor(problem, rows, pivot_tol), rows[1], rhs)
+
+
+class _FactorSlot:
+    """The factorization of the previous step's DF, or its None, with the
+    ext it was built for. DF depends on ext alone, so while consecutive
+    steps select the same rows no peel or LU runs again."""
+
+    def __init__(self, problem: QuadraticMpcc, pivot_tol: float):
+        self.problem, self.pivot_tol = problem, pivot_tol
+        self.ext = self.factor = None
+
+    def step(self, rows, rhs: np.ndarray):
+        """_newton_step(problem, rows, rhs, pivot_tol), from the kept
+        factorization where rows select its ext."""
+        ext = _ext(rows)
+        if self.ext is None or not np.array_equal(ext, self.ext):
+            # emptied first, so that one factorization is alive at a time
+            self.ext = self.factor = None
+            self.factor = _factor(self.problem, rows, self.pivot_tol)
+            self.ext = ext
+        return _solve(self.factor, rows[1], rhs)
 
 
 def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
@@ -570,6 +666,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     v = _as_vec(problem, z0) if z0 is not None else np.zeros(n + r + s + 2 * t)
     point = _evaluate(problem, v)
     trace = SolverTrace()
+    factors = _FactorSlot(problem, cfg.pivot_tol)
     steps = dict.fromkeys(("full_newton", "damped_newton", "gradient"), 0)
     it = 0
     status = None
@@ -591,7 +688,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "stationary_merit"
             break
 
-        direction = _newton_step(problem, rows, -f_res, cfg.pivot_tol)
+        direction = factors.step(rows, -f_res)
         alpha = 1.0
         trial = None if direction is None else _evaluate(problem, v + direction)
         if trial is not None and trial[3] <= cfg.q_nsn * merit_val:

@@ -409,8 +409,15 @@ class TestInstanceFiles:
         (2, float("nan"), "NaN or infinite"),
         ("shape", [41, 40], "does not match"),
         ("shape", 5, "does not match"),
+        ("entries", 5, "'entries' is not a list"),
+        ("entry", [3, 7], r"'entries' item \[3, 7\] is not an \[i, j, v\]"),
+        ("entry", 5, r"'entries' item 5 is not an \[i, j, v\]"),
+        (2, "1.5", r"value '1.5' at \(3, 7\) is not a number"),
+        (2, [1.5], r"value \[1.5\] at \(3, 7\) is not a number"),
     ], ids=["negative-index", "index-too-large", "fractional-index",
-            "string-index", "nan-value", "shape-mismatch", "shape-not-a-list"])
+            "string-index", "nan-value", "shape-mismatch", "shape-not-a-list",
+            "entries-not-a-list", "entry-a-pair", "entry-a-number",
+            "string-value", "list-value"])
     def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,
                                                    value, message):
         Q = np.zeros((40, 40))
@@ -419,8 +426,10 @@ class TestInstanceFiles:
         save_instance(QuadraticMpcc.build(Q=Q, q=np.zeros(40)), path)
         doc = json.loads(path.read_text())
         q_block = doc["objective"]["Q"]
-        if field == "shape":
-            q_block["shape"] = value
+        if field in ("shape", "entries"):
+            q_block[field] = value
+        elif field == "entry":
+            q_block["entries"][0] = value
         else:
             q_block["entries"][0][field] = value
         path.write_text(json.dumps(doc))
@@ -447,19 +456,26 @@ class TestInstanceFiles:
             load_instance(path)
 
     @pytest.mark.parametrize("key, value, message", [
-        (None, [1], "not an mpcc-instance file"),
-        ("objective", [1], "section 'objective' is not a JSON object"),
-        ("comp_G", 5, "section 'comp_G' is not a JSON object"),
-    ], ids=["top-level-list", "objective-list", "section-number"])
+        ((), [1], "not an mpcc-instance file"),
+        (("objective",), [1], "section 'objective' is not a JSON object"),
+        (("comp_G",), 5, "section 'comp_G' is not a JSON object"),
+        (("objective", "c0"), [1, 2], "c0 is not a number"),
+        (("objective", "q"), {"a": 1},
+         "q is not a number or an array of numbers"),
+    ], ids=["top-level-list", "objective-list", "section-number",
+            "c0-a-list", "q-an-object"])
     def test_wrong_typed_document_or_section_is_rejected(self, tmp_path, key,
                                                          value, message):
         path = tmp_path / "bad.json"
         save_instance(_pair_problem(), path)
         doc = json.loads(path.read_text())
-        if key is None:
+        if not key:
             doc = value
         else:
-            doc[key] = value
+            parent = doc
+            for name in key[:-1]:
+                parent = parent[name]
+            parent[key[-1]] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_instance(path)

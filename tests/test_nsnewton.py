@@ -19,8 +19,11 @@ from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
+    _FactorSlot,
     _affine,
     _evaluate,
+    _ext,
+    _factor,
     _fb_residual,
     _kkt,
     _kkt_times,
@@ -28,6 +31,7 @@ from mpcckit.nsnewton import (
     _newton_step,
     _phi_vec,
     _rows,
+    _solve,
     merit_phi_fb,
     ncp_fb,
     newton_derivative_DF,
@@ -809,11 +813,11 @@ class TestPeel:
         p = assemble_instance(IocParams()).problem
         steps = []
 
-        def spy(problem, rows, rhs, pivot_tol, _step=_newton_step):
-            step = _step(problem, rows, rhs, pivot_tol)
+        def spy(slot, rows, rhs, _step=_FactorSlot.step):
+            step = _step(slot, rows, rhs)
             steps.append((rows, rhs, step))
             return step
-        monkeypatch.setattr("mpcckit.nsnewton._newton_step", spy)
+        monkeypatch.setattr(_FactorSlot, "step", spy)
         x0, m0 = make_start(p, 1)
         assert solve_newton(p, z0=FullPoint.from_parts(x0, m0)).status == \
             "converged"
@@ -826,6 +830,106 @@ class TestPeel:
             assert np.linalg.cond(df) < 1e8
             ref = np.linalg.solve(df, rhs)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def _stalled_tiny_start():
+    """The 18th instance of criterion 4's stream with its start: Newton runs
+    to max_iters through full, damped and gradient steps, while its rows
+    change only a few times."""
+    rng = np.random.default_rng(4001)
+    for _ in range(18):
+        p = random_tiny_mpcc(rng)
+        x0 = rng.normal(size=p.n)
+    return p, FullPoint.from_parts(x0, MultiplierSet.zeros(p))
+
+
+def _cold_start_n_div_8():
+    """Criterion 1's first start at n_div = 8."""
+    p = assemble_instance(IocParams()).problem
+    return p, FullPoint.from_parts(*make_start(p, 1))
+
+
+def _factor_calls(monkeypatch):
+    """The rows of each _factor call that solve_newton makes."""
+    calls = []
+
+    def spy(problem, rows, pivot_tol, _factor=_factor):
+        calls.append(rows)
+        return _factor(problem, rows, pivot_tol)
+    monkeypatch.setattr("mpcckit.nsnewton._factor", spy)
+    return calls
+
+
+class TestFactorReuse:
+    """DF depends on ext alone, so a factorization serves every step that
+    selects the same rows, whatever their signs."""
+
+    @pytest.mark.parametrize("start", [_stalled_tiny_start,
+                                       _cold_start_n_div_8])
+    def test_solve_is_unchanged_when_every_step_factors(self, monkeypatch,
+                                                        start):
+        p, z0 = start()
+        calls = _factor_calls(monkeypatch)
+        kept = solve_newton(p, z0=z0)
+        reused = len(calls) < kept.iterations
+        calls.clear()
+
+        def miss(slot, rows, rhs, _step=_FactorSlot.step):
+            slot.ext = None
+            return _step(slot, rows, rhs)
+        monkeypatch.setattr(_FactorSlot, "step", miss)
+        fresh = solve_newton(p, z0=z0)
+        assert len(calls) == fresh.iterations
+        if start is _stalled_tiny_start:
+            assert kept.status == "max_iters" and reused
+            assert kept.damped_steps > 0 and kept.gradient_steps > 0
+        assert kept.z.to_vector().tobytes() == fresh.z.to_vector().tobytes()
+        for name in ("status", "iterations", "full_steps", "damped_steps",
+                     "gradient_steps", "final_residual", "final_merit"):
+            assert getattr(kept, name) == getattr(fresh, name)
+        for field in ("step_type", "alpha", "residual", "merit"):
+            assert [getattr(row, field) for row in kept.trace.rows] == \
+                [getattr(row, field) for row in fresh.trace.rows]
+
+    def test_flipped_row_signs_reuse_the_factorization(self):
+        rng = np.random.default_rng(62)
+        ioc, z0 = _cold_start_n_div_8()
+        solved = 0
+        for p, v in itertools.chain(_reference_points(),
+                                    [(ioc, z0.to_vector())]):
+            src, sign, unit, scale = rows = _rows(p, _affine(p, v), v)
+            factor = _factor(p, rows, 1e-12)
+            if factor is None:
+                continue
+            rhs = -residual_F(p, v)
+            # a signed zero in the right-hand side keeps its bits too
+            rhs[rng.random(rhs.size) < 0.2] = -0.0
+            for _ in range(3):
+                flipped = sign * rng.choice([-1.0, 1.0], size=sign.size)
+                step = _solve(factor, flipped, rhs)
+                ref = _newton_step(p, (src, flipped, unit, scale), rhs, 1e-12)
+                assert step is not None
+                assert step.tobytes() == ref.tobytes()
+            solved += 1
+        assert solved >= 30
+
+    def test_one_factorization_per_change_of_rows(self, monkeypatch):
+        p, z0 = _stalled_tiny_start()
+        calls = _factor_calls(monkeypatch)
+        exts = []
+
+        def spy(slot, rows, rhs, _step=_FactorSlot.step):
+            exts.append(_ext(rows))
+            return _step(slot, rows, rhs)
+        monkeypatch.setattr(_FactorSlot, "step", spy)
+        res = solve_newton(p, z0=z0)
+        assert len(exts) == res.iterations == 1000
+        changes = [k for k, ext in enumerate(exts)
+                   if k == 0 or not np.array_equal(ext, exts[k - 1])]
+        assert 1 < len(changes) <= 10
+        assert len(calls) == len(changes)
+        for rows, k in zip(calls, changes):
+            np.testing.assert_array_equal(_ext(rows), exts[k])
 
 
 class TestSolveNewton:
