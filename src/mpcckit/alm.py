@@ -199,24 +199,30 @@ def update_multipliers(problem: QuadraticMpcc, x, rho: float,
     makes the full Lagrangian gradient vanish exactly on the pair
     coordinates.
     """
+    return _update(problem, x, rho, safeguarded)[0]
+
+
+def _update(problem: QuadraticMpcc, x, rho: float,
+            safeguarded: MultiplierSet):
+    """update_multipliers, and the partial gradient
+    grad f + A_g' lambda+ + A_h' eta+ that it reads (mu, nu) from."""
     lam = np.maximum(rho * problem.g(x) + safeguarded.lam, 0.0)
     eta = rho * problem.h(x) + safeguarded.eta
     pairs = problem.pair_partition()
     partial = problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
     mu = -pairs.sign_g * partial[pairs.idx_g]
     nu = -pairs.sign_h * partial[pairs.idx_h]
-    return MultiplierSet(lam, eta, mu, nu)
+    return MultiplierSet(lam, eta, mu, nu), partial
 
 
-def _identity_gap(problem, x, oracle, m_new) -> float:
-    """|grad of the penalty - grad of the Lagrangian at the updated multipliers|.
+def _identity_gap(x, oracle, partial) -> float:
+    """|grad of the penalty - grad of the Lagrangian at the updated multipliers|,
+    given the partial gradient of _update at x.
 
     The pair components cancel by construction of the recovered (mu, nu).
     """
     _, grad_rho = oracle(x)
-    grad_x = (problem.grad_f(x) + problem.A_g.T @ m_new.lam
-              + problem.A_h.T @ m_new.eta)
-    return float(np.max(np.abs(grad_rho - grad_x), initial=0.0))
+    return float(np.max(np.abs(grad_rho - partial), initial=0.0))
 
 
 def _check_start(problem: QuadraticMpcc, x0, m0):
@@ -295,7 +301,7 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
         except pgrad.PgradError:
             status = "subsolver_failure"
             break
-        m_new = update_multipliers(solved, new_point, rho, hat)
+        m_new, partial = _update(solved, new_point, rho, hat)
         v_hat = feasibility_measure(solved, new_point, rho, hat)
         v_guard = feasibility_measure(solved, new_point, rho, m)
         increased = not (k == 0 or v_hat <= cfg.q_alm * prev_v_hat)
@@ -304,7 +310,7 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
             wall_time=time.perf_counter() - tic, rho=rho,
             sub_iters=sub_iters, sub_stat=sub_stat,
             sub_converged=bool(sub_stat <= eps_k),
-            identity_gap=_identity_gap(solved, new_point, oracle, m_new),
+            identity_gap=_identity_gap(new_point, oracle, partial),
             penalty_increased=increased))
         point, m, prev_v_hat = new_point, m_new, v_hat
         rho = rho * cfg.gamma if increased else rho

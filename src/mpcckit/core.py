@@ -179,12 +179,17 @@ class QuadraticMpcc:
         return self._pairs
 
 
-def as_operator(mat: np.ndarray):
-    """CSR when clearly sparse, else the dense array itself: the one rule
-    by which the solvers multiply with the problem's blocks."""
-    if mat.size >= 4096 and np.count_nonzero(mat) < 0.25 * mat.size:
-        return sp.csr_array(mat)
-    return mat
+def as_operator(mat):
+    """CSR when clearly sparse, else a dense array: the one rule by which
+    the solvers multiply with the problem's blocks. mat is a dense array,
+    returned itself when dense, or a CSR array, returned itself when
+    sparse."""
+    size = mat.shape[0] * mat.shape[1]
+    sparse = sp.issparse(mat)
+    if size >= 4096 and (mat.nnz if sparse else np.count_nonzero(mat)) < \
+            0.25 * size:
+        return mat if sparse else sp.csr_array(mat)
+    return mat.toarray() if sparse else mat
 
 
 def _caller_can_write(arr: np.ndarray, given) -> bool:
@@ -411,6 +416,9 @@ def _finite(values, name: str) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError(f"{name} is not a number or an array of numbers") \
             from None
+    except OverflowError:
+        raise ValueError(f"{name} holds a number beyond the float range") \
+            from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} holds a NaN or infinite value")
     return arr
@@ -445,7 +453,11 @@ def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
         if type(v) not in (int, float):
             raise ValueError(f"{name}: coordinate-list value {v!r} at "
                              f"({i}, {j}) is not a number")
-        mat[i, j] = v
+        try:
+            mat[i, j] = v
+        except OverflowError:
+            raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
+                             "is beyond the float range") from None
     return _finite(mat, name)
 
 

@@ -68,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
+import scipy.sparse as sp
 
 from .alm import SolverTrace, TraceRow
 from .core import MultiplierSet, QuadraticMpcc, as_operator
@@ -278,21 +279,17 @@ def _fb_partials(uv):
 class _Kkt(NamedTuple):
     """w = K v + k, with the operators of K[:n] and of A's blocks. Row i of
     DF is sign_i times a row of K or of the identity, so K is stored stacked
-    over I, as [K; I] in CSR: its row starts ptr, and for each entry its
-    column, its value and its row (row N + j is the unit row e_j). Besides,
-    the row 1-norms of K and the layout of the blocks."""
+    over I, as the CSR [K; I] (row N + j is the unit row e_j), with the row
+    1-norms of [K; I] and the layout of the blocks."""
 
-    ptr: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    row_of: np.ndarray
+    KI: sp.csr_array
     ops: tuple
     k: np.ndarray
     norms: np.ndarray
     layout: _FbLayout
 
 
-# rows of K per block of its row 1-norms, so |K| is never formed whole
+# rows of [K; I] per block of its row 1-norms, so |K| is never formed whole
 _NORM_ROWS = 256
 
 
@@ -300,47 +297,35 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
     """The _Kkt of the problem, built on first use and kept with it."""
     kkt = vars(problem).get("_kkt")
     if kkt is None:
-        n = problem.n
-        rows = np.vstack([problem.A_g, problem.A_h, problem.A_G, problem.A_H])
-        size = n + len(rows)
-        top = np.hstack((problem.Q, rows.T))  # K[:n]
-        # [K; I]: the rows of K[:n], of A (zero past column n) and of I
-        top_i, top_j = np.nonzero(top)
-        a_i, a_j = np.nonzero(rows)
-        length = np.concatenate((np.count_nonzero(top, axis=1),
-                                 np.count_nonzero(rows, axis=1),
-                                 np.ones(size, dtype=int)))
-        ptr = np.concatenate(([0], np.cumsum(length)))
-        cols = np.concatenate((top_j, a_j, np.arange(size)))
-        vals = np.concatenate((top[top_i, top_j], rows[a_i, a_j],
-                               np.ones(size)))
-        row_of = np.repeat(np.arange(2 * size), length)
-        # the row 1-norms of K, summed over dense blocks of its rows as |K|
-        # row by row, whose bits they keep
-        norms = np.empty(size)
-        for i in range(0, size, _NORM_ROWS):
-            end = min(i + _NORM_ROWS, size)
-            at = slice(ptr[i], ptr[end])
-            block = np.zeros((end - i, size))
-            block[row_of[at] - i, cols[at]] = np.abs(vals[at])
-            norms[i:end] = block.sum(axis=1)
-        ops = (as_operator(top),
+        Q = sp.csr_array(problem.operator("Q"))
+        a = sp.vstack([sp.csr_array(problem.operator(name))
+                       for name in ("A_g", "A_h", "A_G", "A_H")], format="csr")
+        m = a.shape[0]
+        KI = sp.vstack((sp.hstack((Q, a.T), format="csr"),
+                        sp.hstack((a, sp.coo_array((m, m))), format="csr"),
+                        sp.eye_array(problem.n + m, format="csr")),
+                       format="csr")
+        # summed over dense blocks of rows as |[K; I]| row by row, whose
+        # bits they keep; the rows of I have norm 1
+        norms = np.concatenate([
+            np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
+            for i in range(0, KI.shape[0], _NORM_ROWS)])
+        ops = (as_operator(KI[:problem.n]),
                *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
-        kkt = _Kkt(ptr, cols, vals, row_of, ops, k, norms,
-                   _fb_layout(n, problem.r, problem.s, problem.t))
+        kkt = _Kkt(KI, ops, k, norms,
+                   _fb_layout(problem.n, problem.r, problem.s, problem.t))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 
 
-def _entries(kkt: _Kkt, ext: np.ndarray):
-    """(i, column, value) of every entry of the rows ext_i of [K; I]."""
-    at = np.empty(kkt.ptr.size - 1, np.intp)
-    at.fill(-1)
-    at[ext] = np.arange(ext.size)
-    row = at[kkt.row_of]
-    return _pick(row >= 0, row, kkt.cols, kkt.vals)
+def _entries(KI: sp.csr_array, ext: np.ndarray):
+    """(i, column, value) of every entry of the rows ext_i of the CSR KI,
+    row by row, each row's columns ascending."""
+    rows = KI[ext]
+    return (np.repeat(np.arange(ext.size), np.diff(rows.indptr)),
+            rows.indices.astype(np.intp), rows.data)
 
 
 def _pick(mask: np.ndarray, *arrays):
@@ -377,34 +362,34 @@ def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
 
 
 def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
-    """(src, sign, unit, row_scale) of DF at v: row i of DF is sign_i times
-    row src_i of K, or the unit row sign_i e_{src_i} where unit_i, and
-    row_scale is the largest row 1-norm of DF."""
+    """(ext, sign, row_scale) of DF at v: row i of DF is sign_i times row
+    ext_i of [K; I], so a row of K for ext_i < N and the unit row
+    e_{ext_i - N} past it, and row_scale is the largest row 1-norm of DF."""
     kkt = _kkt(problem)
     n, r, _, t, base = kkt.layout.dims
-    src = np.arange(v.size)
-    sign = np.ones(v.size)
-    unit = np.zeros(v.size, dtype=bool)
+    size = v.size
+    ext = np.arange(size)
+    sign = np.ones(size)
     # min(-g_i, lam_i): smallest attaining index wins ties
     g_side = -w[n:n + r] <= v[n:n + r]
     sign[n:n + r][g_side] = -1.0
-    unit[n:n + r] = ~g_side
+    ext[n:n + r][~g_side] += size
     # phi rows pick a, b, mu or nu of pair i: the row of G_i or H_i in K, or
-    # the column of mu_i or nu_i, which share the index base + i (+ t)
+    # the unit row of mu_i or nu_i, which share the index base + i (+ t)
     _, axis, pair_sign = _phi_vec(w[base:base + t], w[base + t:],
                                   v[base:base + t], v[base + t:])
-    src[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)).ravel()
+    ext[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)
+                  + size * (axis >= 2)).ravel()
     sign[base:] = pair_sign.ravel()
-    unit[base:] = (axis >= 2).ravel()
-    return src, sign, unit, float(np.where(unit, 1.0, kkt.norms[src]).max())
+    return ext, sign, float(kkt.norms[ext].max())
 
 
 def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
-    """F at v from the row description of DF at v: F_i = sign_i w_{src_i},
-    or sign_i v_{src_i} on a unit row, so F and DF share one selection. A
-    selected |t| at t = -0.0 gives F_i = -0.0, by sign(0) := +1."""
-    src, sign, unit, _ = rows
-    return sign * np.where(unit, v[src], w[src])
+    """F at v from the row description of DF at v: F_i = sign_i (w, v)_{ext_i},
+    so F and DF share one selection. A selected |t| at t = -0.0 gives
+    F_i = -0.0, by sign(0) := +1."""
+    ext, sign, _ = rows
+    return sign * np.concatenate((w, v)).take(ext)
 
 
 def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
@@ -441,9 +426,9 @@ def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = _as_vec(problem, z)
-    src, sign, _, _ = rows = _rows(problem, _affine(problem, v), v)
-    row, col, val = _entries(_kkt(problem), _ext(rows))
-    df = np.zeros((src.size, src.size))
+    ext, sign, _ = _rows(problem, _affine(problem, v), v)
+    row, col, val = _entries(_kkt(problem).KI, ext)
+    df = np.zeros((ext.size, ext.size))
     df[row, col] = sign[row] * val
     return df
 
@@ -452,13 +437,6 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
     """Value and exact gradient of the C^1 merit 1/2 |F_FB|^2."""
     point = _evaluate(problem, _as_vec(problem, z))
     return point[3], _merit_gradient(problem, point)
-
-
-def _ext(rows) -> np.ndarray:
-    """ext of DF's row description rows: row i of DF is sign_i times row
-    ext_i of [K; I], where ext_i is src_i, or N + src_i on a unit row."""
-    src, _, unit, _ = rows
-    return src + src.size * unit
 
 
 class _Factor(NamedTuple):
@@ -485,7 +463,7 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     where DF is singular by its pattern or to within pivot_tol; DF itself is
     not formed.
 
-    DF depends on ext alone (see _ext): its row signs only scale the
+    DF depends on ext alone (see _rows): its row signs only scale the
     right-hand side, as row i reads (row ext_i of [K; I]) d = sign_i rhs_i,
     and row_scale is the largest row 1-norm of the rows ext. So the
     factorization serves every step that selects the same ext, whatever its
@@ -511,30 +489,30 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     the live x columns alone: when such rows outnumber those columns, DF is
     singular whatever its values, and None is returned right after
     round 0."""
-    kkt = _kkt(problem)
-    src, _, _, row_scale = rows
-    size = src.size
+    KI = _kkt(problem).KI
+    ext, _, row_scale = rows
+    size = ext.size
     tol = pivot_tol * row_scale
-    ext = _ext(rows)
-    start = kkt.ptr[ext]
+    start = KI.indptr[ext]
     # round 0 of the forward peel, from the row lengths alone
-    single = kkt.ptr[ext + 1] - start == 1
+    single = KI.indptr[ext + 1] - start == 1
     at = start[single]
-    col_at = kkt.cols[at]
+    col_at = KI.indices[at].astype(np.intp)
     live_col = np.ones(size, bool)
     live_col[col_at] = False
     n_live = size - col_at.size
     if np.count_nonzero(live_col) != n_live:
         return None  # two rows on one column
-    value = kkt.vals[at]
+    value = KI.data[at]
     if np.count_nonzero(np.abs(value) > tol) != value.size:
         return None
     peel = np.flatnonzero(single)
     live_row = ~single
     n = problem.n
-    if np.count_nonzero(src[live_row] >= n) > np.count_nonzero(live_col[:n]):
+    # round 0 peels every unit row, so the live rows past n are of A
+    if np.count_nonzero(ext[live_row] >= n) > np.count_nonzero(live_col[:n]):
         return None  # more live rows of A than live x columns
-    row, col, val = _entries(kkt, ext)
+    row, col, val = _entries(KI, ext)
     on = np.ones(row.size, bool)
     forward = []
     while True:
@@ -649,7 +627,7 @@ class _FactorSlot:
     def step(self, rows, rhs: np.ndarray):
         """_newton_step(problem, rows, rhs, pivot_tol), from the kept
         factorization where rows select its ext."""
-        ext = _ext(rows)
+        ext = rows[0]
         if self.ext is None or not np.array_equal(ext, self.ext):
             # emptied first, so that one factorization is alive at a time
             self.ext = self.factor = None

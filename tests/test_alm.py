@@ -25,7 +25,7 @@ from mpcckit.core import (
 )
 from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.oracle import enumerate_branch_nlps, finite_diff
-from mpcckit.pgrad import PgradConfig, PgradError
+from mpcckit.pgrad import PgradConfig, PgradError, solve_subproblem
 
 
 def _toy_pair_problem():
@@ -293,6 +293,30 @@ class TestSolveAlm:
             expected = prev.rho * (10.0 if prev.penalty_increased else 1.0)
             assert cur.rho == pytest.approx(expected)
         assert all(r.identity_gap <= 1e-10 for r in rows)
+
+    def test_identity_gap_at_the_updated_multipliers(self):
+        # each row's gap, recomputed from its subproblem's oracle and point
+        # and the multiplier update, to the bit
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            p = random_tiny_mpcc(rng)
+            solved = []
+
+            def subsolver(oracle, proj, start, eps, stationarity):
+                out = solve_subproblem(oracle, proj, start, eps,
+                                       stationarity=stationarity)
+                solved.append((oracle, out[0]))
+                return out
+            cfg = AlmConfig(slack_mode="slack_free")
+            res = solve_alm(p, cfg, x0=rng.normal(size=p.n),
+                            subsolver=subsolver)
+            m = MultiplierSet.zeros(p)
+            for row, (oracle, x) in zip(res.trace.rows, solved, strict=True):
+                hat = safeguard_multipliers(m, cfg.safeguard_bound)
+                m = update_multipliers(p, x, row.rho, hat)
+                grad_x = p.grad_f(x) + p.A_g.T @ m.lam + p.A_h.T @ m.eta
+                gap = np.max(np.abs(oracle(x)[1] - grad_x), initial=0.0)
+                assert row.identity_gap == gap
 
     def test_rho0_override(self):
         p = _toy_pair_problem()

@@ -14,6 +14,7 @@ from mpcckit.compgeo import PairPartition, singleton_columns
 from mpcckit.core import (
     MultiplierSet,
     QuadraticMpcc,
+    as_operator,
     check_mpcc_licq,
     check_mpcc_ssoc,
     classify_stationarity,
@@ -100,6 +101,32 @@ class TestBoundOperators:
                     dense, block.T if transposed else block)
         assert p.operator("A_h") is p.A_h  # 43 % nonzero: kept dense
 
+    def test_csr_input_follows_the_same_rule(self):
+        # the IOC blocks, and 64 x 64 blocks just under and at a quarter
+        # nonzero, then one row short of 4096 entries
+        p = assemble_instance(IocParams()).problem
+        blocks = [getattr(p, name) for name in ("Q", "A_g", "A_h", "A_G",
+                                                "A_H")]
+        for shape, nonzeros in (((64, 64), 1023), ((64, 64), 1024),
+                                ((63, 64), 63)):
+            block = np.zeros(shape)
+            block.flat[:nonzeros] = np.arange(1.0, nonzeros + 1)
+            blocks.append(block)
+        kinds = []
+        for block in blocks:
+            dense, csr = as_operator(block), as_operator(
+                scipy.sparse.csr_array(block))
+            kinds.append(scipy.sparse.issparse(dense))
+            assert scipy.sparse.issparse(csr) == kinds[-1]
+            if kinds[-1]:
+                assert csr.format == "csr"
+                dense, csr = dense.toarray(), csr.toarray()
+            assert isinstance(dense, np.ndarray) and \
+                isinstance(csr, np.ndarray)
+            # equal as numbers: CSR keeps no -0.0 of the dense block
+            np.testing.assert_array_equal(dense, csr)
+        assert kinds == [True, True, False, True, True, True, False, False]
+
     def test_solvers_bind_each_block_once(self, monkeypatch):
         p = assemble_instance(IocParams()).problem
         built, csr_array = [], scipy.sparse.csr_array
@@ -116,7 +143,10 @@ class TestBoundOperators:
         solve_alm(p, x0=x0)
         assert built == []
         solve_newton(p, z0=z0)
-        assert (p.n, len(z0.to_vector())) in built  # K[:n], on first use
+        # on first use, the five blocks into the CSR [K; I] of Newton's K,
+        # with A_G and A_H bound first (ALM multiplies through neither)
+        assert built == [(p.n, p.n), (p.r, p.n), (p.s, p.n)] + \
+            [(p.t, p.n)] * 4
         built.clear()
         solve_newton(p, z0=z0)
         assert built == []
@@ -414,10 +444,12 @@ class TestInstanceFiles:
         ("entry", 5, r"'entries' item 5 is not an \[i, j, v\]"),
         (2, "1.5", r"value '1.5' at \(3, 7\) is not a number"),
         (2, [1.5], r"value \[1.5\] at \(3, 7\) is not a number"),
+        (2, 10**400, r"Q: coordinate-list value at \(3, 7\) is beyond the "
+                     "float range"),
     ], ids=["negative-index", "index-too-large", "fractional-index",
             "string-index", "nan-value", "shape-mismatch", "shape-not-a-list",
             "entries-not-a-list", "entry-a-pair", "entry-a-number",
-            "string-value", "list-value"])
+            "string-value", "list-value", "huge-integer-value"])
     def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,
                                                    value, message):
         Q = np.zeros((40, 40))
@@ -462,8 +494,12 @@ class TestInstanceFiles:
         (("objective", "c0"), [1, 2], "c0 is not a number"),
         (("objective", "q"), {"a": 1},
          "q is not a number or an array of numbers"),
+        (("objective", "q"), [1.0, 10**400],
+         "q holds a number beyond the float range"),
+        (("objective", "c0"), 10**400,
+         "c0 holds a number beyond the float range"),
     ], ids=["top-level-list", "objective-list", "section-number",
-            "c0-a-list", "q-an-object"])
+            "c0-a-list", "q-an-object", "q-huge-integer", "c0-huge-integer"])
     def test_wrong_typed_document_or_section_is_rejected(self, tmp_path, key,
                                                          value, message):
         path = tmp_path / "bad.json"

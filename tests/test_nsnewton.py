@@ -1,6 +1,7 @@
 """Nonsmooth Newton method: residual, derivatives, merit, and iteration."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from mpcckit.nsnewton import (
     _FactorSlot,
     _affine,
     _evaluate,
-    _ext,
     _factor,
     _fb_residual,
     _kkt,
@@ -551,14 +551,14 @@ class TestAgainstDenseAssembly:
         # rejected without an LU
         fired = 0
         for p, v in _reference_points():
-            src, _, _, _ = rows = _rows(p, _affine(p, v), v)
+            ext, _, _ = rows = _rows(p, _affine(p, v), v)
             df = newton_derivative_DF(p, v)
             col = singleton_columns(df)
             fixed = col >= 0
             cols = col[fixed]
             if np.unique(cols).size < cols.size:
                 continue  # rejected earlier, by the singleton columns
-            if np.count_nonzero(src[~fixed] >= p.n) <= \
+            if np.count_nonzero(ext[~fixed] >= p.n) <= \
                     p.n - np.count_nonzero(cols < p.n):
                 continue
             assert structural_rank(csr_matrix(df)) < len(v)
@@ -591,6 +591,33 @@ class TestAgainstDenseAssembly:
         x = y[:p.n]
         rows = np.concatenate((p.g(x), p.h(x), p.G(x), p.H(x)))
         assert _affine(p, y)[p.n:].tobytes() == rows.tobytes()
+
+    def test_kkt_csr_equals_dense_reference(self):
+        # [K; I] entry for entry, no explicit zeros, each row's columns in
+        # order; its row 1-norms have the bits of the dense rows' sums
+        problems = [p for p, _ in _reference_points()]
+        for p in problems + [assemble_instance(IocParams()).problem]:
+            kkt = _kkt(p)
+            K = _reference_kkt(p)
+            ref = np.vstack((K, np.eye(len(K))))
+            assert kkt.KI.format == "csr" and kkt.KI.has_sorted_indices
+            assert kkt.KI.nnz == np.count_nonzero(ref)
+            np.testing.assert_array_equal(kkt.KI.toarray(), ref)
+            assert kkt.norms.tobytes() == np.abs(ref).sum(axis=1).tobytes()
+
+    def test_kkt_build_peaks_below_dense_top_rows(self):
+        # [K; I] is built from the bound CSR blocks; the dense K[:n] alone
+        # would take n * N * 8 bytes, 30 MB at n_div = 16
+        p = assemble_instance(IocParams(n_div=16)).problem
+        for name in ("Q", "A_g", "A_h", "A_G", "A_H"):
+            p.operator(name)
+        tracemalloc.start()
+        try:
+            _kkt(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.n * (p.n + p.r + p.s + 2 * p.t) * 8
 
     def test_stacked_fb_residual_equals_reference(self):
         # the reference sums grad_x L in another order than K v + k, so its
@@ -647,8 +674,8 @@ class TestSingularStep:
         p = QuadraticMpcc.build(Q=[[0.0, 0.0], [0.0, 1.0]], q=np.zeros(2),
                                 A_g=[[1.0, 0.0]], b_g=[0.0])
         v = np.array([-1.0, 0.0, 0.0])
-        src, _, unit, _ = _rows(p, _affine(p, v), v)
-        assert unit[2] and src[2] == 2
+        ext, _, _ = _rows(p, _affine(p, v), v)
+        assert ext[2] == len(v) + 2
         self._assert_no_step(p, v)
 
     def test_singleton_value_below_pivot_tolerance(self):
@@ -670,26 +697,25 @@ class TestSingularStep:
                                 b_h=[0.0, 0.0], A_G=[[1.0, 0.0, 0.0]],
                                 b_G=[0.0], A_H=[[0.0, 1.0, 0.0]], b_H=[0.0])
         v = np.array([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0, -2.0])
-        src, _, unit, _ = _rows(p, _affine(p, v), v)
-        assert list(src[5:]) == [5, 6] and not unit[5:].any()
+        ext, _, _ = _rows(p, _affine(p, v), v)
+        assert list(ext[5:]) == [5, 6]
         assert structural_rank(csr_matrix(newton_derivative_DF(p, v))) < 7
         self._assert_no_step(p, v)
 
 
-def _dense_df(p, src, sign, unit):
-    """DF of the row description (src, sign, unit), from the dense K."""
+def _dense_df(p, ext, sign):
+    """DF of the rows ext of [K; I] with the signs sign, from the dense K."""
     K = _reference_kkt(p)
-    return sign[:, None] * np.where(unit[:, None], np.eye(len(K))[src],
-                                    K[src])
+    return sign[:, None] * np.vstack((K, np.eye(len(K))))[ext]
 
 
 def _description(p, src, unit):
-    """The row description of _rows for rows chosen by hand: row i of DF is
-    row src_i of K, or the unit row e_{src_i} where unit_i."""
+    """The row description (ext, sign, row_scale) of _rows for rows chosen
+    by hand: row i of DF is row src_i of K, or the unit row e_{src_i} where
+    unit_i."""
     src, unit = np.asarray(src), np.asarray(unit, dtype=bool)
-    sign = np.ones(src.size)
-    scale = np.abs(_dense_df(p, src, sign, unit)).sum(axis=1).max()
-    return src, sign, unit, scale
+    ext, sign = src + src.size * unit, np.ones(src.size)
+    return ext, sign, np.abs(_dense_df(p, ext, sign)).sum(axis=1).max()
 
 
 def _column_peel_problem(eps):
@@ -722,7 +748,7 @@ class TestPeel:
         rhs = np.array([1.0, -2.0, 3.0])
         step = _newton_step(p, rows, rhs, 1e-12)
         np.testing.assert_allclose(
-            step, np.linalg.solve(_dense_df(p, *rows[:3]), rhs), rtol=1e-14)
+            step, np.linalg.solve(_dense_df(p, *rows[:2]), rhs), rtol=1e-14)
 
     def test_two_rows_peel_onto_one_column_in_a_later_round(self, no_lu):
         # once the unit rows have fixed x1 and x3, the rows of A_h[0] and
@@ -735,7 +761,7 @@ class TestPeel:
                                 b_h=[0.0, 0.0])
         rows = _description(p, [1, 2, 1, 3, 3, 5, 4],
                             [False, False, True, False, True, False, False])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 7
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 7
         assert _newton_step(p, rows, np.ones(7), 1e-12) is None
 
     def test_value_below_pivot_tolerance_in_a_later_round(self, no_lu):
@@ -746,7 +772,7 @@ class TestPeel:
                                 A_g=[[0.0, 1.0, 0.0]], b_g=[0.0])
         rows = _description(p, [0, 1, 2, 3], [False, False, False, True])
         pivot_tol = NewtonConfig().pivot_tol
-        assert np.linalg.cond(_dense_df(p, *rows[:3])) > 1.0 / pivot_tol
+        assert np.linalg.cond(_dense_df(p, *rows[:2])) > 1.0 / pivot_tol
         assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
 
     def test_two_columns_peel_onto_one_row(self, no_lu):
@@ -759,7 +785,7 @@ class TestPeel:
                                 b_h=[0.0, 0.0])
         rows = _description(p, [0, 1, 4, 5, 4, 5],
                             [False, False, False, False, True, True])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 6
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 6
         assert _newton_step(p, rows, np.ones(6), 1e-12) is None
 
     def test_column_peel_and_back_substitution(self, monkeypatch):
@@ -774,13 +800,13 @@ class TestPeel:
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
         step = _newton_step(p, rows, rhs, 1e-12)
         np.testing.assert_allclose(
-            step, np.linalg.solve(_dense_df(p, *rows[:3]), rhs), rtol=1e-12)
+            step, np.linalg.solve(_dense_df(p, *rows[:2]), rhs), rtol=1e-12)
         assert cores == [(2, 2)]
 
     def test_column_singleton_below_pivot_tolerance(self, no_lu):
         p, rows = _column_peel_problem(1e-20)
         pivot_tol = NewtonConfig().pivot_tol
-        assert np.linalg.cond(_dense_df(p, *rows[:3])) > 1.0 / pivot_tol
+        assert np.linalg.cond(_dense_df(p, *rows[:2])) > 1.0 / pivot_tol
         assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
 
     def test_row_emptied_by_peeling(self, no_lu):
@@ -794,7 +820,7 @@ class TestPeel:
                                    [0.0, 1.0, 1.0, 1.0, 4.0]], q=np.zeros(5))
         rows = _description(p, [0, 1, 0, 2, 3], [True, True, False, False,
                                                  False])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 5
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 5
         assert _newton_step(p, rows, np.ones(5), 1e-12) is None
 
     def test_column_left_empty(self, no_lu):
@@ -804,7 +830,7 @@ class TestPeel:
                                    [0.0, 0.0, 1.0]], q=np.zeros(3),
                                 A_h=[[2.0, 1.0, 0.0]], b_h=[0.0])
         rows = _description(p, [0, 1, 3, 3], [False, False, False, True])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:3]))) < 4
+        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 4
         assert _newton_step(p, rows, np.ones(4), 1e-12) is None
 
     def test_steps_of_a_cold_start_solve_the_full_system(self, monkeypatch):
@@ -823,10 +849,10 @@ class TestPeel:
             "converged"
         assert [step is None for *_, step in steps] == [False] + [True] * 8 \
             + [False]
-        for (src, sign, unit, _), rhs, step in steps:
+        for (ext, sign, _), rhs, step in steps:
             if step is None:
                 continue
-            df = _dense_df(p, src, sign, unit)
+            df = _dense_df(p, ext, sign)
             assert np.linalg.cond(df) < 1e8
             ref = np.linalg.solve(df, rhs)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -897,7 +923,7 @@ class TestFactorReuse:
         solved = 0
         for p, v in itertools.chain(_reference_points(),
                                     [(ioc, z0.to_vector())]):
-            src, sign, unit, scale = rows = _rows(p, _affine(p, v), v)
+            ext, sign, scale = rows = _rows(p, _affine(p, v), v)
             factor = _factor(p, rows, 1e-12)
             if factor is None:
                 continue
@@ -907,7 +933,7 @@ class TestFactorReuse:
             for _ in range(3):
                 flipped = sign * rng.choice([-1.0, 1.0], size=sign.size)
                 step = _solve(factor, flipped, rhs)
-                ref = _newton_step(p, (src, flipped, unit, scale), rhs, 1e-12)
+                ref = _newton_step(p, (ext, flipped, scale), rhs, 1e-12)
                 assert step is not None
                 assert step.tobytes() == ref.tobytes()
             solved += 1
@@ -919,7 +945,7 @@ class TestFactorReuse:
         exts = []
 
         def spy(slot, rows, rhs, _step=_FactorSlot.step):
-            exts.append(_ext(rows))
+            exts.append(rows[0])
             return _step(slot, rows, rhs)
         monkeypatch.setattr(_FactorSlot, "step", spy)
         res = solve_newton(p, z0=z0)
@@ -929,7 +955,7 @@ class TestFactorReuse:
         assert 1 < len(changes) <= 10
         assert len(calls) == len(changes)
         for rows, k in zip(calls, changes):
-            np.testing.assert_array_equal(_ext(rows), exts[k])
+            np.testing.assert_array_equal(rows[0], exts[k])
 
 
 class TestSolveNewton:
