@@ -41,16 +41,25 @@ this depends on the rows of [K; I] that DF selects, ext, alone: the signs of
 DF's rows enter only the right-hand side. So the peel and the LU are one
 factorization of DF, or the verdict that it is singular, and the iteration
 keeps the previous step's; while consecutive steps select the same rows, a
-step only replays the peel's arithmetic on its right-hand side. Each trial
-point is evaluated once, by one product with K and one
-stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
-ncp_fb call, whose arguments and values also give the merit gradient its
-partials in one call. An accepted trial's values serve the next iteration.
+step only replays the peel's arithmetic on its right-hand side. A point is
+evaluated by one product with K and one stacked Fischer-Burmeister pass: all
+r + 4t FB terms of F_FB from a single ncp_fb call, whose arguments and
+values also give the merit gradient its partials in one call. An accepted
+trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
 replaced by the steepest descent direction (gradient step), followed by an
-Armijo backtracking line search.
+Armijo backtracking line search over alpha = beta^k, k <= max_backtracks.
+The search screens its lengths before it evaluates any: w at v + alpha d is
+modelled as w + alpha K d, where K d is the full step's trial w less w for
+a damped step and one product for a gradient step, and one stacked FB pass
+over many lengths at once bounds each trial merit from below, by the
+model's merit less a forward-error margin. A length whose bound exceeds
+its Armijo bound cannot pass and is skipped; the others are evaluated, in
+order, and the first that passes the exact test is accepted. So the search
+takes the step that trying every length in order takes, bit for bit, with
+about one evaluation per search in place of one per length.
 
 Derivative selection rules (deterministic): min picks the smallest attaining
 index, max the first attaining argument in written order, d|t| = sign(t) with
@@ -258,14 +267,18 @@ def _fb_residual(layout: _FbLayout, w: np.ndarray, v: np.ndarray):
     is theta = (|FB(a, b)|, FB(|a|, |mu|), FB(|b|, |nu|), theta_4), where
     theta_4 is FB(|mu|, |nu|), or 0 where mu, nu <= 0. terms holds the r + 4t
     values in the order of uv, with theta_4 in place and FB(a, b) signed.
+    w and v may hold k points as the columns of (N, k) arrays, and every
+    value is then the column of its point, with the bits of that point
+    alone.
     """
     _, r, _, t, base = layout.dims
-    uv = np.concatenate((w, v, np.abs(w), np.abs(v), -w)).take(layout.args)
+    uv = np.concatenate((w, v, np.abs(w), np.abs(v), -w)).take(layout.args,
+                                                                 axis=0)
     terms = ncp_fb(*uv)
     # mu, nu <= 0 iff max(mu, nu) <= 0
     terms[r + 3 * t:][np.maximum(v[base:base + t], v[base + t:]) <= 0.0] = 0.0
     res = np.concatenate((w[:base], terms, np.abs(terms[r:r + t])))
-    return res.take(layout.order), uv, terms
+    return res.take(layout.order, axis=0), uv, terms
 
 
 def _fb_partials(uv):
@@ -280,17 +293,32 @@ class _Kkt(NamedTuple):
     """w = K v + k, with the operators of K[:n] and of A's blocks. Row i of
     DF is sign_i times a row of K or of the identity, so K is stored stacked
     over I, as the CSR [K; I] (row N + j is the unit row e_j), with the row
-    1-norms of [K; I] and the layout of the blocks."""
+    1-norms of [K; I] and the layout of the blocks. w_error = (a, b) bounds
+    the rounding of w in the 2-norm by a |v|_inf + b: w_i rounds by at most
+    gamma_{m_i + 1} (|K_i|_1 |v|_inf + |k_i|) for the m_i entries of row i
+    of K, where gamma_m = m u / (1 - m u) and u is the unit roundoff."""
 
     KI: sp.csr_array
     ops: tuple
     k: np.ndarray
     norms: np.ndarray
     layout: _FbLayout
+    w_error: tuple
 
 
 # rows of [K; I] per block of its row 1-norms, so |K| is never formed whole
 _NORM_ROWS = 256
+# entries of one point times the step lengths per stacked pass of _screen:
+# every length of the default 61 at once for N <= 33, one at a time at
+# N = 3010
+_SCREEN_ENTRIES = 2048
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), the relative rounding of a sum of
+    m terms."""
+    return m * _U / (1.0 - m * _U)
 
 
 def _kkt(problem: QuadraticMpcc) -> _Kkt:
@@ -314,8 +342,11 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
                *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
         k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                             problem.b_G, problem.b_H])
+        gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
         kkt = _Kkt(KI, ops, k, norms,
-                   _fb_layout(problem.n, problem.r, problem.s, problem.t))
+                   _fb_layout(problem.n, problem.r, problem.s, problem.t),
+                   (float(np.linalg.norm(gamma * norms[:k.size])),
+                    float(np.linalg.norm(gamma * k))))
         object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
     return kkt
 
@@ -359,6 +390,54 @@ def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
     w = _affine(problem, v)
     res, uv, terms = _fb_residual(_kkt(problem).layout, w, v)
     return v, w, res, float((0.5 * res).dot(res)), uv, terms
+
+
+def _screen(problem: QuadraticMpcc, v: np.ndarray, w: np.ndarray,
+            d: np.ndarray, kd: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Lower bounds on the merit that _evaluate gives at v + alpha d, one
+    for each step length alpha of alphas, from one stacked Fischer-Burmeister
+    pass over the model w + alpha kd of its w, where w is the w at v and kd
+    is K d up to rounding. A bound of -inf or NaN bounds nothing.
+
+    The stacked points v + alpha d have the bits of _evaluate's, so the two
+    passes differ in w alone. With (a, b) = w_error of _Kkt, |.| the 2-norm
+    of a vector of length N, |.|_inf its largest entry in magnitude and u
+    the unit roundoff, the model is within
+
+        E = 7 (a (|v|_inf + alpha |d|_inf) + b)
+            + 4 u sqrt(N) (|w|_inf + alpha |kd|_inf)
+
+    of _evaluate's w: the w at v, the w at v + alpha d and kd each round by
+    one w_error (three for a kd that is the difference of two evaluated w,
+    scaled by alpha <= 1), the point v + alpha d rounds by 2 u (|v|_inf +
+    alpha |d|_inf), which K turns into at most one more, and the model's own
+    sum and product round by 2 u (|w| + alpha |kd|). Each FB term is
+    2-Lipschitz in each argument, so F_FB moves by at most sqrt(12) E. Each
+    FB term rounds by at most 8 u (|U| + |V|) in either pass, and by 2^-536
+    where its squares underflow; over all terms and both passes, at most
+    33 u sqrt(N) (|w|_inf + |v|_inf + alpha (|kd|_inf + |d|_inf)) + 16 u E.
+    With D the sum, below 5 E + 33 u sqrt(N) (...) + 2^-535 sqrt(M) for the
+    M entries of F_FB, the two merits differ by at most D (|F_FB| + D / 2)
+    plus their sums' rounding, gamma_M relative. The margin is twice that,
+    which also covers the rounding of the margin and of the difference.
+    Overflow makes the margin inf or NaN, never a finite underestimate, and
+    raises no warning."""
+    kkt = _kkt(problem)
+    a, b = kkt.w_error
+    with np.errstate(all="ignore"):
+        size = v.size
+        wv = (np.concatenate((w, v))[:, None]
+              + alphas * np.concatenate((kd, d))[:, None])
+        res = _fb_residual(kkt.layout, wv[:size], wv[size:])[0]
+        twice = np.einsum("ij,ij->j", res, res)  # 2 merit
+        vm, dm, wm, kdm = np.abs((v, d, w, kd)).max(axis=1).tolist()
+        ulps = 60.0 * _U * size ** 0.5
+        spread = (35.0 * (a * vm + b) + ulps * (wm + vm)
+                  + 2.0 ** -535 * res.shape[0] ** 0.5
+                  + alphas * (35.0 * a * dm + ulps * (kdm + dm)))  # D
+        spread *= np.sqrt(twice) + spread
+        gamma = _gamma(res.shape[0] + 4)
+        return (0.5 - 2.0 * gamma) * twice - (2.0 + 4.0 * gamma) * spread
 
 
 def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
@@ -636,6 +715,55 @@ class _FactorSlot:
         return _solve(self.factor, rows[1], rhs)
 
 
+class _Armijo:
+    """Armijo backtracking along a direction d from an evaluated point: the
+    first alpha = beta^k, k = 0, ..., max_backtracks, whose trial merit,
+    from _evaluate at v + alpha d, is at most merit + sigma alpha slope, for
+    slope = grad Phi_FB' d.
+
+    The lengths are screened first (see _screen), as many per stacked pass
+    as _SCREEN_ENTRIES entries hold. A length whose lower bound exceeds its
+    Armijo bound cannot pass and is not evaluated; the others are evaluated
+    in order, and the first that passes the exact test is accepted. So the
+    search takes the length and trial, bit for bit, of trying every length
+    in order."""
+
+    def __init__(self, problem: QuadraticMpcc, cfg: NewtonConfig):
+        self.problem = problem
+        # a search tries alpha = 1 at least, as the sequential loop does
+        self.last = max(cfg.max_backtracks, 0) + 1
+        alphas = [1.0]
+        for _ in range(self.last):
+            alphas.append(alphas[-1] * cfg.armijo_beta)
+        self.alphas = np.array(alphas)
+        self.steps = cfg.armijo_sigma * self.alphas
+        self.width = max(1, _SCREEN_ENTRIES // _kkt(problem).k.size)
+
+    def search(self, point, d: np.ndarray, slope: float, first=None):
+        """(alpha, trial) of the accepted length, or
+        (beta^(max_backtracks + 1), None) where no length passes. first is
+        the trial of alpha = 1 where it is evaluated already (the damped
+        step's full trial); its w then gives kd = K d without a product."""
+        v, w, _, merit_val, _, _ = point
+        with np.errstate(all="ignore"):
+            # the bits of merit_val + sigma * alpha * slope in floats
+            bounds = merit_val + self.steps * slope
+            kd = _kkt_times(self.problem, d) if first is None else first[1] - w
+        start = 0
+        if first is not None:
+            if not first[3] > bounds[0]:
+                return 1.0, first
+            start = 1
+        for lo in range(start, self.last, self.width):
+            hi = min(lo + self.width, self.last)
+            low = _screen(self.problem, v, w, d, kd, self.alphas[lo:hi])
+            for k in lo + np.flatnonzero(~(low > bounds[lo:hi])):
+                trial = _evaluate(self.problem, v + self.alphas[k] * d)
+                if not trial[3] > bounds[k]:
+                    return float(self.alphas[k]), trial
+        return float(self.alphas[self.last]), None
+
+
 def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
                  z0=None) -> NewtonResult:
     """Run the globalized iteration from z0 (defaults to the origin)."""
@@ -645,6 +773,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     point = _evaluate(problem, v)
     trace = SolverTrace()
     factors = _FactorSlot(problem, cfg.pivot_tol)
+    armijo = _Armijo(problem, cfg)
     steps = dict.fromkeys(("full_newton", "damped_newton", "gradient"), 0)
     it = 0
     status = None
@@ -676,18 +805,13 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
                     -cfg.angle_rho * float(np.linalg.norm(direction)) * grad_norm:
                 direction = -merit_grad
                 step_type = "gradient"
-                trial = _evaluate(problem, v + direction)
+                trial = None
             else:
                 step_type = "damped_newton"  # alpha = 1 is the full step's trial
-            slope = float(merit_grad @ direction)
-            backtracks = 0
-            while trial[3] > merit_val + cfg.armijo_sigma * alpha * slope:
-                alpha *= cfg.armijo_beta
-                backtracks += 1
-                if backtracks > cfg.max_backtracks:
-                    status = "line_search_failure"
-                    break
-                trial = _evaluate(problem, v + alpha * direction)
+            alpha, trial = armijo.search(point, direction,
+                                         float(merit_grad @ direction), trial)
+            if trial is None:
+                status = "line_search_failure"
         if status is None:
             point = trial
             steps[step_type] += 1

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.nsnewton import (
     FullPoint,
     NewtonConfig,
+    _Armijo,
     _FactorSlot,
     _affine,
     _evaluate,
@@ -31,6 +33,7 @@ from mpcckit.nsnewton import (
     _newton_step,
     _phi_vec,
     _rows,
+    _screen,
     _solve,
     merit_phi_fb,
     ncp_fb,
@@ -858,21 +861,44 @@ class TestPeel:
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
+def _tiny_start(count):
+    """The count-th instance of criterion 4's stream with its start."""
+    rng = np.random.default_rng(4001)
+    for _ in range(count):
+        p = random_tiny_mpcc(rng)
+        x0 = rng.normal(size=p.n)
+    return p, FullPoint.from_parts(x0, MultiplierSet.zeros(p))
+
+
 def _stalled_tiny_start():
     """The 18th instance of criterion 4's stream with its start: Newton runs
     to max_iters through full, damped and gradient steps, while its rows
     change only a few times."""
-    rng = np.random.default_rng(4001)
-    for _ in range(18):
-        p = random_tiny_mpcc(rng)
-        x0 = rng.normal(size=p.n)
-    return p, FullPoint.from_parts(x0, MultiplierSet.zeros(p))
+    return _tiny_start(18)
+
+
+def _rounding_tiny_start():
+    """The 25th instance of criterion 4's stream with its start: Newton runs
+    to max_iters on gradient steps whose Armijo tests, down to
+    alpha = 2^-32, are decided by the last bits of the trial merits."""
+    return _tiny_start(25)
 
 
 def _cold_start_n_div_8():
     """Criterion 1's first start at n_div = 8."""
     p = assemble_instance(IocParams()).problem
     return p, FullPoint.from_parts(*make_start(p, 1))
+
+
+def _same_solve(a, b):
+    """Assert that two NewtonResults agree bit for bit."""
+    assert a.z.to_vector().tobytes() == b.z.to_vector().tobytes()
+    for name in ("status", "iterations", "full_steps", "damped_steps",
+                 "gradient_steps", "final_residual", "final_merit"):
+        assert getattr(a, name) == getattr(b, name)
+    for field in ("step_type", "alpha", "residual", "merit"):
+        assert [getattr(row, field) for row in a.trace.rows] == \
+            [getattr(row, field) for row in b.trace.rows]
 
 
 def _factor_calls(monkeypatch):
@@ -909,13 +935,7 @@ class TestFactorReuse:
         if start is _stalled_tiny_start:
             assert kept.status == "max_iters" and reused
             assert kept.damped_steps > 0 and kept.gradient_steps > 0
-        assert kept.z.to_vector().tobytes() == fresh.z.to_vector().tobytes()
-        for name in ("status", "iterations", "full_steps", "damped_steps",
-                     "gradient_steps", "final_residual", "final_merit"):
-            assert getattr(kept, name) == getattr(fresh, name)
-        for field in ("step_type", "alpha", "residual", "merit"):
-            assert [getattr(row, field) for row in kept.trace.rows] == \
-                [getattr(row, field) for row in fresh.trace.rows]
+        _same_solve(kept, fresh)
 
     def test_flipped_row_signs_reuse_the_factorization(self):
         rng = np.random.default_rng(62)
@@ -956,6 +976,179 @@ class TestFactorReuse:
         assert len(calls) == len(changes)
         for rows, k in zip(calls, changes):
             np.testing.assert_array_equal(rows[0], exts[k])
+
+
+def _sequential(monkeypatch):
+    """Make the screen rule out no length, so that the search evaluates
+    every length in order, which is the sequential backtracking rule."""
+    monkeypatch.setattr("mpcckit.nsnewton._screen",
+                        lambda *args: np.full(args[-1].size, -np.inf))
+
+
+def _searches(monkeypatch):
+    """(point, d, slope, alpha, trial) of each search that solve_newton
+    makes."""
+    calls = []
+
+    def spy(self, point, d, slope, first=None, _search=_Armijo.search):
+        alpha, trial = _search(self, point, d, slope, first)
+        calls.append((point, d, slope, alpha, trial))
+        return alpha, trial
+    monkeypatch.setattr(_Armijo, "search", spy)
+    return calls
+
+
+class TestScreenedSearch:
+    """The Armijo search evaluates only the lengths its screen cannot rule
+    out, and takes the step of the sequential search."""
+
+    @pytest.mark.parametrize("start", [_stalled_tiny_start,
+                                       _rounding_tiny_start,
+                                       _cold_start_n_div_8])
+    def test_solve_is_unchanged_when_every_length_is_evaluated(
+            self, monkeypatch, start):
+        p, z0 = start()
+        screened = solve_newton(p, z0=z0)
+        _sequential(monkeypatch)
+        sequential = solve_newton(p, z0=z0)
+        assert screened.damped_steps + screened.gradient_steps > 0
+        _same_solve(screened, sequential)
+
+    def test_screen_bounds_the_exact_merit(self):
+        rng = np.random.default_rng(63)
+        cfg = NewtonConfig()
+        ioc, z0 = _cold_start_n_div_8()
+        for p, v in itertools.chain(_reference_points(),
+                                    [(ioc, z0.to_vector())]):
+            point = _evaluate(p, v)
+            grad = _merit_gradient(p, point)
+            alphas = _Armijo(p, cfg).alphas
+            # a gradient step's kd is a product, a damped step's a difference
+            # of two evaluated w
+            step = rng.normal(size=v.size) * np.abs(v).max()
+            for d, kd in ((-grad, _kkt_times(p, -grad)),
+                          (step, _evaluate(p, v + step)[1] - point[1])):
+                low = _screen(p, v, point[1], d, kd, alphas)
+                exact = np.array([_evaluate(p, v + alpha * d)[3]
+                                  for alpha in alphas])
+                assert np.all(low <= exact)
+                # and close enough to rule lengths out
+                assert np.all(exact - low <= 1e-10 * exact)
+
+    def test_no_warning_where_the_sequential_search_raises_none(self):
+        p, v = next(_reference_points())
+        point = _evaluate(p, v)
+        armijo = _Armijo(p, NewtonConfig())
+        d = np.full(v.size, 1e308)
+        with np.errstate(all="ignore"):
+            # the w of an overflowing full trial, as a damped step has it
+            kd = _evaluate(p, v + d)[1] - point[1]
+        assert not np.all(np.isfinite(kd))
+        d_grad = -_merit_gradient(p, point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = _screen(p, v, point[1], d, kd, armijo.alphas)
+            # an infinite merit and slope make every Armijo bound NaN, which
+            # the first trial passes, as in the sequential loop
+            alpha, trial = armijo.search((*point[:3], np.inf, *point[4:]),
+                                         d_grad, -np.inf)
+        # inf and NaN rule out no length
+        assert not np.any(low > -np.inf)
+        assert alpha == 1.0
+        assert trial[0].tobytes() == (v + d_grad).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_accepted_step_passes_the_exact_test(self, monkeypatch,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        import mpcckit.nsnewton as nsn
+
+        def perturbed(*args, _screen=nsn._screen):
+            low = _screen(*args)
+            low *= rng.uniform(0.0, 2.0, low.size)
+            low[rng.random(low.size) < 0.2] = np.inf
+            low[rng.random(low.size) < 0.2] = -np.inf
+            return low
+        monkeypatch.setattr(nsn, "_screen", perturbed)
+        calls = _searches(monkeypatch)
+        p, z0 = _stalled_tiny_start()
+        cfg = NewtonConfig(max_iters=300)
+        solve_newton(p, cfg, z0=z0)
+        accepted = 0
+        for (v, _, _, merit, _, _), d, slope, alpha, trial in calls:
+            if trial is None:
+                assert alpha == cfg.armijo_beta ** (cfg.max_backtracks + 1)
+                continue
+            exact = _evaluate(p, v + alpha * d)
+            assert not exact[3] > merit + cfg.armijo_sigma * alpha * slope
+            assert trial[3] == exact[3]
+            for i in (0, 1, 2, 4, 5):
+                assert trial[i].tobytes() == exact[i].tobytes()
+            accepted += 1
+        assert accepted > 0
+
+    def test_a_screen_that_rules_out_every_length_takes_no_step(
+            self, monkeypatch):
+        monkeypatch.setattr("mpcckit.nsnewton._screen",
+                            lambda *args: np.full(args[-1].size, np.inf))
+        calls = _searches(monkeypatch)
+        p, z0 = _stalled_tiny_start()
+        cfg = NewtonConfig()
+        res = solve_newton(p, cfg, z0=z0)
+        assert res.status == "line_search_failure"
+        assert res.trace.rows[-1].alpha == \
+            cfg.armijo_beta ** (cfg.max_backtracks + 1)
+        (v, _, _, merit, _, _), _, _, _, trial = calls[-1]
+        assert len(calls) == 1 and trial is None
+        assert res.z.to_vector().tobytes() == v.tobytes()
+        assert res.final_merit == merit
+
+    @pytest.mark.parametrize("max_backtracks", [0, 1, 2, 3])
+    def test_max_backtracks_keeps_its_meaning(self, monkeypatch,
+                                              max_backtracks):
+        p, z0 = _stalled_tiny_start()
+        cfg = NewtonConfig(max_backtracks=max_backtracks)
+        res = solve_newton(p, cfg, z0=z0)
+        assert res.status == "line_search_failure"
+        last = res.trace.rows[-1]
+        assert last.alpha == cfg.armijo_beta ** (max_backtracks + 1)
+        assert last.k == res.iterations
+        assert all(row.alpha >= cfg.armijo_beta ** max_backtracks
+                   for row in res.trace.rows[:-1])
+        # no step is taken: the point is the iterate the failed search
+        # started from
+        before = solve_newton(p, replace(cfg, max_iters=res.iterations),
+                              z0=z0)
+        assert before.status == "max_iters"
+        assert res.z.to_vector().tobytes() == \
+            before.z.to_vector().tobytes()
+        assert res.final_merit == last.merit
+        _sequential(monkeypatch)
+        _same_solve(res, solve_newton(p, cfg, z0=z0))
+
+    def test_about_one_evaluation_per_search(self, monkeypatch):
+        import mpcckit.nsnewton as nsn
+        calls = dict.fromkeys(("_evaluate", "_screen", "ncp_fb"), 0)
+        for name in calls:
+            def counted(*args, _f=getattr(nsn, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(nsn, name, counted)
+        p, z0 = _stalled_tiny_start()
+        res = solve_newton(p, z0=z0)
+        assert res.status == "max_iters" and res.iterations == 1000
+        searches = res.damped_steps + res.gradient_steps
+        # every length fits one stacked pass at this size
+        assert calls["_screen"] == searches
+        assert calls["ncp_fb"] == calls["_evaluate"] + calls["_screen"]
+        # a full trial for most steps and one evaluation per search; the
+        # sequential search makes about 10 per iteration
+        assert calls["_evaluate"] <= 2.5 * res.iterations
+        screened = calls["_evaluate"]
+        calls["_evaluate"] = 0
+        _sequential(monkeypatch)
+        solve_newton(p, z0=z0)
+        assert calls["_evaluate"] >= 4 * screened
 
 
 class TestSolveNewton:
