@@ -433,7 +433,11 @@ def _scalar(value, name: str) -> float:
 
 def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
     if not isinstance(obj, dict):
-        return _finite(obj, name).reshape(rows, cols)
+        mat = _finite(obj, name)  # save_instance writes [] for no rows
+        if mat.shape != (rows, cols) and (rows or mat.shape != (0,)):
+            raise ValueError(f"{name}: dense shape {mat.shape} "
+                             f"does not match {(rows, cols)}")
+        return mat.reshape(rows, cols)
     shape = obj["shape"]
     if not isinstance(shape, list) or tuple(shape) != (rows, cols):
         raise ValueError(f"{name}: coordinate-list shape {shape} "
@@ -503,6 +507,7 @@ def load_instance(path) -> QuadraticMpcc:
             blocks[a_name] = _decode_matrix(section["A"], b.size, q.size, a_name)
     except KeyError as err:
         raise ValueError(f"{path}: missing section or key {err}") from None
-    return QuadraticMpcc.build(
-        **blocks,
-        coordinate_selection=bool(doc.get("coordinate_selection", False)))
+    selection = doc.get("coordinate_selection", False)
+    if not isinstance(selection, bool):
+        raise ValueError("'coordinate_selection' is not a JSON boolean")
+    return QuadraticMpcc.build(**blocks, coordinate_selection=selection)

@@ -23,7 +23,9 @@ divided by the element area, so per element T:
 
 with mean_T(w) the vertex average (boundary vertices contribute zero). The
 unknown is x = (u, xi, w); the pair maps G = u - u_a, H = xi are
-coordinate selections.
+coordinate selections. The mesh numbering is stated once, in build_mesh, and
+the operators and blocks follow from it by index arithmetic, without a
+Python loop over triangles or vertices.
 """
 
 from __future__ import annotations
@@ -83,29 +85,21 @@ class FemInstance:
 
 
 def build_mesh(n_div: int) -> FemMesh:
-    """Uniform criss triangulation of the unit square."""
+    """Uniform criss triangulation of the unit square: vertex (ix, iy), at
+    (ix, iy) / n_div, is number iy k + ix for k = n_div + 1, and square
+    (ix, iy), taken in the same order, is split along its diagonal v00-v11
+    into the triangles (v00, v10, v11) and (v00, v11, v01), where vab is
+    vertex (ix + a, iy + b)."""
     if n_div < 1:
         raise ValueError("n_div must be >= 1")
     k = n_div + 1
-    vertices = np.array([[ix / n_div, iy / n_div]
-                         for iy in range(k) for ix in range(k)])
-
-    def node(ix, iy):
-        return iy * k + ix
-
-    tris = []
-    for iy in range(n_div):
-        for ix in range(n_div):
-            v00 = node(ix, iy)
-            v10 = node(ix + 1, iy)
-            v11 = node(ix + 1, iy + 1)
-            v01 = node(ix, iy + 1)
-            tris.append((v00, v10, v11))  # below the diagonal v00-v11
-            tris.append((v00, v11, v01))  # above it
-    triangles = np.array(tris, dtype=int)
-    interior = np.array([node(ix, iy)
-                         for iy in range(1, n_div) for ix in range(1, n_div)],
-                        dtype=int)
+    grid = np.arange(k * k).reshape(k, k)  # grid[iy, ix] = iy k + ix
+    iy, ix = np.divmod(grid.ravel(), k)
+    vertices = np.stack((ix, iy), axis=1) / n_div
+    v00, v10, v11, v01 = (grid[b:b + n_div, a:a + n_div].ravel()
+                          for a, b in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    triangles = np.stack((v00, v10, v11, v00, v11, v01), axis=1).reshape(-1, 3)
+    interior = grid[1:-1, 1:-1].ravel()
     p = vertices[triangles]
     cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
              - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
@@ -117,28 +111,27 @@ def build_mesh(n_div: int) -> FemMesh:
 
 
 def _p1_interior_operators(mesh: FemMesh, zeta: float):
-    """Stiffness matrix, load vector, and element means of the interior basis."""
+    """Stiffness matrix, load vector, and element means of the interior
+    basis, with both sums in element order, then local vertex order."""
     n_int = mesh.interior.size
-    vmap = {int(v): i for i, v in enumerate(mesh.interior)}
-    stiffness = np.zeros((n_int, n_int))
+    local = np.full(len(mesh.vertices), -1)
+    local[mesh.interior] = np.arange(n_int)
+    tri = local[mesh.triangles]  # interior number of each vertex, or -1
+    # local basis gradients (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / 2 area
+    p = mesh.vertices[mesh.triangles]
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    area = mesh.areas[:, None, None]
+    grads = np.stack((nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]),
+                     axis=-1) / (2.0 * area)
+    k_loc = area * grads @ grads.transpose(0, 2, 1)
+    e, a = np.nonzero(tri >= 0)
     load = np.zeros(n_int)
+    np.add.at(load, tri[e, a], zeta * mesh.areas[e] / 3.0)
     mean_w = np.zeros((len(mesh.triangles), n_int))
-    for e, (tri, area) in enumerate(zip(mesh.triangles, mesh.areas)):
-        (x1, y1), (x2, y2), (x3, y3) = mesh.vertices[tri]
-        grads = np.array([[y2 - y3, x3 - x2],
-                          [y3 - y1, x1 - x3],
-                          [y1 - y2, x2 - x1]]) / (2.0 * area)
-        k_loc = area * grads @ grads.T
-        for a_loc, va in enumerate(tri):
-            ia = vmap.get(int(va))
-            if ia is None:
-                continue  # boundary node: basis function eliminated
-            load[ia] += zeta * area / 3.0
-            mean_w[e, ia] += 1.0 / 3.0
-            for b_loc, vb in enumerate(tri):
-                ib = vmap.get(int(vb))
-                if ib is not None:
-                    stiffness[ia, ib] += k_loc[a_loc, b_loc]
+    mean_w[e, tri[e, a]] = 1.0 / 3.0
+    e, a, b = np.nonzero((tri[:, :, None] >= 0) & (tri[:, None, :] >= 0))
+    stiffness = np.zeros((n_int, n_int))
+    np.add.at(stiffness, (tri[e, a], tri[e, b]), k_loc[e, a, b])
     return stiffness, load, mean_w
 
 
@@ -157,8 +150,8 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     w_idx = 2 * n_el + np.arange(n_int)
 
     big_q = np.zeros((n, n))
-    big_q[np.ix_(u_idx, u_idx)] = np.diag(areas)
-    big_q[np.ix_(w_idx, w_idx)] = stiffness
+    big_q[u_idx, u_idx] = areas
+    big_q[2 * n_el:, 2 * n_el:] = stiffness
     lin = np.zeros(n)
     lin[u_idx] = -params.u_obs * areas
     lin[w_idx] = load
@@ -171,17 +164,15 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
 
     # optimality system of OC(w), tested per element and scaled by 1/area
     a_h = np.zeros((n_el, n))
-    a_h[:, u_idx] = np.tile(areas, (n_el, 1))  # the S*S coupling sum_T' a_T' u_T'
+    a_h[:, :n_el] = areas  # the S*S coupling sum_T' a_T' u_T'
     a_h[np.arange(n_el), u_idx] += params.alpha
-    a_h[:, w_idx] = -params.alpha * mean_w
+    a_h[:, 2 * n_el:] = -params.alpha * mean_w
     a_h[np.arange(n_el), xi_idx] = -1.0
     b_h = np.full(n_el, -params.y_d)
 
-    a_big_g = np.zeros((n_el, n))
-    a_big_g[np.arange(n_el), u_idx] = 1.0
+    a_big_g = np.eye(n_el, n)  # G = u - u_a
     b_big_g = np.full(n_el, -params.u_a)
-    a_big_h = np.zeros((n_el, n))
-    a_big_h[np.arange(n_el), xi_idx] = 1.0
+    a_big_h = np.eye(n_el, n, n_el)  # H = xi
     b_big_h = np.zeros(n_el)
 
     blocks = dict(Q=big_q, q=lin, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
@@ -200,8 +191,8 @@ def reference_point(params: IocParams | None = None) -> FullPoint:
     params = params or IocParams()
     if params.w_a != 0.0:
         raise ValueError("reference point is only valid for w_a = 0")
-    n_el = 2 * params.n_div ** 2
-    n_int = (params.n_div - 1) ** 2
+    mesh = build_mesh(params.n_div)
+    n_el, n_int = len(mesh.triangles), mesh.interior.size
     return FullPoint(x=np.zeros(2 * n_el + n_int), lam=np.zeros(n_int),
                      eta=np.zeros(n_el), mu=np.zeros(n_el), nu=np.zeros(n_el))
 

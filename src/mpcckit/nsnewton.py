@@ -21,8 +21,9 @@ iteration terminates finitely for piecewise linear residuals), but F is
 discontinuous elsewhere, so globalization uses the continuously
 differentiable merit Phi_FB = 1/2 |F_FB|^2 of a Fischer-Burmeister recast of
 the same system, whose gradient is the transposed product K y_w + y_v of the
-partials y of F_FB in w and v; the merit Jacobian is never formed. Nor is DF
-on the solver's path. K is stored once per problem, stacked over the
+partials y of F_FB in w and v, the FB terms' share of y by the transpose
+of the gather of their arguments; the merit Jacobian is never formed. Nor is
+DF on the solver's path. K is stored once per problem, stacked over the
 identity as a CSR [K; I], and the Newton step peels DF's rows and columns
 with one entry left: the unit rows and the rows of K with a single nonzero
 (such as coordinate selections in A_g, A_G and A_H) fix the step on their
@@ -30,11 +31,11 @@ columns, which can leave further rows with one entry, round after round; a
 column with one entry left then fixes its row, which is solved last. LU with
 partial pivoting factors only the dense core of rows and columns left. DF is
 nonsingular iff every peeled value is nonzero and the core is
-nonsingular; a peel that leaves a row or column empty, or two rows on one
-column, shows DF singular by its pattern. So does a count after the first
-round: the live rows from A are zero on the multiplier columns since
-K[n:, n:] = 0, and when they outnumber the live x columns the step is
-rejected before any factorization. The linear system counts as well defined
+nonsingular; a round that leaves a row or column empty, or live rows and
+columns unequal in number, shows DF singular by its pattern. So does a
+count after the first round: the live rows from A are zero on the
+multiplier columns since K[n:, n:] = 0, and when they outnumber the live x
+columns the step is rejected before any factorization. The linear system counts as well defined
 iff DF passes these pattern checks and every peeled value and every pivot
 of the core exceeds pivot_tol times the largest row 1-norm of DF. All of
 this depends on the rows of [K; I] that DF selects, ext, alone: the signs of
@@ -158,13 +159,20 @@ class NewtonResult:
 
 
 def _as_vec(problem: QuadraticMpcc, z) -> np.ndarray:
-    """The full point z as one vector of length n + r + s + 2t."""
-    v = z.to_vector() if isinstance(z, FullPoint) else np.asarray(z, dtype=float)
-    size = problem.n + problem.r + problem.s + 2 * problem.t
-    if v.shape != (size,):
-        raise ValueError(f"full point must have length n + r + s + 2t = {size}, "
-                         f"got shape {v.shape}")
-    return v
+    """The full point z as one vector of length n + r + s + 2t; a FullPoint's
+    blocks must have the lengths (n, r, s, t, t)."""
+    sizes = (problem.n, problem.r, problem.s, problem.t, problem.t)
+    if isinstance(z, FullPoint):
+        shape = tuple(b.shape for b in (z.x, z.lam, z.eta, z.mu, z.nu))
+        want = tuple((k,) for k in sizes)
+    else:
+        z = np.asarray(z, dtype=float)
+        shape, want = z.shape, (sum(sizes),)
+    if shape != want:
+        raise ValueError(f"full point must have length n + r + s + 2t = "
+                         f"{sum(sizes)} in blocks (x, lam, eta, mu, nu) of "
+                         f"lengths {sizes}, got shape {shape}")
+    return z.to_vector() if isinstance(z, FullPoint) else z
 
 
 def ncp_fb(a, b):
@@ -474,25 +482,21 @@ def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
 def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
     """Gradient of 1/2 |F_FB|^2 at the evaluated point (see _evaluate):
     K y_w + y_v, where y_w and y_v are the transposed partials of F_FB with
-    respect to w and v applied to F_FB."""
+    respect to w and v applied to F_FB. The FB terms' share is the transpose
+    of _fb_residual's gather onto (w, v, |w|, |v|, -w), which d|t| = sign(t)
+    folds onto w and v; the identity rows w_x and w_h, where F_FB is w
+    itself, are assigned F_FB, which keeps a -0.0."""
     v, w, res, _, uv, terms = point
-    n, r, _, t, base = _kkt(problem).layout.dims
+    layout = _kkt(problem).layout
+    size = v.size
     # theta_1 = |FB(a, b)| enters as sign(FB) |FB| = FB, since inside the
-    # merit d|t| = 0 at t = 0
-    d = _fb_partials(uv)
-    d_terms = d * terms
-    y_w = res[:w.size].copy()  # right for the identity rows w_x and w_h
-    y_v = np.zeros_like(v)
-    y_w[n:n + r] = -d[0, :r] * terms[:r]
-    y_v[n:n + r] = d_terms[1, :r]
-    # d(a, b) of FB(a, b), then of FB(|a|, |mu|) and FB(|b|, |nu|)
-    y_w[base:] = d_terms[:, r:r + t].ravel() + \
-        d[0, r + t:r + 3 * t] * np.sign(w[base:]) * terms[r + t:r + 3 * t]
-    # d(mu, nu) of FB(|a|, |mu|) and FB(|b|, |nu|), then of theta_4, which
-    # is exactly 0 where mu, nu <= 0 and so drops its row there
-    y_v[base:] = np.sign(v[base:]) * (d_terms[1, r + t:r + 3 * t]
-                                      + d_terms[:, r + 3 * t:].ravel())
-    return _kkt_times(problem, y_w) + y_v
+    # merit d|t| = 0 at t = 0; theta_4 is exactly 0 where mu, nu <= 0 and so
+    # drops its row there
+    src = np.bincount(layout.args.ravel(), (_fb_partials(uv) * terms).ravel(),
+                      5 * size).reshape(5, size)
+    y_w = np.where(layout.order[:size] < layout.dims[4], res[:size],
+                   src[0] + np.sign(w) * src[2] - src[4])
+    return _kkt_times(problem, y_w) + (src[1] + np.sign(v) * src[3])
 
 
 def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
@@ -558,35 +562,37 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     3. Core: LU with partial pivoting on the square block of the rows and
        columns still live.
 
-    The factorization is None where two rows peel onto one column, or two
-    columns onto one row, or a live row or column is left empty: DF is then
-    singular by its pattern alone. It is None where any value divided by,
-    a peeled entry or a pivot of the core, is at most pivot_tol times the
-    largest row 1-norm of DF. So DF is nonsingular iff every peeled value
-    is nonzero and the core is nonsingular. A live row of A after round 0
-    is zero on every multiplier column, as K[n:, n:] = 0, so it lives on
-    the live x columns alone: when such rows outnumber those columns, DF is
-    singular whatever its values, and None is returned right after
-    round 0."""
+    The factorization is None where a live row or column is left empty, or
+    where a round leaves live rows and live columns unequal in number: the
+    rows a forward round peels are distinct, so are the columns a column
+    round peels, and the two counts part only where two rows peel onto one
+    column or two columns onto one row. DF is then singular by its pattern.
+    It is None where any value divided by, a peeled entry or a pivot of the
+    core, is at most pivot_tol times the largest row 1-norm of DF. So DF is
+    nonsingular iff every peeled value is nonzero and the core is
+    nonsingular. A live row of A after round 0 is zero on every multiplier
+    column, as K[n:, n:] = 0, so it lives on the live x columns alone: when
+    such rows outnumber those columns, DF is singular whatever its values,
+    and None is returned right after round 0."""
     KI = _kkt(problem).KI
     ext, _, row_scale = rows
     size = ext.size
     tol = pivot_tol * row_scale
+    live_row, live_col = np.ones((2, size), bool)
+
+    def peel(peeled, col_at, value):
+        """Kill rows and columns; False where DF is then seen singular."""
+        live_row[peeled] = live_col[col_at] = False
+        return (np.count_nonzero(live_row) == np.count_nonzero(live_col)
+                and np.count_nonzero(np.abs(value) > tol) == value.size)
+
     start = KI.indptr[ext]
     # round 0 of the forward peel, from the row lengths alone
-    single = KI.indptr[ext + 1] - start == 1
-    at = start[single]
-    col_at = KI.indices[at].astype(np.intp)
-    live_col = np.ones(size, bool)
-    live_col[col_at] = False
-    n_live = size - col_at.size
-    if np.count_nonzero(live_col) != n_live:
-        return None  # two rows on one column
-    value = KI.data[at]
-    if np.count_nonzero(np.abs(value) > tol) != value.size:
+    peeled = np.flatnonzero(KI.indptr[ext + 1] - start == 1)
+    at = start[peeled]
+    col_at, value = KI.indices[at].astype(np.intp), KI.data[at]
+    if not peel(peeled, col_at, value):
         return None
-    peel = np.flatnonzero(single)
-    live_row = ~single
     n = problem.n
     # round 0 peels every unit row, so the live rows past n are of A
     if np.count_nonzero(ext[live_row] >= n) > np.count_nonzero(live_col[:n]):
@@ -599,7 +605,7 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
         # others would move zeros, or reach rows that are solved already
         now = live_col[col]
         moved = on & ~now & live_row[row]
-        forward.append((peel, col_at, value, *_pick(moved, row, col, val)))
+        forward.append((peeled, col_at, value, *_pick(moved, row, col, val)))
         on = now
         count = np.bincount(row, on, size)
         if np.count_nonzero(count < live_row):
@@ -607,13 +613,8 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
         single = count == 1.0
         if not np.count_nonzero(single):
             break
-        peel, col_at, value = _pick(single[row] & on, row, col, val)
-        live_row[peel] = False
-        live_col[col_at] = False
-        n_live -= peel.size
-        if np.count_nonzero(live_col) != n_live:
-            return None  # two rows on one column
-        if np.count_nonzero(np.abs(value) > tol) != value.size:
+        peeled, col_at, value = _pick(single[row] & on, row, col, val)
+        if not peel(peeled, col_at, value):
             return None
     row, col, val = _pick(on, row, col, val)
     back = []
@@ -626,31 +627,27 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
         single = count == 1.0
         if not np.count_nonzero(single):
             break
-        peel, col_at, value = _pick(single[col] & on, row, col, val)
-        live_row[peel] = False
-        live_col[col_at] = False
-        n_live -= peel.size
-        if np.count_nonzero(live_row) != n_live:
-            return None  # two columns on one row
-        if np.count_nonzero(np.abs(value) > tol) != value.size:
+        peeled, col_at, value = _pick(single[col] & on, row, col, val)
+        if not peel(peeled, col_at, value):
             return None
         place.fill(-1)
-        place[peel] = np.arange(peel.size)
+        place[peeled] = np.arange(peeled.size)
         mine = place[row]
-        back.append((peel, col_at, value, *_pick(mine >= 0, mine, col, val)))
+        back.append((peeled, col_at, value,
+                     *_pick(mine >= 0, mine, col, val)))
+    core_rows, core_cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
     lu = piv = None
-    if n_live:
+    if core_rows.size:
         # the live rows and columns, numbered in order
         rank = np.zeros((2, size), np.intp)
-        rank[0, live_row] = rank[1, live_col] = np.arange(n_live)
-        core = np.zeros((n_live, n_live), order="F")
+        rank[0, core_rows] = rank[1, core_cols] = np.arange(core_rows.size)
+        core = np.zeros((core_rows.size,) * 2, order="F")
         row, col, val = _pick(on, row, col, val)
         core[rank[0, row], rank[1, col]] = val
         lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
-        if np.count_nonzero(np.abs(lu.diagonal()) > tol) != n_live:
+        if np.count_nonzero(np.abs(lu.diagonal()) > tol) != core_rows.size:
             return None
-    return _Factor(forward, np.flatnonzero(live_row), np.flatnonzero(live_col),
-                   lu, piv, back)
+    return _Factor(forward, core_rows, core_cols, lu, piv, back)
 
 
 def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):

@@ -498,8 +498,15 @@ class TestInstanceFiles:
          "q holds a number beyond the float range"),
         (("objective", "c0"), 10**400,
          "c0 holds a number beyond the float range"),
+        (("comp_G", "A"), [[1.0], [0.0]],
+         r"A_G: dense shape \(2, 1\) does not match \(1, 2\)"),
+        (("comp_G", "A"), [1.0, 0.0],
+         r"A_G: dense shape \(2,\) does not match \(1, 2\)"),
+        (("coordinate_selection",), "false",
+         "'coordinate_selection' is not a JSON boolean"),
     ], ids=["top-level-list", "objective-list", "section-number",
-            "c0-a-list", "q-an-object", "q-huge-integer", "c0-huge-integer"])
+            "c0-a-list", "q-an-object", "q-huge-integer", "c0-huge-integer",
+            "block-transposed", "block-flat", "selection-a-string"])
     def test_wrong_typed_document_or_section_is_rejected(self, tmp_path, key,
                                                          value, message):
         path = tmp_path / "bad.json"

@@ -14,6 +14,72 @@ from mpcckit.iocfem import (
 )
 
 
+def _reference_instance(params):
+    """The mesh, the P1 operators and the blocks of assemble_instance, built
+    by loops over the vertices, the triangles and each triangle's vertex
+    pairs, with a vertex-to-interior dict."""
+    n_div = params.n_div
+    k = n_div + 1
+    vertices = np.array([[ix / n_div, iy / n_div]
+                         for iy in range(k) for ix in range(k)])
+    tris = []
+    for iy in range(n_div):
+        for ix in range(n_div):
+            v00, v10 = iy * k + ix, iy * k + ix + 1
+            v11, v01 = (iy + 1) * k + ix + 1, (iy + 1) * k + ix
+            tris += [(v00, v10, v11), (v00, v11, v01)]
+    triangles = np.array(tris, dtype=int)
+    interior = np.array([iy * k + ix for iy in range(1, n_div)
+                         for ix in range(1, n_div)], dtype=int)
+    p = vertices[triangles]
+    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                   - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    n_el, n_int = len(triangles), interior.size
+    vmap = {int(v): i for i, v in enumerate(interior)}
+    stiffness = np.zeros((n_int, n_int))
+    load = np.zeros(n_int)
+    mean_w = np.zeros((n_el, n_int))
+    for e, (tri, area) in enumerate(zip(triangles, areas)):
+        (x1, y1), (x2, y2), (x3, y3) = vertices[tri]
+        grads = np.array([[y2 - y3, x3 - x2], [y3 - y1, x1 - x3],
+                          [y1 - y2, x2 - x1]]) / (2.0 * area)
+        k_loc = area * grads @ grads.T
+        for a_loc, va in enumerate(tri):
+            ia = vmap.get(int(va))
+            if ia is None:
+                continue
+            load[ia] += params.zeta * area / 3.0
+            mean_w[e, ia] += 1.0 / 3.0
+            for b_loc, vb in enumerate(tri):
+                ib = vmap.get(int(vb))
+                if ib is not None:
+                    stiffness[ia, ib] += k_loc[a_loc, b_loc]
+    n = 2 * n_el + n_int
+    u, xi = np.arange(n_el), n_el + np.arange(n_el)
+    w = 2 * n_el + np.arange(n_int)
+    rows, ints = np.arange(n_el), np.arange(n_int)
+    blocks = {name: np.zeros(shape) for name, shape in (
+        ("Q", (n, n)), ("q", n), ("A_g", (n_int, n)), ("A_h", (n_el, n)),
+        ("A_G", (n_el, n)), ("A_H", (n_el, n)))}
+    blocks["Q"][np.ix_(u, u)] = np.diag(areas)
+    blocks["Q"][np.ix_(w, w)] = stiffness
+    blocks["q"][u] = -params.u_obs * areas
+    blocks["q"][w] = load
+    blocks["A_g"][ints, w] = -1.0
+    blocks["A_h"][:, u] = np.tile(areas, (n_el, 1))
+    blocks["A_h"][rows, u] += params.alpha
+    blocks["A_h"][:, w] = -params.alpha * mean_w
+    blocks["A_h"][rows, xi] = -1.0
+    blocks["A_G"][rows, u] = 1.0
+    blocks["A_H"][rows, xi] = 1.0
+    blocks.update(b_g=np.full(n_int, params.w_a),
+                  b_h=np.full(n_el, -params.y_d),
+                  b_G=np.full(n_el, -params.u_a), b_H=np.zeros(n_el))
+    return dict(blocks, stiffness=stiffness, load=load, mean_w=mean_w,
+                vertices=vertices, triangles=triangles, interior=interior,
+                areas=areas)
+
+
 class TestBuildMesh:
     def test_default_resolution_counts(self):
         mesh = build_mesh(8)
@@ -122,6 +188,26 @@ class TestAssembleInstance:
         reconciled = assemble_instance(IocParams(u_obs=2.0)).problem
         assert reconciled.f(np.zeros(reconciled.n)) == pytest.approx(
             2.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("n_div", [1, 2, 3, 8])
+    @pytest.mark.parametrize("w_a", [0.0, -0.05])
+    def test_equals_the_per_element_loops_bit_for_bit(self, n_div, w_a):
+        params = IocParams(n_div=n_div, w_a=w_a)
+        inst = assemble_instance(params)
+        ref = _reference_instance(params)
+        got = {name: getattr(inst.problem, name) for name in (
+            "Q", "q", "A_g", "b_g", "A_h", "b_h", "A_G", "b_G", "A_H", "b_H")}
+        got.update(stiffness=inst.stiffness, load=inst.load,
+                   mean_w=inst.mean_w)
+        got.update({name: getattr(inst.mesh, name) for name in (
+            "vertices", "triangles", "interior", "areas")})
+        assert got.keys() == ref.keys()
+        for name, value in ref.items():
+            # signed zeros included
+            assert got[name].dtype == value.dtype, name
+            assert got[name].shape == value.shape, name
+            assert got[name].tobytes() == value.tobytes(), name
 
 
 class TestReferencePoint:

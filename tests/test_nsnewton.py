@@ -978,6 +978,58 @@ class TestFactorReuse:
             np.testing.assert_array_equal(rows[0], exts[k])
 
 
+def _reference_merit_gradient(p, point):
+    """_merit_gradient with the FB terms' layout written out by hand as
+    slices of the terms (r g-terms, then t each of FB(a, b), FB(|a|, |mu|),
+    FB(|b|, |nu|) and theta_4)."""
+    v, w, res, _, uv, terms = point
+    n, r, s, t = p.n, p.r, p.s, p.t
+    base = n + r + s
+    d = np.stack(_reference_fb_partials(*uv))
+    d_terms = d * terms
+    y_w = res[:w.size].copy()
+    y_v = np.zeros_like(v)
+    y_w[n:n + r] = -d[0, :r] * terms[:r]
+    y_v[n:n + r] = d_terms[1, :r]
+    y_w[base:] = d_terms[:, r:r + t].ravel() + \
+        d[0, r + t:r + 3 * t] * np.sign(w[base:]) * terms[r + t:r + 3 * t]
+    y_v[base:] = np.sign(v[base:]) * (d_terms[1, r + t:r + 3 * t]
+                                      + d_terms[:, r + 3 * t:].ravel())
+    return _kkt_times(p, y_w) + y_v
+
+
+class TestMeritGradientLayout:
+    """The merit gradient as the transpose of _fb_residual's gather keeps
+    the bits of the hand-sliced gradient."""
+
+    def test_equals_hand_slices_at_reference_points(self):
+        rng = np.random.default_rng(63)
+        for p, v in _reference_points():
+            # and again with 40 % of the entries set to signed zeros
+            zeros = rng.choice([0.0, -0.0], size=v.size)
+            for u in (v, np.where(rng.random(v.size) < 0.4, zeros, v)):
+                point = _evaluate(p, u)
+                assert _merit_gradient(p, point).tobytes() == \
+                    _reference_merit_gradient(p, point).tobytes()
+
+    @pytest.mark.parametrize("start", [_stalled_tiny_start,
+                                       _rounding_tiny_start,
+                                       _cold_start_n_div_8])
+    def test_equals_hand_slices_along_a_solve(self, monkeypatch, start):
+        compared = []
+
+        def spy(problem, point, _gradient=_merit_gradient):
+            grad = _gradient(problem, point)
+            assert grad.tobytes() == \
+                _reference_merit_gradient(problem, point).tobytes()
+            compared.append(point)
+            return grad
+        monkeypatch.setattr("mpcckit.nsnewton._merit_gradient", spy)
+        p, z0 = start()
+        res = solve_newton(p, z0=z0)
+        assert len(compared) >= res.iterations > 0
+
+
 def _sequential(monkeypatch):
     """Make the screen rule out no length, so that the search evaluates
     every length in order, which is the sequential backtracking rule."""
@@ -1154,8 +1206,11 @@ class TestScreenedSearch:
 class TestSolveNewton:
     def test_wrong_start_length_rejected(self):
         p = _toy_problem()
+        # the last has length 4, but its blocks are not (n, r, s, t, t)
         wrong = [np.zeros(5), FullPoint(x=[1.0, 0.0], lam=[0.0], eta=[],
-                                        mu=[0.0], nu=[0.0])]
+                                        mu=[0.0], nu=[0.0]),
+                 FullPoint(x=[0.0, 0.0, 5.0], lam=[], eta=[], mu=[0.0],
+                           nu=[])]
         for z0 in wrong:
             with pytest.raises(ValueError, match=r"n \+ r \+ s \+ 2t = 4"):
                 solve_newton(p, z0=z0)
