@@ -9,13 +9,16 @@ optimal-control benchmark plus a brute-force enumeration oracle for tiny
 instances.
 """
 
-from .alm import AlmConfig, AlmResult, SolverTrace, TraceRow, solve_alm
+from .alm import AlmConfig, AlmResult, solve_alm
 from .compgeo import PairPartition, project_onto_C
 from .core import (
+    FullPoint,
     IndexSets,
     MultiplierSet,
     QuadraticMpcc,
+    SolverTrace,
     StationarityReport,
+    TraceRow,
     check_mpcc_licq,
     check_mpcc_ssoc,
     classify_stationarity,
@@ -26,7 +29,6 @@ from .core import (
 )
 from .iocfem import FemInstance, FemMesh, IocParams, assemble_instance, build_mesh
 from .nsnewton import (
-    FullPoint,
     NewtonConfig,
     NewtonResult,
     merit_phi_fb,

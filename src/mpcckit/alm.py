@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pgrad
-from .core import MultiplierSet, QuadraticMpcc
+from .core import FullPoint, MultiplierSet, QuadraticMpcc, SolverTrace, TraceRow
 
 __all__ = [
     "AlmConfig",
@@ -61,33 +61,6 @@ class AlmConfig:
         if self.eps_schedule is not None:
             return float(self.eps_schedule(k))
         return 1e-4 / math.sqrt(k + 1)
-
-
-@dataclass
-class TraceRow:
-    """One per-iteration record; fields unused by a solver stay None."""
-
-    k: int
-    objective: float
-    residual: float  # feasibility measure V (outer ALM) or |F| (Newton)
-    wall_time: float
-    rho: float | None = None
-    sub_iters: int | None = None
-    sub_stat: float | None = None
-    sub_converged: bool | None = None
-    identity_gap: float | None = None
-    penalty_increased: bool | None = None
-    step_type: str | None = None
-    alpha: float | None = None
-    merit: float | None = None
-
-
-@dataclass
-class SolverTrace:
-    rows: list = field(default_factory=list)
-
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
 
 
 @dataclass
@@ -209,7 +182,9 @@ def _update(problem: QuadraticMpcc, x, rho: float,
     lam = np.maximum(rho * problem.g(x) + safeguarded.lam, 0.0)
     eta = rho * problem.h(x) + safeguarded.eta
     pairs = problem.pair_partition()
-    partial = problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
+    op = problem.operator
+    partial = (problem.grad_f(x) + op("A_g", transposed=True) @ lam
+               + op("A_h", transposed=True) @ eta)
     mu = -pairs.sign_g * partial[pairs.idx_g]
     nu = -pairs.sign_h * partial[pairs.idx_h]
     return MultiplierSet(lam, eta, mu, nu), partial
@@ -225,21 +200,6 @@ def _identity_gap(x, oracle, partial) -> float:
     return float(np.max(np.abs(grad_rho - partial), initial=0.0))
 
 
-def _check_start(problem: QuadraticMpcc, x0, m0):
-    """x0 as a float vector of length n, and a copy of m0 (zeros if None)."""
-    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n,):
-        raise ValueError(f"x0 must have length n = {problem.n}, "
-                         f"got shape {x0.shape}")
-    m = (m0 or MultiplierSet.zeros(problem)).copy()
-    sizes = (problem.r, problem.s, problem.t, problem.t)
-    shapes = tuple(v.shape for v in (m.lam, m.eta, m.mu, m.nu))
-    if shapes != tuple((k,) for k in sizes):
-        raise ValueError(f"m0 blocks (lam, eta, mu, nu) must have lengths "
-                         f"(r, s, t, t) = {sizes}, got shapes {shapes}")
-    return x0, m
-
-
 def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
               x0=None, m0: MultiplierSet | None = None, subsolver=None,
               pgrad_cfg: pgrad.PgradConfig | None = None) -> AlmResult:
@@ -251,7 +211,9 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
     """
     cfg = config or AlmConfig()
     n, s, t = problem.n, problem.s, problem.t
-    x0, m = _check_start(problem, x0, m0)
+    start = FullPoint.from_vector(problem, FullPoint.from_parts(
+        np.zeros(n) if x0 is None else x0, m0 or MultiplierSet.zeros(problem)))
+    x0, m = start.x, start.multipliers()
     lifted = _lifts(problem, cfg)
     solved, point = problem, x0.copy()
     if lifted:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .alm import AlmConfig, solve_alm
-from .core import MultiplierSet, QuadraticMpcc, classify_stationarity, load_instance
+from .core import (FullPoint, MultiplierSet, QuadraticMpcc,
+                   classify_stationarity, load_instance)
 from .iocfem import IocParams, assemble_instance
-from .nsnewton import FullPoint, NewtonConfig, residual_F, solve_newton
+from .nsnewton import NewtonConfig, residual_F, solve_newton
 from .pgrad import PgradConfig
 
 __all__ = [

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +36,9 @@ from .compgeo import PairPartition
 __all__ = [
     "QuadraticMpcc",
     "MultiplierSet",
+    "FullPoint",
+    "TraceRow",
+    "SolverTrace",
     "IndexSets",
     "StationarityReport",
     "eval_lagrangian",
@@ -56,7 +60,8 @@ class QuadraticMpcc:
     given. Absent blocks are empty or zero. Every block is stored read-only:
     a block the caller can still write is copied, and a read-only one, such
     as another problem's, is shared. The pair structure of D is detected on
-    construction (see pair_partition), each block's operator on first use.
+    construction (see pair_partition), each block's operator and the data a
+    solver caches with the problem (see cached) on first use.
     """
 
     Q: np.ndarray | None = None
@@ -73,7 +78,7 @@ class QuadraticMpcc:
     n: int | None = None
     _pairs: PairPartition | None = field(default=None, init=False,
                                          repr=False, compare=False)
-    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -96,7 +101,7 @@ class QuadraticMpcc:
                 arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.linalg.norm(self.Q - self.Q.T) > 1e-12 * np.linalg.norm(self.Q):
+        if _asymmetry(self.Q) > 1e-12 * np.linalg.norm(self.Q):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c0", float(self.c0))
@@ -141,11 +146,18 @@ class QuadraticMpcc:
     def operator(self, name: str, transposed: bool = False):
         """The block name (Q, A_g, A_h, A_G or A_H), or its transpose, as
         as_operator binds it, on first use, once per problem."""
-        if (name, transposed) not in self._ops:
+        if (name, transposed) not in self._cache:
             mat = getattr(self, name)
-            self._ops[name, transposed] = as_operator(
+            self._cache[name, transposed] = as_operator(
                 np.ascontiguousarray(mat.T) if transposed else mat)
-        return self._ops[name, transposed]
+        return self._cache[name, transposed]
+
+    def cached(self, build):
+        """build(self), built on first use and kept with the problem, whose
+        blocks never change; a dataclasses.replace copy starts afresh."""
+        if build not in self._cache:
+            self._cache[build] = build(self)
+        return self._cache[build]
 
     # pointwise evaluations
     def f(self, x) -> float:
@@ -192,6 +204,18 @@ def as_operator(mat):
     return mat.toarray() if sparse else mat
 
 
+# entries of Q per block of rows of the symmetry check, 16 MB of floats, so
+# that Q - Q' is formed whole only where it fits in one block
+_SYMMETRY_ENTRIES = 1 << 21
+
+
+def _asymmetry(Q: np.ndarray) -> float:
+    """|Q - Q'|_F, as the 2-norm of the norms of its blocks of rows."""
+    rows = max(1, _SYMMETRY_ENTRIES // max(1, Q.shape[0]))
+    return math.hypot(*(np.linalg.norm(Q[i:i + rows] - Q[:, i:i + rows].T)
+                        for i in range(0, Q.shape[0], rows)))
+
+
 def _caller_can_write(arr: np.ndarray, given) -> bool:
     """Whether arr, the array of the block given, is memory the caller can
     reach and still write: given itself or a view, with a writeable array
@@ -205,8 +229,20 @@ def _caller_can_write(arr: np.ndarray, given) -> bool:
     return arr is not None
 
 
+class _FloatBlocks:
+    """Base of a dataclass of float arrays, one per field, converted on
+    construction and copied block by block."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    def copy(self):
+        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
+
+
 @dataclass
-class MultiplierSet:
+class MultiplierSet(_FloatBlocks):
     """Multipliers (lambda, eta, mu, nu) for the four constraint blocks."""
 
     lam: np.ndarray
@@ -214,18 +250,86 @@ class MultiplierSet:
     mu: np.ndarray
     nu: np.ndarray
 
-    def __post_init__(self):
-        for name in ("lam", "eta", "mu", "nu"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-
     @classmethod
     def zeros(cls, problem: QuadraticMpcc) -> "MultiplierSet":
         return cls(np.zeros(problem.r), np.zeros(problem.s),
                    np.zeros(problem.t), np.zeros(problem.t))
 
-    def copy(self) -> "MultiplierSet":
-        return MultiplierSet(self.lam.copy(), self.eta.copy(),
-                             self.mu.copy(), self.nu.copy())
+
+@dataclass
+class FullPoint(_FloatBlocks):
+    """Full primal-dual point (x, lambda, eta, mu, nu)."""
+
+    x: np.ndarray
+    lam: np.ndarray
+    eta: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
+
+    @classmethod
+    def from_parts(cls, x, m: MultiplierSet) -> "FullPoint":
+        return cls(x, m.lam, m.eta, m.mu, m.nu)
+
+    @classmethod
+    def zeros(cls, problem: QuadraticMpcc) -> "FullPoint":
+        return cls.from_parts(np.zeros(problem.n), MultiplierSet.zeros(problem))
+
+    @classmethod
+    def from_vector(cls, problem: QuadraticMpcc, v) -> "FullPoint":
+        """v, a vector or a FullPoint, split by the blocks full_vector checks."""
+        ends = np.cumsum([problem.n, problem.r, problem.s, problem.t])
+        return cls(*np.split(full_vector(problem, v), ends))
+
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([self.x, self.lam, self.eta, self.mu, self.nu])
+
+    def multipliers(self) -> MultiplierSet:
+        return MultiplierSet(self.lam, self.eta, self.mu, self.nu).copy()
+
+
+def full_vector(problem: QuadraticMpcc, z) -> np.ndarray:
+    """The full point z, a FullPoint or a vector, as one float vector of
+    length n + r + s + 2t: the one check of a start against the problem, a
+    FullPoint's blocks (x, lam, eta, mu, nu) against (n, r, s, t, t)."""
+    sizes = (problem.n, problem.r, problem.s, problem.t, problem.t)
+    if isinstance(z, FullPoint):
+        shape = tuple(getattr(z, f.name).shape for f in fields(z))
+        want = tuple((k,) for k in sizes)
+    else:
+        z = np.asarray(z, dtype=float)
+        shape, want = z.shape, (sum(sizes),)
+    if shape != want:
+        raise ValueError(f"a full point's x must have length n = {sizes[0]} "
+                         f"and (lam, eta, mu, nu) lengths (r, s, t, t) = "
+                         f"{sizes[1:]}, so n + r + s + 2t = {sum(sizes)}; got {shape}")
+    return z.to_vector() if isinstance(z, FullPoint) else z
+
+
+@dataclass
+class TraceRow:
+    """One per-iteration record; fields unused by a solver stay None."""
+
+    k: int
+    objective: float
+    residual: float  # feasibility measure V (outer ALM) or |F| (Newton)
+    wall_time: float
+    rho: float | None = None
+    sub_iters: int | None = None
+    sub_stat: float | None = None
+    sub_converged: bool | None = None
+    identity_gap: float | None = None
+    penalty_increased: bool | None = None
+    step_type: str | None = None
+    alpha: float | None = None
+    merit: float | None = None
+
+
+@dataclass
+class SolverTrace:
+    rows: list = field(default_factory=list)
+
+    def append(self, row: TraceRow) -> None:
+        self.rows.append(row)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuadraticMpcc, save_instance
-from .nsnewton import FullPoint
+from .core import FullPoint, QuadraticMpcc, save_instance
 
 __all__ = [
     "IocParams",
@@ -191,10 +190,7 @@ def reference_point(params: IocParams | None = None) -> FullPoint:
     params = params or IocParams()
     if params.w_a != 0.0:
         raise ValueError("reference point is only valid for w_a = 0")
-    mesh = build_mesh(params.n_div)
-    n_el, n_int = len(mesh.triangles), mesh.interior.size
-    return FullPoint(x=np.zeros(2 * n_el + n_int), lam=np.zeros(n_int),
-                     eta=np.zeros(n_el), mu=np.zeros(n_el), nu=np.zeros(n_el))
+    return FullPoint.zeros(assemble_instance(params).problem)
 
 
 def write_instance(instance: FemInstance, path) -> None:

@@ -80,8 +80,8 @@ import numpy as np
 import scipy.linalg.lapack
 import scipy.sparse as sp
 
-from .alm import SolverTrace, TraceRow
-from .core import MultiplierSet, QuadraticMpcc, as_operator
+from .core import (FullPoint, QuadraticMpcc, SolverTrace, TraceRow,
+                   as_operator, full_vector)
 
 __all__ = [
     "FullPoint",
@@ -95,41 +95,6 @@ __all__ = [
     "merit_phi_fb",
     "solve_newton",
 ]
-
-
-@dataclass
-class FullPoint:
-    """Full primal-dual point (x, lambda, eta, mu, nu)."""
-
-    x: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "lam", "eta", "mu", "nu"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @classmethod
-    def from_parts(cls, x, m: MultiplierSet) -> "FullPoint":
-        return cls(x, m.lam, m.eta, m.mu, m.nu)
-
-    @classmethod
-    def zeros(cls, problem: QuadraticMpcc) -> "FullPoint":
-        return cls.from_parts(np.zeros(problem.n), MultiplierSet.zeros(problem))
-
-    @classmethod
-    def from_vector(cls, problem: QuadraticMpcc, v) -> "FullPoint":
-        ends = np.cumsum([problem.n, problem.r, problem.s, problem.t])
-        return cls(*np.split(_as_vec(problem, v), ends))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.lam, self.eta, self.mu, self.nu])
-
-    def multipliers(self) -> MultiplierSet:
-        return MultiplierSet(self.lam.copy(), self.eta.copy(),
-                             self.mu.copy(), self.nu.copy())
 
 
 @dataclass
@@ -156,23 +121,6 @@ class NewtonResult:
     final_residual: float
     final_merit: float
     trace: SolverTrace
-
-
-def _as_vec(problem: QuadraticMpcc, z) -> np.ndarray:
-    """The full point z as one vector of length n + r + s + 2t; a FullPoint's
-    blocks must have the lengths (n, r, s, t, t)."""
-    sizes = (problem.n, problem.r, problem.s, problem.t, problem.t)
-    if isinstance(z, FullPoint):
-        shape = tuple(b.shape for b in (z.x, z.lam, z.eta, z.mu, z.nu))
-        want = tuple((k,) for k in sizes)
-    else:
-        z = np.asarray(z, dtype=float)
-        shape, want = z.shape, (sum(sizes),)
-    if shape != want:
-        raise ValueError(f"full point must have length n + r + s + 2t = "
-                         f"{sum(sizes)} in blocks (x, lam, eta, mu, nu) of "
-                         f"lengths {sizes}, got shape {shape}")
-    return z.to_vector() if isinstance(z, FullPoint) else z
 
 
 def ncp_fb(a, b):
@@ -329,34 +277,34 @@ def _gamma(m):
     return m * _U / (1.0 - m * _U)
 
 
+def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
+    Q = sp.csr_array(problem.operator("Q"))
+    a = sp.vstack([sp.csr_array(problem.operator(name))
+                   for name in ("A_g", "A_h", "A_G", "A_H")], format="csr")
+    m = a.shape[0]
+    KI = sp.vstack((sp.hstack((Q, a.T), format="csr"),
+                    sp.hstack((a, sp.coo_array((m, m))), format="csr"),
+                    sp.eye_array(problem.n + m, format="csr")),
+                   format="csr")
+    # summed over dense blocks of rows as |[K; I]| row by row, whose bits
+    # they keep; the rows of I have norm 1
+    norms = np.concatenate([
+        np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
+        for i in range(0, KI.shape[0], _NORM_ROWS)])
+    ops = (as_operator(KI[:problem.n]),
+           *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
+    k = np.concatenate([problem.q, problem.b_g, problem.b_h,
+                        problem.b_G, problem.b_H])
+    gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
+    return _Kkt(KI, ops, k, norms,
+                _fb_layout(problem.n, problem.r, problem.s, problem.t),
+                (float(np.linalg.norm(gamma * norms[:k.size])),
+                 float(np.linalg.norm(gamma * k))))
+
+
 def _kkt(problem: QuadraticMpcc) -> _Kkt:
-    """The _Kkt of the problem, built on first use and kept with it."""
-    kkt = vars(problem).get("_kkt")
-    if kkt is None:
-        Q = sp.csr_array(problem.operator("Q"))
-        a = sp.vstack([sp.csr_array(problem.operator(name))
-                       for name in ("A_g", "A_h", "A_G", "A_H")], format="csr")
-        m = a.shape[0]
-        KI = sp.vstack((sp.hstack((Q, a.T), format="csr"),
-                        sp.hstack((a, sp.coo_array((m, m))), format="csr"),
-                        sp.eye_array(problem.n + m, format="csr")),
-                       format="csr")
-        # summed over dense blocks of rows as |[K; I]| row by row, whose
-        # bits they keep; the rows of I have norm 1
-        norms = np.concatenate([
-            np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
-            for i in range(0, KI.shape[0], _NORM_ROWS)])
-        ops = (as_operator(KI[:problem.n]),
-               *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
-        k = np.concatenate([problem.q, problem.b_g, problem.b_h,
-                            problem.b_G, problem.b_H])
-        gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
-        kkt = _Kkt(KI, ops, k, norms,
-                   _fb_layout(problem.n, problem.r, problem.s, problem.t),
-                   (float(np.linalg.norm(gamma * norms[:k.size])),
-                    float(np.linalg.norm(gamma * k))))
-        object.__setattr__(problem, "_kkt", kkt)  # the dataclass is frozen
-    return kkt
+    """The _Kkt of the problem, built on first use and kept in its cache."""
+    return problem.cached(_build_kkt)
 
 
 def _entries(KI: sp.csr_array, ext: np.ndarray):
@@ -501,14 +449,14 @@ def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
 
 def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
     """Residual of the M-stationarity system at the full point z."""
-    v = _as_vec(problem, z)
+    v = full_vector(problem, z)
     w = _affine(problem, v)
     return _residual(w, v, _rows(problem, w, v))
 
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
-    v = _as_vec(problem, z)
+    v = full_vector(problem, z)
     ext, sign, _ = _rows(problem, _affine(problem, v), v)
     row, col, val = _entries(_kkt(problem).KI, ext)
     df = np.zeros((ext.size, ext.size))
@@ -518,7 +466,7 @@ def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
     """Value and exact gradient of the C^1 merit 1/2 |F_FB|^2."""
-    point = _evaluate(problem, _as_vec(problem, z))
+    point = _evaluate(problem, full_vector(problem, z))
     return point[3], _merit_gradient(problem, point)
 
 
@@ -765,8 +713,8 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
                  z0=None) -> NewtonResult:
     """Run the globalized iteration from z0 (defaults to the origin)."""
     cfg = config or NewtonConfig()
-    n, r, s, t = problem.n, problem.r, problem.s, problem.t
-    v = _as_vec(problem, z0) if z0 is not None else np.zeros(n + r + s + 2 * t)
+    n = problem.n
+    v = full_vector(problem, FullPoint.zeros(problem) if z0 is None else z0)
     point = _evaluate(problem, v)
     trace = SolverTrace()
     factors = _FactorSlot(problem, cfg.pivot_tol)

@@ -139,9 +139,8 @@ def solve_subproblem(objective_oracle, projector, x0, eps,
         return x, stat, 0
 
     history = deque([val], maxlen=cfg.memory_length)
-    grad_inf = np.max(np.abs(grad)) if grad.size else 0.0
+    grad_inf = np.max(np.abs(grad), initial=0.0)
     alpha = min(max(1.0 / max(grad_inf, 1e-16), lo), hi)
-    grad_inf = None  # lazily refreshed; only the collapse guard needs it
 
     free, settled = None, 0  # free set of the last accepted step, run length
     wait, next_face = 1, 0  # back-off of face phases
@@ -167,11 +166,9 @@ def solve_subproblem(objective_oracle, projector, x0, eps,
                 if t_val <= ref + cfg.delta * float(grad @ d):
                     break
                 step *= cfg.backtrack
-                if step <= 1e-18:  # collapse: step*max(|grad|_inf, 1) <= 1e-18
-                    if grad_inf is None:
-                        grad_inf = np.max(np.abs(grad)) if grad.size else 0.0
-                    if step * max(grad_inf, 1.0) <= 1e-18:
-                        break  # arc collapsed onto x; accept, let stat decide
+                if step <= 1e-18 and step * max(
+                        np.max(np.abs(grad), initial=0.0), 1.0) <= 1e-18:
+                    break  # arc collapsed onto x; accept, let stat decide
 
         s = trial - x
         y = t_grad - grad
@@ -187,7 +184,6 @@ def solve_subproblem(objective_oracle, projector, x0, eps,
         settled = settled + 1 if np.array_equal(moved, free) else 1
         free = moved
         x, val, grad = trial, t_val, t_grad
-        grad_inf = None
         history.append(val)
         stat = stationarity(x, grad)
         if stat < best_stat:

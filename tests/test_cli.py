@@ -15,7 +15,10 @@ from mpcckit.cli import (
     read_table_csv,
     run_experiment,
 )
+from mpcckit.alm import AlmConfig
 from mpcckit.core import QuadraticMpcc, save_instance
+from mpcckit.iocfem import IocParams
+from mpcckit.nsnewton import NewtonConfig
 
 
 def _toy_problem():
@@ -88,6 +91,20 @@ class TestRunExperiment:
         assert row.alm_iterations is not None
         assert row.nsn_iterations is not None
         assert row.nsn_value == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("stages, status", [
+        (dict(newton=NewtonConfig(max_iters=0)),
+         "alm_converged+nsn_max_iters"),
+        (dict(alm=AlmConfig(max_outer_iters=1)),
+         "alm_max_iters+nsn_converged"),
+    ], ids=["newton-capped", "alm-capped"])
+    def test_warmstart_status_names_both_stages_unless_both_converge(
+            self, stages, status):
+        cfg = ExperimentConfig(ioc=IocParams(n_div=2), algorithm="warmstart",
+                               seeds=(1,), **stages)
+        row = run_experiment(cfg)[0]
+        assert row.status == status and not row.accepted
+        assert row.alm_iterations >= 1 and row.nsn_iterations is not None
 
     def test_unknown_instance_rejected(self):
         with pytest.raises(ValueError):

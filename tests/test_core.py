@@ -1,7 +1,10 @@
 """Problem container, Lagrangian, index sets, and stationarity grading."""
 
+import ast
 import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,12 @@ from mpcckit.alm import solve_alm
 from mpcckit.cli import make_start
 from mpcckit.compgeo import PairPartition, singleton_columns
 from mpcckit.core import (
+    FullPoint,
     MultiplierSet,
     QuadraticMpcc,
+    SolverTrace,
+    TraceRow,
+    _asymmetry,
     as_operator,
     check_mpcc_licq,
     check_mpcc_ssoc,
@@ -24,7 +31,7 @@ from mpcckit.core import (
     save_instance,
 )
 from mpcckit.iocfem import IocParams, assemble_instance
-from mpcckit.nsnewton import FullPoint, solve_newton
+from mpcckit.nsnewton import _kkt, solve_newton
 from mpcckit.oracle import finite_diff
 
 
@@ -40,6 +47,51 @@ class TestProblemContainer:
     def test_rejects_asymmetric_Q(self):
         with pytest.raises(ValueError):
             QuadraticMpcc.build(Q=[[1.0, 2.0], [0.0, 1.0]], n=2)
+
+    def test_symmetry_check_forms_no_n_by_n_temporary(self):
+        n = 2048
+        Q = np.eye(n)
+        Q.setflags(write=False)  # shared, not copied
+        tracemalloc.start()
+        try:
+            QuadraticMpcc(Q=Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Q - Q' would take Q.nbytes; each of the two blocks of rows half
+        assert peak < Q.nbytes / 2 + 2 ** 20
+        off = np.eye(n)
+        off[300, 1500] = 1e-6  # in another block of rows than its mirror
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticMpcc(Q=off)
+
+    def test_asymmetry_is_the_frobenius_norm_of_q_minus_its_transpose(self):
+        Q = np.random.default_rng(5).normal(size=(1500, 1500))  # two blocks
+        assert _asymmetry(Q) == pytest.approx(np.linalg.norm(Q - Q.T),
+                                              rel=1e-13)
+        assert _asymmetry(Q + Q.T) == 0.0
+
+    def test_dimension_must_be_given_or_inferred(self):
+        with pytest.raises(ValueError, match="cannot infer n"):
+            QuadraticMpcc(A_G=[[1.0, 0.0]], b_G=[0.0])
+
+    @pytest.mark.parametrize("blocks, message", [
+        (dict(Q=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+         r"Q must have shape \(3, 3\), got \(2, 3\)"),
+        (dict(Q=np.eye(2), q=np.zeros(3)),
+         r"Q must have shape \(3, 3\), got \(2, 2\)"),
+        (dict(q=np.zeros(2), A_h=[[1.0, 0.0, 0.0]], b_h=[0.0]),
+         r"A_h must have shape \(1, 2\), got \(1, 3\)"),
+        (dict(q=np.zeros(2), A_g=[[1.0, 0.0]], b_g=[0.0, 1.0]),
+         r"b_g must have shape \(1,\), got \(2,\)"),
+        (dict(q=np.zeros(2), A_G=[[1.0, 0.0]], b_G=[0.0],
+              A_H=[[0.0, 1.0], [1.0, 0.0]], b_H=[0.0, 0.0]),
+         r"A_H must have shape \(1, 2\), got \(2, 2\)"),
+    ], ids=["Q-rows", "Q-against-q", "A_h-columns", "b_g-length",
+            "A_H-rows"])
+    def test_block_of_the_wrong_shape_is_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            QuadraticMpcc(**blocks)
 
     def test_build_infers_dimensions(self):
         p = _pair_problem()
@@ -211,6 +263,76 @@ class TestPairDetection:
         assert general.coordinate_selection is False
         with pytest.raises(ValueError):
             general.pair_partition()
+
+
+class TestSharedModel:
+    """core holds the data model that both solvers share: the problem, the
+    point, the trace rows, the start check and the per-problem cache."""
+
+    def test_old_module_names_are_the_core_types(self):
+        from mpcckit import alm, nsnewton
+        assert nsnewton.FullPoint is FullPoint
+        assert (alm.TraceRow, alm.SolverTrace) == (TraceRow, SolverTrace)
+
+    def test_no_solver_module_imports_another(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "mpcckit"
+        imports = {}
+        for path in package.glob("*.py"):
+            found = imports[path.stem] = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    found.update([node.module] if node.module else
+                                 [alias.name for alias in node.names])
+        assert {name for name, found in imports.items()
+                if found & {"alm", "nsnewton"}} == {"cli", "__init__"}
+        assert imports["nsnewton"] == imports["iocfem"] == {"core"}
+
+    def test_full_point_converts_and_copies_as_multipliers_do(self):
+        z = FullPoint([1, 2], [3], [], [4], np.array([5.0]))
+        blocks = (z.x, z.lam, z.eta, z.mu, z.nu)
+        assert all(b.dtype == np.float64 for b in blocks)
+        m = z.multipliers()
+        assert [b.tolist() for b in (m.lam, m.eta, m.mu, m.nu)] == \
+            [[3.0], [], [4.0], [5.0]]
+        assert not any(np.shares_memory(a, b) for a, b in
+                       zip((m.lam, m.eta, m.mu, m.nu), blocks[1:]))
+        copy = z.copy()
+        assert copy.to_vector().tolist() == z.to_vector().tolist()
+        assert not np.shares_memory(copy.x, z.x)
+
+    def test_a_start_is_checked_against_every_block(self):
+        p = _pair_problem(Q=np.eye(2))
+        assert FullPoint.zeros(p).to_vector().tolist() == [0.0] * 4
+        message = (r"x must have length n = 2 and \(lam, eta, mu, nu\) lengths "
+                   r"\(r, s, t, t\) = \(0, 0, 1, 1\), so n \+ r \+ s \+ 2t = 4")
+        bad = FullPoint.from_parts([0.0, 0.0], MultiplierSet([], [], [0.0],
+                                                             [0.0, 0.0]))
+        for solve in (lambda: solve_alm(p, x0=bad.x, m0=bad.multipliers()),
+                      lambda: solve_newton(p, z0=bad),
+                      lambda: FullPoint.from_vector(p, np.zeros(5))):
+            with pytest.raises(ValueError, match=message):
+                solve()
+
+    def test_cached_builds_once_per_problem(self):
+        p = _pair_problem(Q=np.eye(2))
+        built = []
+
+        def build(problem):
+            built.append(problem)
+            return object()
+        assert p.cached(build) is p.cached(build)
+        assert built == [p]
+
+    def test_replace_starts_with_an_empty_cache(self):
+        p = _pair_problem(Q=np.eye(2), q=[1.0, 0.0])
+        solve_alm(p)
+        solve_newton(p)
+        assert p._cache
+        copy = replace(p, q=[0.0, 1.0])
+        assert copy._cache == {}
+        # so the copy's Newton data follow its own blocks
+        assert _kkt(copy) is not _kkt(p)
+        assert _kkt(copy).k.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 class TestEvalLagrangian:

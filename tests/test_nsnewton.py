@@ -735,6 +735,18 @@ class TestPeel:
     """The forward peel, the column peel and the core, on rows chosen by
     hand."""
 
+    def test_non_finite_step_is_no_step(self):
+        # both rows are singletons, so the step is rhs / (0.5, 1); a
+        # quotient that overflows, or a NaN right-hand side, gives no step
+        p = QuadraticMpcc.build(Q=np.diag([0.5, 1.0]), q=np.zeros(2))
+        rows = _description(p, [0, 1], [False, False])
+        factor = _factor(p, rows, 1e-12)
+        assert _solve(factor, rows[1], np.array([1.0, 2.0])).tolist() == \
+            [2.0, 2.0]
+        for rhs in ([1e308, 1.0], [1.0, np.nan]):
+            with np.errstate(all="ignore"):
+                assert _solve(factor, rows[1], np.array(rhs)) is None
+
     def test_no_lu_fixture_trips_on_a_core(self, no_lu):
         # no row or column of Q has a single entry, so the core is all of it
         p = QuadraticMpcc.build(Q=[[1.0, 1.0], [1.0, 2.0]], q=np.zeros(2))
@@ -1178,6 +1190,37 @@ class TestScreenedSearch:
         _sequential(monkeypatch)
         _same_solve(res, solve_newton(p, cfg, z0=z0))
 
+    def test_damped_step_of_full_length_takes_the_full_trial(self,
+                                                            monkeypatch):
+        # q_nsn = 0 takes no full step, so a Newton direction that passes the
+        # angle test is a damped step; where its full trial, evaluated
+        # already, passes the Armijo test at alpha = 1, the search returns
+        # that trial and evaluates nothing
+        import mpcckit.nsnewton as nsn
+        evaluated = [0]
+
+        def counted(*args, _evaluate=nsn._evaluate):
+            evaluated[0] += 1
+            return _evaluate(*args)
+        monkeypatch.setattr(nsn, "_evaluate", counted)
+        reused = []
+
+        def spy(self, point, d, slope, first=None, _search=_Armijo.search):
+            before = evaluated[0]
+            alpha, trial = _search(self, point, d, slope, first)
+            if first is not None and trial is first:
+                assert alpha == 1.0 and evaluated[0] == before
+                reused.append(point)
+            return alpha, trial
+        monkeypatch.setattr(_Armijo, "search", spy)
+        damped = 0
+        for count in range(1, 11):
+            p, z0 = _tiny_start(count)
+            res = solve_newton(p, NewtonConfig(q_nsn=0.0, max_iters=50), z0)
+            assert res.full_steps == 0
+            damped += res.damped_steps
+        assert len(reused) == 10 and damped > len(reused)
+
     def test_about_one_evaluation_per_search(self, monkeypatch):
         import mpcckit.nsnewton as nsn
         calls = dict.fromkeys(("_evaluate", "_screen", "ncp_fb"), 0)
@@ -1204,6 +1247,17 @@ class TestScreenedSearch:
 
 
 class TestSolveNewton:
+    def test_stationary_merit_exit(self):
+        # with an infinite tolerance on |grad Phi_FB| the first test stops
+        # the run at its start, before any step or trace row
+        z0 = np.array([5.0, -3.0, 2.0, 7.0])
+        res = solve_newton(_toy_problem(), NewtonConfig(merit_grad_tol=np.inf),
+                           z0=z0)
+        assert res.status == "stationary_merit"
+        assert res.iterations == 0 and res.trace.rows == []
+        assert res.z.to_vector().tolist() == z0.tolist()
+        assert res.final_residual > NewtonConfig().tau_nsn
+
     def test_wrong_start_length_rejected(self):
         p = _toy_problem()
         # the last has length 4, but its blocks are not (n, r, s, t, t)

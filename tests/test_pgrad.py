@@ -257,6 +257,57 @@ class TestSolveSubproblem:
         monkeypatch.setattr(pgrad, "_FACE_SEARCH", 2)
         assert pgrad._face_trial(*args) is None
 
+    def test_face_phase_stops_cg_on_non_positive_curvature(self):
+        # on a concave face the first CG direction has negative curvature,
+        # so CG stops after one probe with no step and there is no candidate
+        calls = []
+
+        def concave(x):
+            calls.append(x)
+            return float(-0.5 * x @ x), -x
+
+        x = np.array([1.0, 2.0])
+        val, grad = concave(x)
+        calls.clear()
+        assert pgrad._face_trial(concave, lambda p: p, x, grad,
+                                 np.ones(2, bool), 1e-8, val,
+                                 PgradConfig()) is None
+        assert len(calls) == 1
+        # on an indefinite face CG keeps its first step, which the
+        # negative curvature of the second direction does not extend
+        Q = np.diag([1.0, -0.01])
+
+        def indefinite(x):
+            return float(0.5 * x @ Q @ x), Q @ x
+
+        x = np.array([1.0, 1.0])
+        val, grad = indefinite(x)
+        trial, t_val, _, shortened = pgrad._face_trial(
+            indefinite, lambda p: p, x, grad, np.ones(2, bool), 1e-8, val,
+            PgradConfig())
+        step = -grad * (grad @ grad) / (grad @ Q @ grad)
+        np.testing.assert_allclose(trial, x + step, rtol=1e-6)
+        assert t_val < val and not shortened
+
+    def test_collapsed_search_accepts_its_last_trial(self):
+        # the oracle reports -4 as the gradient of f(x) = x, which is no
+        # descent direction, so every trial fails the Armijo test; from
+        # alpha = 1/4 the 60th halving brings step * |grad|_inf to 1e-18 or
+        # below, two halvings after step itself, and the search accepts the
+        # trial of the 59th
+        calls = []
+
+        def lying(x):
+            calls.append(x)
+            return float(x.sum()), np.array([-4.0])
+
+        x, stat, iters = solve_subproblem(lying, lambda p: p, np.zeros(1),
+                                          1e-8, cfg=PgradConfig(max_iters=1))
+        assert len(calls) == 1 + 60
+        assert calls[-1][0] == 0.5 ** 59
+        # the accepted step is no better, so the start is the best seen
+        assert x.tolist() == [0.0] and stat == 4.0 and iters == 1
+
     @pytest.mark.parametrize("seed", [13, 22, 45])
     def test_face_phase_does_not_cycle_on_ill_conditioned_qps(self, seed):
         # with face candidates judged against the nonmonotone reference
