@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import pgrad
 from .core import FullPoint, MultiplierSet, QuadraticMpcc, SolverTrace, TraceRow
@@ -94,18 +95,21 @@ def slack_problem(problem: QuadraticMpcc) -> QuadraticMpcc:
     nu). Each z column of the lifted A_h holds a single -1, so the pair
     multipliers that update_multipliers recovers equal the coupling ones.
     """
-    n, s, t = problem.n, problem.s, problem.t
-    eye, zero = np.eye(t), np.zeros((t, t))
+    n, r, t = problem.n, problem.r, problem.t
+    eye, zero = sp.eye_array(t), sp.csr_array((t, t))
+
+    def stack(blocks):
+        return sp.block_array(blocks, format="csr")
+
     return QuadraticMpcc(
-        Q=np.pad(problem.Q, (0, 2 * t)), q=np.pad(problem.q, (0, 2 * t)),
-        c0=problem.c0,
-        A_g=np.pad(problem.A_g, ((0, 0), (0, 2 * t))), b_g=problem.b_g,
-        A_h=np.block([[problem.A_h, np.zeros((s, 2 * t))],
-                      [problem.A_G, -eye, zero],
-                      [problem.A_H, zero, -eye]]),
+        Q=stack([[problem.Q, None], [None, sp.csr_array((2 * t, 2 * t))]]),
+        q=np.pad(problem.q, (0, 2 * t)), c0=problem.c0,
+        A_g=stack([[problem.A_g, sp.csr_array((r, 2 * t))]]), b_g=problem.b_g,
+        A_h=stack([[problem.A_h, None, None], [problem.A_G, -eye, None],
+                   [problem.A_H, None, -eye]]),
         b_h=np.concatenate([problem.b_h, problem.b_G, problem.b_H]),
-        A_G=np.hstack([np.zeros((t, n)), eye, zero]), b_G=np.zeros(t),
-        A_H=np.hstack([np.zeros((t, n)), zero, eye]), b_H=np.zeros(t))
+        A_G=stack([[sp.csr_array((t, n)), eye, zero]]), b_G=np.zeros(t),
+        A_H=stack([[sp.csr_array((t, n)), zero, eye]]), b_H=np.zeros(t))
 
 
 def safeguard_multipliers(m: MultiplierSet, bound: float) -> MultiplierSet:

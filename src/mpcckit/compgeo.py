@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["PairPartition", "project_onto_C", "singleton_columns"]
 
@@ -62,12 +63,15 @@ class PairPartition:
         rows, or a coordinate selected twice, raise ValueError."""
 
         def split(A):
-            A = np.asarray(A, dtype=float)
+            if not sp.issparse(A):
+                A = np.asarray(A, dtype=float)
             idx = singleton_columns(A)
             if np.any(idx < 0):
                 raise ValueError(
                     "coordinate-selection rows must be signed unit vectors"
                 )
+            if sp.issparse(A):
+                return idx, A.data[A.indptr[:-1]]
             return idx, A[np.arange(idx.size), idx]
 
         idx_g, sign_g = split(A_G)
@@ -119,8 +123,14 @@ class PairPartition:
         return float(np.sqrt(np.sum(gf ** 2) + np.sum(pair_d ** 2)))
 
 
-def singleton_columns(A: np.ndarray) -> np.ndarray:
-    """For each row of A, the column of its single nonzero, or -1."""
+def singleton_columns(A) -> np.ndarray:
+    """For each row of A, the column of its single nonzero, or -1. A is a
+    dense array or a CSR array with no stored zeros."""
+    if sp.issparse(A):
+        cols = np.full(A.shape[0], -1)
+        one = np.diff(A.indptr) == 1
+        cols[one] = A.indices[A.indptr[:-1][one]]
+        return cols
     nonzero = np.asarray(A) != 0.0
     if nonzero.shape[1] == 0:
         return np.full(len(nonzero), -1)

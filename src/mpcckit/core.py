@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,11 +58,16 @@ class QuadraticMpcc:
 
     Every dimension comes from the blocks: r, s and t are the row counts of
     A_g, A_h and A_G, and n is the length of q or the order of Q unless it is
-    given. Absent blocks are empty or zero. Every block is stored read-only:
-    a block the caller can still write is copied, and a read-only one, such
-    as another problem's, is shared. The pair structure of D is detected on
-    construction (see pair_partition), each block's operator and the data a
-    solver caches with the problem (see cached) on first use.
+    given. Absent blocks are empty or zero. A matrix block may be given
+    dense or as any scipy sparse matrix, and each of Q, A_g, A_h, A_G and
+    A_H is stored once, as the operator the solvers multiply with (see
+    as_operator): a dense array, or a canonical CSR array, with sorted
+    indices, duplicates summed and no stored zeros, equal entry for entry to
+    the CSR of the dense block. Every block is stored read-only: a block the
+    caller can still write is copied, and a read-only one, such as another
+    problem's, is shared. The pair structure of D is detected on
+    construction (see pair_partition), the transposed operators and the data
+    a solver caches with the problem (see cached) on first use.
     """
 
     Q: np.ndarray | None = None
@@ -86,22 +92,24 @@ class QuadraticMpcc:
             given = self.q if self.q is not None else self.Q
             if given is None:
                 raise ValueError("cannot infer n: provide Q, q, or n")
-            n = np.asarray(given).shape[-1]
-        r, s, t = (0 if a is None else np.asarray(a).shape[0]
+            n = _shape(given)[-1]
+        r, s, t = (0 if a is None else _shape(a)[0]
                    for a in (self.A_g, self.A_h, self.A_G))
         shapes = {"Q": (n, n), "q": (n,), "A_g": (r, n), "b_g": (r,),
                   "A_h": (s, n), "b_h": (s,), "A_G": (t, n), "b_G": (t,),
                   "A_H": (t, n), "b_H": (t,)}
         for name, shape in shapes.items():
             given = getattr(self, name)
-            arr = np.zeros(shape) if given is None else np.asarray(given, dtype=float)
+            if given is None:
+                arr = np.zeros(shape)
+            elif sp.issparse(given) and len(shape) == 2:
+                arr = given
+            else:
+                arr = np.asarray(given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if _caller_can_write(arr, given):
-                arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if _asymmetry(self.Q) > 1e-12 * np.linalg.norm(self.Q):
+            object.__setattr__(self, name, _stored(arr, given, len(shape) == 2))
+        if _asymmetry(self.Q) > 1e-12 * _frobenius(self.Q):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c0", float(self.c0))
@@ -144,13 +152,23 @@ class QuadraticMpcc:
         return self._pairs is not None
 
     def operator(self, name: str, transposed: bool = False):
-        """The block name (Q, A_g, A_h, A_G or A_H), or its transpose, as
-        as_operator binds it, on first use, once per problem."""
-        if (name, transposed) not in self._cache:
-            mat = getattr(self, name)
-            self._cache[name, transposed] = as_operator(
-                np.ascontiguousarray(mat.T) if transposed else mat)
-        return self._cache[name, transposed]
+        """The block name (Q, A_g, A_h, A_G or A_H), which is stored as its
+        operator, or its transpose, bound by as_operator on first use, once
+        per problem."""
+        mat = getattr(self, name)
+        if not transposed:
+            return mat
+        if name not in self._cache:
+            self._cache[name] = as_operator(
+                sp.csr_array(mat.T) if sp.issparse(mat)
+                else np.ascontiguousarray(mat.T))
+        return self._cache[name]
+
+    def dense_rows(self, name: str, rows=slice(None)) -> np.ndarray:
+        """The rows of the block name, a slice or an index array, as a dense
+        array; all of it by default."""
+        part = getattr(self, name)[rows]
+        return part.toarray() if sp.issparse(part) else part
 
     def cached(self, build):
         """build(self), built on first use and kept with the problem, whose
@@ -209,11 +227,59 @@ def as_operator(mat):
 _SYMMETRY_ENTRIES = 1 << 21
 
 
-def _asymmetry(Q: np.ndarray) -> float:
-    """|Q - Q'|_F, as the 2-norm of the norms of its blocks of rows."""
+def _asymmetry(Q) -> float:
+    """|Q - Q'|_F, for a dense Q as the 2-norm of the norms of its blocks of
+    rows, for a CSR Q from the entries of the CSR Q - Q'."""
+    if sp.issparse(Q):
+        return _frobenius(Q - Q.T)
     rows = max(1, _SYMMETRY_ENTRIES // max(1, Q.shape[0]))
     return math.hypot(*(np.linalg.norm(Q[i:i + rows] - Q[:, i:i + rows].T)
                         for i in range(0, Q.shape[0], rows)))
+
+
+def _frobenius(mat) -> float:
+    """|mat|_F of a dense or a sparse matrix."""
+    return float(np.linalg.norm(mat.data if sp.issparse(mat) else mat))
+
+
+def _shape(block) -> tuple:
+    """The shape of a block as given: an array, a nested list or a sparse
+    matrix."""
+    return block.shape if sp.issparse(block) else np.shape(block)
+
+
+def _stored(arr, given, matrix: bool):
+    """The block given, converted to arr, as the problem stores it: a
+    vector, or a matrix as its operator (see as_operator), read-only, and
+    shared only where the caller cannot write it."""
+    if sp.issparse(arr):
+        arr = _canonical_csr(arr)
+    op = as_operator(arr) if matrix else arr
+    if op is arr and not sp.issparse(arr) and _caller_can_write(arr, given):
+        op = arr.copy()
+    for part in (op.data, op.indices, op.indptr) if sp.issparse(op) else (op,):
+        part.setflags(write=False)
+    return op
+
+
+def _canonical_csr(mat) -> sp.csr_array:
+    """mat as a canonical CSR array of floats, with sorted indices,
+    duplicates summed, no stored zeros and the index type of the CSR of the
+    dense block: mat itself where it is one whose arrays no caller can
+    write, else a new one."""
+    if isinstance(mat, sp.csr_array) and mat.dtype == float and \
+            mat.has_canonical_format and \
+            np.count_nonzero(mat.data) == mat.nnz and not any(
+                _caller_can_write(a, a) for a in (mat.data, mat.indices,
+                                                  mat.indptr)):
+        return mat
+    mat = sp.csr_array(mat, dtype=float, copy=True)
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    if max(*mat.shape, mat.nnz) < 2 ** 31:
+        mat.indices = mat.indices.astype(np.int32, copy=False)
+        mat.indptr = mat.indptr.astype(np.int32, copy=False)
+    return mat
 
 
 def _caller_can_write(arr: np.ndarray, given) -> bool:
@@ -365,7 +431,8 @@ class StationarityReport:
 
 
 def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
-    """Value, gradient, and (constant) Hessian of the MPCC Lagrangian."""
+    """Value, gradient, and (constant) Hessian of the MPCC Lagrangian; the
+    Hessian is Q as the problem stores it, dense or CSR."""
     x = np.asarray(x, dtype=float)
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
@@ -446,8 +513,9 @@ def classify_stationarity(problem: QuadraticMpcc, x, m: MultiplierSet,
 def _licq_rows(problem: QuadraticMpcc, sets: IndexSets) -> np.ndarray:
     idx_G = np.union1d(sets.i_0plus, sets.i_00).astype(int)
     idx_H = np.union1d(sets.i_plus0, sets.i_00).astype(int)
-    return np.vstack([problem.A_g[sets.i_g], problem.A_h,
-                      problem.A_G[idx_G], problem.A_H[idx_H]])
+    dense = problem.dense_rows
+    return np.vstack([dense("A_g", sets.i_g), dense("A_h"),
+                      dense("A_G", idx_G), dense("A_H", idx_H)])
 
 
 def check_mpcc_licq(problem: QuadraticMpcc, x, sets: IndexSets) -> bool:
@@ -476,11 +544,12 @@ def check_mpcc_ssoc(problem: QuadraticMpcc, x, m: MultiplierSet,
         return None
     idx_G = np.union1d(sets.i_0plus, sets.i_00_pmR).astype(int)
     idx_H = np.union1d(sets.i_plus0, sets.i_00_Rpm).astype(int)
-    base = np.vstack([problem.A_g[sets.i_g_plus], problem.A_h,
-                      problem.A_G[idx_G], problem.A_H[idx_H]])
+    dense = problem.dense_rows
+    base = np.vstack([dense("A_g", sets.i_g_plus), dense("A_h"),
+                      dense("A_G", idx_G), dense("A_H", idx_H)])
     hess = problem.Q  # affine constraints leave the Hessian equal to Q
     for choice in itertools.product((0, 1), repeat=free.size):
-        extra = [problem.A_G[i:i + 1] if c == 0 else problem.A_H[i:i + 1]
+        extra = [dense("A_H" if c else "A_G", slice(i, i + 1))
                  for i, c in zip(free, choice)]
         rows = np.vstack([base, *extra]) if extra else base
         if rows.shape[0] == 0:
@@ -503,15 +572,19 @@ _SECTIONS = (("ineq", "A_g", "b_g"), ("eq", "A_h", "b_h"),
              ("comp_G", "A_G", "b_G"), ("comp_H", "A_H", "b_H"))
 
 
-def _encode_matrix(mat: np.ndarray):
-    mat = np.asarray(mat, dtype=float)
-    nnz = np.count_nonzero(mat)
-    if mat.size > 64 and nnz < 0.25 * mat.size:
-        ii, jj = np.nonzero(mat)
+def _encode_matrix(mat):
+    """A block as rows of numbers, or as a coordinate list of [i, j, v] in
+    row-major order when it has more than 64 entries and under a quarter
+    of them nonzero; a CSR block is encoded from its entries."""
+    size = mat.shape[0] * mat.shape[1]
+    if size > 64 and (mat.nnz if sp.issparse(mat) else
+                      np.count_nonzero(mat)) < 0.25 * size:
+        csr = mat if sp.issparse(mat) else sp.csr_array(mat)
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(csr.indptr))
         return {"shape": list(mat.shape),
-                "entries": [[int(i), int(j), float(mat[i, j])]
-                            for i, j in zip(ii, jj)]}
-    return [[float(v) for v in row] for row in mat]
+                "entries": list(zip(rows.tolist(), csr.indices.tolist(),
+                                    csr.data.tolist()))}
+    return (mat.toarray() if sp.issparse(mat) else mat).tolist()
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -535,7 +608,7 @@ def _scalar(value, name: str) -> float:
     return float(arr)
 
 
-def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
+def _decode_matrix(obj, rows: int, cols: int, name: str):
     if not isinstance(obj, dict):
         mat = _finite(obj, name)  # save_instance writes [] for no rows
         if mat.shape != (rows, cols) and (rows or mat.shape != (0,)):
@@ -549,24 +622,67 @@ def _decode_matrix(obj, rows: int, cols: int, name: str) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise ValueError(f"{name}: coordinate-list 'entries' is not a list")
-    mat = np.zeros(shape)
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ValueError(f"{name}: coordinate-list 'entries' item {entry!r} "
-                             "is not an [i, j, v] triple")
+    return _coordinate_list(entries, shape, name)
+
+
+# elementwise type(a), len(a) and a[k] over object arrays, in C-level loops
+_TYPE = np.frompyfunc(type, 1, 1)
+_LEN = np.frompyfunc(len, 1, 1)
+_ITEM = np.frompyfunc(operator.getitem, 2, 1)
+# the ints from which float() rounds to 2^1024 and overflows
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _coordinate_list(entries: list, shape: list, name: str) -> sp.csr_array:
+    """The CSR array of the [i, j, v] triples of a coordinate list, each
+    checked to be a triple of integer indices in range and a number within
+    the float range; the first entry that fails raises its first failed
+    check's message. As in a dense block written entry by entry, a repeated
+    [i, j] takes its last value, and a zero value is not stored."""
+    items = np.fromiter(entries, object, len(entries))
+    # per entry, 0 or the first failed check: 1 the triple, 2 the indices,
+    # 3 the value's type and 4 its range
+    fail = np.where(_TYPE(items) == list, 0, 1)
+    ok = np.flatnonzero(fail == 0)
+    fail[ok] = np.where(_LEN(items[ok]) == 3, 0, 1)
+    ok = np.flatnonzero(fail == 0)
+    i, j, v = (_ITEM(items[ok], k) for k in range(3))
+    index = (_TYPE(i) == int) & (_TYPE(j) == int)
+    at = np.flatnonzero(index)
+    index[at] = ((i[at] >= 0) & (i[at] < shape[0])
+                 & (j[at] >= 0) & (j[at] < shape[1]))
+    kind = _TYPE(v)
+    number, big = (kind == int) | (kind == float), kind == int
+    at = np.flatnonzero(big)
+    big[at] = np.abs(v[at]) >= _FLOAT_OVERFLOW
+    fail[ok] = np.select([~index, ~number, big], [2, 3, 4], 0)
+    bad = np.flatnonzero(fail)
+    if bad.size:
+        first = int(bad[0])
+        code, entry = fail[first], entries[first]
+        if code == 1:
+            raise ValueError(f"{name}: coordinate-list 'entries' item "
+                             f"{entry!r} is not an [i, j, v] triple")
         i, j, v = entry
-        if not (type(i) is type(j) is int and 0 <= i < rows and 0 <= j < cols):
+        if code == 2:
             raise ValueError(f"{name}: coordinate-list index ({i!r}, {j!r}) "
-                             f"is not an integer or out of range for shape {shape}")
-        if type(v) not in (int, float):
+                             f"is not an integer or out of range for shape "
+                             f"{shape}")
+        if code == 3:
             raise ValueError(f"{name}: coordinate-list value {v!r} at "
                              f"({i}, {j}) is not a number")
-        try:
-            mat[i, j] = v
-        except OverflowError:
-            raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
-                             "is beyond the float range") from None
-    return _finite(mat, name)
+        raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
+                         "is beyond the float range")
+    # the last entry of each [i, j], in row-major order, unless it is zero
+    key = i.astype(np.int64) * shape[1] + j.astype(np.int64)
+    _, first = np.unique(key[::-1], return_index=True)
+    last = key.size - 1 - first
+    values = v.astype(float)[last]
+    last, values = last[values != 0.0], values[values != 0.0]
+    _finite(values, name)
+    return sp.csr_array((values, (i[last].astype(np.int64),
+                                  j[last].astype(np.int64))),
+                        shape=tuple(shape))
 
 
 def _section(doc: dict, key: str) -> dict:

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core import FullPoint, QuadraticMpcc, save_instance
 
@@ -134,6 +135,14 @@ def _p1_interior_operators(mesh: FemMesh, zeta: float):
     return stiffness, load, mean_w
 
 
+def _csr(rows: int, cols: int, i, j, values) -> sp.csr_array:
+    """The CSR array of the entries (i, j, values), no two in one place,
+    with the 32-bit indices of scipy's CSR of the dense block."""
+    return sp.coo_array((values, (i.astype(np.int32, copy=False),
+                                  j.astype(np.int32, copy=False))),
+                        shape=(rows, cols)).tocsr()
+
+
 def assemble_instance(params: IocParams | None = None) -> FemInstance:
     """Build the discrete MPCC for the given parameters."""
     params = params or IocParams()
@@ -148,36 +157,50 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     xi_idx = n_el + np.arange(n_el)
     w_idx = 2 * n_el + np.arange(n_int)
 
-    big_q = np.zeros((n, n))
-    big_q[u_idx, u_idx] = areas
-    big_q[2 * n_el:, 2 * n_el:] = stiffness
+    # Q: the element areas on u, the stiffness on w
+    si, sj = np.nonzero(stiffness)
+    big_q = _csr(n, n, np.concatenate((u_idx, w_idx[si])),
+                 np.concatenate((u_idx, w_idx[sj])),
+                 np.concatenate((areas, stiffness[si, sj])))
     lin = np.zeros(n)
     lin[u_idx] = -params.u_obs * areas
     lin[w_idx] = load
     c0 = 0.5 * params.u_obs ** 2 * float(areas.sum())
 
     # w >= w_a at every interior node: w_a - w_i <= 0
-    a_g = np.zeros((n_int, n))
-    a_g[np.arange(n_int), w_idx] = -1.0
+    a_g = _csr(n_int, n, np.arange(n_int), w_idx, np.full(n_int, -1.0))
     b_g = np.full(n_int, params.w_a)
 
-    # optimality system of OC(w), tested per element and scaled by 1/area
-    a_h = np.zeros((n_el, n))
-    a_h[:, :n_el] = areas  # the S*S coupling sum_T' a_T' u_T'
-    a_h[np.arange(n_el), u_idx] += params.alpha
-    a_h[:, 2 * n_el:] = -params.alpha * mean_w
-    a_h[np.arange(n_el), xi_idx] = -1.0
+    # optimality system of OC(w), tested per element and scaled by 1/area:
+    # the S*S coupling sum_T' a_T' u_T' (the first n_el^2 entries, row by
+    # row) with alpha added on its diagonal, then -xi_T and -alpha mean_T(w)
+    e, j = np.nonzero(mean_w)
+    values = np.concatenate((np.tile(areas, n_el), np.full(n_el, -1.0),
+                             -params.alpha * mean_w[e, j]))
+    values[:n_el * n_el:n_el + 1] += params.alpha
+    a_h = _csr(n_el, n,
+               np.concatenate((np.repeat(u_idx, n_el), u_idx, e),
+                              dtype=np.int32),
+               np.concatenate((np.tile(u_idx, n_el), xi_idx, w_idx[j]),
+                              dtype=np.int32),
+               values)
+    del values  # copied into a_h, and freed before the problem densifies it
     b_h = np.full(n_el, -params.y_d)
 
-    a_big_g = np.eye(n_el, n)  # G = u - u_a
+    a_big_g = sp.eye_array(n_el, n, format="csr")  # G = u - u_a
     b_big_g = np.full(n_el, -params.u_a)
-    a_big_h = np.eye(n_el, n, n_el)  # H = xi
+    a_big_h = sp.eye_array(n_el, n, k=n_el, format="csr")  # H = xi
     b_big_h = np.zeros(n_el)
 
     blocks = dict(Q=big_q, q=lin, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
                   A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h)
+    # handed over: read-only down to the memory each array views, so shared
     for block in blocks.values():
-        block.setflags(write=False)  # handed over: shared, not copied
+        for part in (block.data, block.indices, block.indptr) \
+                if sp.issparse(block) else (block,):
+            while isinstance(part, np.ndarray):
+                part.setflags(write=False)
+                part = part.base
     problem = QuadraticMpcc(c0=c0, **blocks)
     return FemInstance(problem=problem, mesh=mesh, params=params,
                        stiffness=stiffness, load=load, mean_w=mean_w,

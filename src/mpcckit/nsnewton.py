@@ -268,6 +268,9 @@ _NORM_ROWS = 256
 # every length of the default 61 at once for N <= 33, one at a time at
 # N = 3010
 _SCREEN_ENTRIES = 2048
+# entries of DF per block that _factor copies into its core, so that the
+# core's entries are never taken all at once
+_CORE_ENTRIES = 1 << 14
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -307,20 +310,46 @@ def _kkt(problem: QuadraticMpcc) -> _Kkt:
     return problem.cached(_build_kkt)
 
 
-def _entries(KI: sp.csr_array, ext: np.ndarray):
-    """(i, column, value) of every entry of the rows ext_i of the CSR KI,
-    row by row, each row's columns ascending."""
-    rows = KI[ext]
-    return (np.repeat(np.arange(ext.size), np.diff(rows.indptr)),
-            rows.indices.astype(np.intp), rows.data)
+class _Entries(NamedTuple):
+    """The entries of the rows ext_i of a CSR KI, row by row, each row's
+    columns ascending, of which only the columns are kept: entry e, for
+    start_i <= e < start_{i+1}, is of DF's row i, has the column col[e]
+    and the value data[offset_i + e], for data = KI.data. Rows and columns
+    are in KI's index type."""
+
+    start: np.ndarray
+    col: np.ndarray
+    offset: np.ndarray
+    data: np.ndarray
+
+    def of_rows(self, mask: np.ndarray) -> np.ndarray:
+        """The entries of the rows where mask holds."""
+        return np.repeat(mask, np.diff(self.start))
+
+    def take(self, mask: np.ndarray, first: int = 0):
+        """(row, column, value) of the entries where mask holds, for a mask
+        of the entries from the first on. One index array and a take per
+        array cost less than boolean indexing on long, irregular masks."""
+        at = np.flatnonzero(mask)
+        at += first
+        # the entries of each row are the ones between its start and the
+        # next: a search of the few row starts among the entries taken
+        row = np.repeat(np.arange(self.start.size - 1, dtype=self.col.dtype),
+                        np.diff(np.searchsorted(at, self.start)))
+        place = self.offset.take(row)  # of each entry in data
+        place += at
+        return row, self.col.take(at), self.data[place]
 
 
-def _pick(mask: np.ndarray, *arrays):
-    """The elements of each array where mask holds. One index array and a
-    take per array cost less than boolean indexing on long, irregular
-    masks."""
-    at = np.flatnonzero(mask)
-    return tuple(a.take(at) for a in arrays)
+def _entries(KI: sp.csr_array, ext: np.ndarray) -> _Entries:
+    """The _Entries of the rows ext_i of the CSR KI."""
+    lengths = KI.indptr[ext + 1] - KI.indptr[ext]
+    start = np.zeros(ext.size + 1, lengths.dtype)
+    np.cumsum(lengths, out=start[1:])
+    offset = KI.indptr[ext] - start[:-1]
+    place = np.repeat(offset, lengths)  # of each entry in KI
+    place += np.arange(place.size, dtype=place.dtype)
+    return _Entries(start, KI.indices[place], offset, KI.data)
 
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
@@ -458,7 +487,8 @@ def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = full_vector(problem, z)
     ext, sign, _ = _rows(problem, _affine(problem, v), v)
-    row, col, val = _entries(_kkt(problem).KI, ext)
+    entries = _entries(_kkt(problem).KI, ext)
+    row, col, val = entries.take(np.ones(entries.col.size, bool))
     df = np.zeros((ext.size, ext.size))
     df[row, col] = sign[row] * val
     return df
@@ -478,7 +508,8 @@ class _Factor(NamedTuple):
     for an empty core). back holds, per round of the column peel, the rows
     it peels, their columns and values, and the entries of those rows on
     the columns the forward peel left, each entry's row numbered by its
-    place among the round's rows."""
+    place among the round's rows. Rows and columns of entries are in the
+    index type of [K; I]."""
 
     forward: list
     core_rows: np.ndarray
@@ -536,7 +567,8 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
 
     start = KI.indptr[ext]
     # round 0 of the forward peel, from the row lengths alone
-    peeled = np.flatnonzero(KI.indptr[ext + 1] - start == 1)
+    count = (KI.indptr[ext + 1] - start).astype(np.intp)
+    peeled = np.flatnonzero(count == 1)
     at = start[peeled]
     col_at, value = KI.indices[at].astype(np.intp), KI.data[at]
     if not peel(peeled, col_at, value):
@@ -545,44 +577,51 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     # round 0 peels every unit row, so the live rows past n are of A
     if np.count_nonzero(ext[live_row] >= n) > np.count_nonzero(live_col[:n]):
         return None  # more live rows of A than live x columns
-    row, col, val = _entries(KI, ext)
-    on = np.ones(row.size, bool)
+    # Of every entry of DF only its column is held (see _Entries); masks
+    # mark the entries in use, and each live row's count of entries on live
+    # columns, then each live column's count of entries in live rows, falls
+    # by the entries that leave, so a round allocates about as much as the
+    # entries that it takes.
+    entries = _entries(KI, ext)
+    col, of_rows, take = entries.col, entries.of_rows, entries.take
+    on = np.ones(col.size, bool)
     forward = []
     while True:
-        # the entries of the live rows on the columns the round fixed; the
-        # others would move zeros, or reach rows that are solved already
-        now = live_col[col]
-        moved = on & ~now & live_row[row]
-        forward.append((peeled, col_at, value, *_pick(moved, row, col, val)))
-        on = now
-        count = np.bincount(row, on, size)
+        # the entries on the columns the round fixed: those of the live rows
+        # move; the others would move zeros, or reach rows solved already
+        off = on & ~live_col[col]
+        moved = take(off & of_rows(live_row))
+        forward.append((peeled, col_at, value, *moved))
+        count -= np.bincount(moved[0], minlength=size)
+        on &= ~off
         if np.count_nonzero(count < live_row):
             return None  # an empty row
-        single = count == 1.0
+        single = (count == 1) & live_row
         if not np.count_nonzero(single):
             break
-        peeled, col_at, value = _pick(single[row] & on, row, col, val)
+        # a row of single has one entry on, so the rows taken are these
+        _, col_at, value = take(of_rows(single) & on)
+        peeled = np.flatnonzero(single)
         if not peel(peeled, col_at, value):
             return None
-    row, col, val = _pick(on, row, col, val)
+    # on now marks the entries on the columns the forward peel left
+    count = np.bincount(col[on & of_rows(live_row)], minlength=size)
     back = []
-    place = np.empty(size, np.intp)
+    place = np.empty(size, col.dtype)
     while True:
-        on = live_row[row]
-        count = np.bincount(col, on, size)
         if np.count_nonzero(count < live_col):
             return None  # an empty column
-        single = count == 1.0
+        single = count == 1  # a column with one entry left is live
         if not np.count_nonzero(single):
             break
-        peeled, col_at, value = _pick(single[col] & on, row, col, val)
+        peeled, col_at, value = take(single[col] & of_rows(live_row))
         if not peel(peeled, col_at, value):
             return None
         place.fill(-1)
         place[peeled] = np.arange(peeled.size)
-        mine = place[row]
-        back.append((peeled, col_at, value,
-                     *_pick(mine >= 0, mine, col, val)))
+        mine, cols, vals = take(of_rows(place >= 0) & on)
+        back.append((peeled, col_at, value, place[mine], cols, vals))
+        count -= np.bincount(cols, minlength=size)
     core_rows, core_cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
     lu = piv = None
     if core_rows.size:
@@ -590,8 +629,12 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
         rank = np.zeros((2, size), np.intp)
         rank[0, core_rows] = rank[1, core_cols] = np.arange(core_rows.size)
         core = np.zeros((core_rows.size,) * 2, order="F")
-        row, col, val = _pick(on, row, col, val)
-        core[rank[0, row], rank[1, col]] = val
+        flat = core.reshape(-1, order="F")  # a view: core is F-ordered
+        # the entries left, _CORE_ENTRIES at a time
+        left = on & of_rows(live_row)
+        for first in range(0, left.size, _CORE_ENTRIES):
+            i, j, v = take(left[first:first + _CORE_ENTRIES], first)
+            flat[rank[1].take(j) * core_rows.size + rank[0].take(i)] = v
         lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
         if np.count_nonzero(np.abs(lu.diagonal()) > tol) != core_rows.size:
             return None

@@ -47,6 +47,8 @@ def enumerate_branch_nlps(problem: QuadraticMpcc, max_pairs: int = 12,
     if problem.r > max_ineq:
         raise ValueError(f"too many inequality rows ({problem.r} > {max_ineq})")
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
+    Q, A_g, A_h, A_G, A_H = map(problem.dense_rows,
+                                ("Q", "A_g", "A_h", "A_G", "A_H"))
     results = []
     kept = []  # concatenated (x, lam, eta, mu, nu) vectors for de-duplication
 
@@ -55,16 +57,14 @@ def enumerate_branch_nlps(problem: QuadraticMpcc, max_pairs: int = 12,
         fix_h = [i for i, tag in enumerate(tags) if tag in ("H_zero", "both_zero")]
         for k_active in range(r + 1):
             for active_g in itertools.combinations(range(r), k_active):
-                rows = [problem.A_h,
-                        problem.A_G[fix_g], problem.A_H[fix_h],
-                        problem.A_g[list(active_g)]]
+                rows = [A_h, A_G[fix_g], A_H[fix_h], A_g[list(active_g)]]
                 offs = [problem.b_h, problem.b_G[fix_g], problem.b_H[fix_h],
                         problem.b_g[list(active_g)]]
                 cons = np.vstack(rows)
                 rhs_c = np.concatenate(offs)
                 m_rows = cons.shape[0]
                 kkt = np.zeros((n + m_rows, n + m_rows))
-                kkt[:n, :n] = problem.Q
+                kkt[:n, :n] = Q
                 kkt[:n, n:] = cons.T
                 kkt[n:, :n] = cons
                 rhs = np.concatenate([-problem.q, -rhs_c])

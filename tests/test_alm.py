@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from helpers_tiny import random_tiny_mpcc, without_flag
 from mpcckit.alm import (
@@ -20,6 +21,7 @@ from mpcckit.cli import make_start
 from mpcckit.core import (
     MultiplierSet,
     QuadraticMpcc,
+    as_operator,
     classify_stationarity,
     eval_lagrangian,
 )
@@ -220,6 +222,33 @@ class TestSlackProblem:
             np.testing.assert_array_equal(a, z_g)
             np.testing.assert_array_equal(b, z_h)
             assert lifted.f(point) == pytest.approx(p.f(x), rel=1e-14)
+
+
+    def test_lifted_blocks_are_the_dense_stacking_of_the_same_kinds(self):
+        # sparse stacking gives the blocks, and so the operator kinds, of
+        # stacking the dense blocks: on a CSR Q and a dense A_h of the IOC
+        # instance, and on dense tiny blocks
+        rng = np.random.default_rng(36)
+        for p in (assemble_instance(IocParams(n_div=4)).problem,
+                  random_tiny_mpcc(rng)):
+            n, s, t = p.n, p.s, p.t
+            dense = {name: p.dense_rows(name)
+                     for name in ("Q", "A_g", "A_h", "A_G", "A_H")}
+            eye, zero = np.eye(t), np.zeros((t, t))
+            ref = dict(
+                Q=np.pad(dense["Q"], (0, 2 * t)),
+                A_g=np.pad(dense["A_g"], ((0, 0), (0, 2 * t))),
+                A_h=np.block([[dense["A_h"], np.zeros((s, 2 * t))],
+                              [dense["A_G"], -eye, zero],
+                              [dense["A_H"], zero, -eye]]),
+                A_G=np.hstack([np.zeros((t, n)), eye, zero]),
+                A_H=np.hstack([np.zeros((t, n)), zero, eye]))
+            lifted = slack_problem(p)
+            for name, block in ref.items():
+                mine = getattr(lifted, name)
+                assert scipy.sparse.issparse(mine) == \
+                    scipy.sparse.issparse(as_operator(block)), name
+                np.testing.assert_array_equal(lifted.dense_rows(name), block)
 
 
 class TestAlmConfig:

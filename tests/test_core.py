@@ -3,7 +3,7 @@
 import ast
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,8 @@ from mpcckit.core import (
     SolverTrace,
     TraceRow,
     _asymmetry,
+    _coordinate_list,
+    _licq_rows,
     as_operator,
     check_mpcc_licq,
     check_mpcc_ssoc,
@@ -32,7 +34,7 @@ from mpcckit.core import (
 )
 from mpcckit.iocfem import IocParams, assemble_instance
 from mpcckit.nsnewton import _kkt, solve_newton
-from mpcckit.oracle import finite_diff
+from mpcckit.oracle import enumerate_branch_nlps, finite_diff
 
 
 def _pair_problem(Q=None, q=None):
@@ -141,9 +143,11 @@ class TestBoundOperators:
     def test_dense_or_csr_by_size_and_density(self):
         p = assemble_instance(IocParams()).problem
         for name in ("Q", "A_g", "A_h", "A_G", "A_H"):
-            block = getattr(p, name)
+            block = p.dense_rows(name)
             sparse = block.size >= 4096 and \
                 np.count_nonzero(block) < 0.25 * block.size
+            # each block is stored once, as its operator
+            assert p.operator(name) is getattr(p, name)
             for transposed in (False, True):
                 op = p.operator(name, transposed)
                 assert p.operator(name, transposed) is op
@@ -151,7 +155,7 @@ class TestBoundOperators:
                 dense = op.toarray() if sparse else op
                 np.testing.assert_array_equal(
                     dense, block.T if transposed else block)
-        assert p.operator("A_h") is p.A_h  # 43 % nonzero: kept dense
+        assert isinstance(p.A_h, np.ndarray)  # 43 % nonzero: kept dense
 
     def test_csr_input_follows_the_same_rule(self):
         # the IOC blocks, and 64 x 64 blocks just under and at a quarter
@@ -184,24 +188,251 @@ class TestBoundOperators:
         built, csr_array = [], scipy.sparse.csr_array
 
         def spy(*args, **kwargs):
-            built.append(np.shape(args[0]))
+            if not isinstance(args[0], tuple):  # a matrix converted to CSR
+                built.append(args[0].shape)
             return csr_array(*args, **kwargs)
         monkeypatch.setattr(scipy.sparse, "csr_array", spy)
         x0, m0 = make_start(p, 1)
         z0 = FullPoint.from_parts(x0, m0)
         solve_alm(p, x0=x0)
-        assert built  # Q and A_g are sparse
+        # the blocks are stored as their operators, so ALM binds only the
+        # transposes, on first use: the CSR of A_g' (A_h' stays dense)
+        assert built == [(p.n, p.r)]
         built.clear()
         solve_alm(p, x0=x0)
         assert built == []
         solve_newton(p, z0=z0)
-        # on first use, the five blocks into the CSR [K; I] of Newton's K,
-        # with A_G and A_H bound first (ALM multiplies through neither)
+        # on first use, the five blocks into the CSR [K; I] of Newton's K
         assert built == [(p.n, p.n), (p.r, p.n), (p.s, p.n)] + \
-            [(p.t, p.n)] * 4
+            [(p.t, p.n)] * 2
         built.clear()
         solve_newton(p, z0=z0)
         assert built == []
+
+
+_MATRICES = ("Q", "A_g", "A_h", "A_G", "A_H")
+_VECTORS = ("q", "b_g", "b_h", "b_G", "b_H")
+
+
+def _arrays(block):
+    """The arrays that hold a block: a CSR array's data, indices and
+    pointers, or the dense array itself."""
+    if scipy.sparse.issparse(block):
+        return block.data, block.indices, block.indptr
+    return (block,)
+
+
+def _rebuilt(p, matrix):
+    """p built afresh from matrix(block) for each of its dense blocks."""
+    return QuadraticMpcc(c0=p.c0, **{name: getattr(p, name) for name in _VECTORS},
+                         **{name: matrix(p.dense_rows(name)) for name in _MATRICES})
+
+
+def _signed_zeros(block):
+    """block with -0.0 in each of its zeros, as a dense assembly by
+    -alpha * mean_w leaves them."""
+    return np.where(block == 0.0, -0.0, block)
+
+
+def _dense_twin(p, monkeypatch):
+    """p with every block stored dense, whatever as_operator's rule."""
+    with monkeypatch.context() as patch:
+        patch.setattr("mpcckit.core.as_operator", lambda mat: mat.toarray()
+                      if scipy.sparse.issparse(mat) else mat)
+        twin = _rebuilt(p, lambda block: block)
+    assert not any(scipy.sparse.issparse(getattr(twin, name))
+                   for name in _MATRICES)
+    return twin
+
+
+def _bits(result):
+    """Every field of a solver result: arrays by their bytes, floats by
+    their hex and trace rows by their repr, without their wall times."""
+    out = []
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, (MultiplierSet, FullPoint)):
+            out.append([getattr(value, g.name).tobytes()
+                        for g in fields(value)])
+        elif isinstance(value, SolverTrace):
+            out.append([repr(replace(row, wall_time=0.0))
+                        for row in value.rows])
+        elif isinstance(value, np.ndarray):
+            out.append(value.tobytes())
+        elif isinstance(value, float):
+            out.append(value.hex())
+        else:
+            out.append(value)
+    return out
+
+
+def _loop_decode(entries, shape, name):
+    """A coordinate list decoded entry by entry into a dense block, as
+    load_instance did before it decoded into CSR: the reference for its
+    values and its messages."""
+    rows, cols = shape
+    mat = np.zeros(shape)
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"{name}: coordinate-list 'entries' item {entry!r} "
+                             "is not an [i, j, v] triple")
+        i, j, v = entry
+        if not (type(i) is type(j) is int and 0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{name}: coordinate-list index ({i!r}, {j!r}) "
+                             f"is not an integer or out of range for shape {shape}")
+        if type(v) not in (int, float):
+            raise ValueError(f"{name}: coordinate-list value {v!r} at "
+                             f"({i}, {j}) is not a number")
+        try:
+            mat[i, j] = v
+        except OverflowError:
+            raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
+                             "is beyond the float range") from None
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} holds a NaN or infinite value")
+    return mat
+
+
+def _dense_encoding(mat):
+    """A dense block as save_instance wrote it before blocks could be CSR,
+    the reference for its bytes: a coordinate list entry by entry where
+    more than 64 entries are under a quarter nonzero, else rows."""
+    mat = np.asarray(mat, dtype=float)
+    nnz = np.count_nonzero(mat)
+    if mat.size > 64 and nnz < 0.25 * mat.size:
+        ii, jj = np.nonzero(mat)
+        return {"shape": list(mat.shape),
+                "entries": [[int(i), int(j), float(mat[i, j])]
+                            for i, j in zip(ii, jj)]}
+    return [[float(v) for v in row] for row in mat]
+
+
+class TestSparseBlocks:
+    """Blocks given as scipy sparse matrices, and each block stored once,
+    as the operator the solvers multiply with."""
+
+    def test_csr_block_is_canonical_and_read_only(self):
+        # unsorted, a duplicate, an explicit zero and entries summing to 0
+        rows, cols = [5, 3, 5, 3, 50, 50], [9, 2, 9, 40, 1, 1]
+        vals = [1.0, 2.0, 0.5, 0.0, 3.0, -3.0]
+        A = scipy.sparse.coo_array((vals, (rows, cols)), shape=(60, 80))
+        p = QuadraticMpcc(q=np.zeros(80), A_h=A, b_h=np.zeros(60))
+        assert isinstance(p.A_h, scipy.sparse.csr_array)
+        assert p.operator("A_h") is p.A_h
+        ref = scipy.sparse.csr_array(A.toarray())
+        for mine, theirs in zip(_arrays(p.A_h), _arrays(ref)):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+            with pytest.raises(ValueError):
+                mine[0] = mine[0]
+
+    def test_csr_blocks_are_shared_when_read_only_else_copied(self):
+        p = assemble_instance(IocParams()).problem
+        other = replace(p, c0=1.0)
+        for name in ("Q", "A_g", "A_G", "A_H"):
+            assert getattr(other, name) is getattr(p, name), name
+        given = scipy.sparse.csr_array(p.dense_rows("Q"))
+        q = QuadraticMpcc(Q=given, q=p.q)
+        assert q.Q is not given
+        assert not np.shares_memory(q.Q.data, given.data)
+        given.data[:] = 0.0
+        assert q.Q.nnz and np.count_nonzero(q.Q.data) == q.Q.nnz
+
+    def test_dense_and_csr_input_store_the_same_blocks(self):
+        p = assemble_instance(IocParams()).problem
+        dense = _rebuilt(p, _signed_zeros)
+        csr = _rebuilt(p, scipy.sparse.csr_array)
+        for name in _MATRICES:
+            mine, theirs = getattr(dense, name), getattr(csr, name)
+            assert type(mine) is type(theirs), name
+            for a, b in zip(_arrays(mine), _arrays(theirs)):
+                # as numbers: the dense A_h keeps the -0.0 it was given
+                np.testing.assert_array_equal(a, b)
+
+    def test_asymmetric_csr_q_is_rejected_without_a_dense_array(self):
+        n = 2048
+        Q = scipy.sparse.eye_array(n, format="csr")
+        tracemalloc.start()
+        try:
+            QuadraticMpcc(Q=Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the dense Q would take 32 MB
+        off = Q.tolil()
+        off[300, 1500] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticMpcc(Q=off.tocsr())
+        sym = off + off.T  # stored entries that cancel are no asymmetry
+        QuadraticMpcc(Q=scipy.sparse.csr_array(sym))
+
+    @pytest.mark.parametrize("w_a", [0.0, -0.05])
+    def test_ioc_solves_from_dense_and_csr_input_are_bit_identical(self,
+                                                                    w_a):
+        # w_a = -0.05 includes Newton's 1000-iteration stall
+        p = assemble_instance(IocParams(w_a=w_a)).problem
+        dense = _rebuilt(p, _signed_zeros)
+        csr = _rebuilt(p, scipy.sparse.csr_array)
+        assert dense.A_h.tobytes() != csr.A_h.tobytes()  # -0.0 against 0.0
+        for seed in (1, 2):
+            x0, m0 = make_start(p, seed)
+            z0 = FullPoint.from_parts(x0, m0)
+            assert _bits(solve_alm(dense, x0=x0, m0=m0)) == \
+                _bits(solve_alm(csr, x0=x0, m0=m0))
+            assert _bits(solve_newton(dense, z0=z0)) == \
+                _bits(solve_newton(csr, z0=z0))
+
+    def test_tiny_solves_from_dense_and_csr_input_are_bit_identical(self):
+        rng = np.random.default_rng(4001)
+        for _ in range(10):
+            p = random_tiny_mpcc(rng)
+            x0 = rng.normal(size=p.n)
+            z0 = FullPoint.from_parts(x0, MultiplierSet.zeros(p))
+            dense = _rebuilt(p, _signed_zeros)
+            csr = _rebuilt(p, scipy.sparse.csr_array)
+            assert _bits(solve_alm(dense, x0=x0)) == _bits(solve_alm(csr, x0=x0))
+            assert _bits(solve_newton(dense, z0=z0)) == \
+                _bits(solve_newton(csr, z0=z0))
+
+    def test_readers_of_csr_blocks_match_dense_storage(self, monkeypatch):
+        p = assemble_instance(IocParams()).problem
+        twin = _dense_twin(p, monkeypatch)
+        x = np.zeros(p.n)
+        # every pair biactive, two of them with both multipliers zero
+        m = MultiplierSet(np.zeros(p.r), np.zeros(p.s), -np.ones(p.t),
+                          -np.ones(p.t))
+        m.mu[:2] = m.nu[:2] = 0.0
+        for problem in (p, twin):
+            sets = compute_index_sets(problem, x, m)
+            assert sets.i_00_00.size == 2
+        assert _licq_rows(p, sets).tobytes() == \
+            _licq_rows(twin, sets).tobytes()
+        assert check_mpcc_licq(p, x, sets) == check_mpcc_licq(twin, x, sets)
+        assert check_mpcc_ssoc(p, x, m, sets) == \
+            check_mpcc_ssoc(twin, x, m, sets)
+        hess = eval_lagrangian(p, x, m)[2]
+        assert hess is p.Q and scipy.sparse.issparse(hess)
+
+    def test_oracle_on_csr_blocks_matches_dense_storage(self, monkeypatch):
+        # a CSR Q of order 80 with two coordinate pairs and one row of g
+        rng = np.random.default_rng(9)
+        n = 80
+        Q = scipy.sparse.diags_array([np.full(n - 1, 0.25), np.full(n, 2.0),
+                                      np.full(n - 1, 0.25)], offsets=[-1, 0, 1])
+        A_G, A_H = np.zeros((2, n)), np.zeros((2, n))
+        A_G[[0, 1], [0, 1]] = A_H[[0, 1], [2, 3]] = 1.0
+        p = QuadraticMpcc.build(Q=Q, q=rng.normal(size=n),
+                                A_g=rng.normal(size=(1, n)), b_g=[-1.0],
+                                A_G=A_G, b_G=np.zeros(2), A_H=A_H,
+                                b_H=np.zeros(2), coordinate_selection=True)
+        assert scipy.sparse.issparse(p.Q)
+        twin = _dense_twin(p, monkeypatch)
+        ours, theirs = enumerate_branch_nlps(p), enumerate_branch_nlps(twin)
+        assert len(ours) == len(theirs) > 0
+        for (x, m, tags), (y, k, tags_k) in zip(ours, theirs):
+            assert x.tobytes() == y.tobytes() and tags == tags_k
+            assert [getattr(m, f.name).tobytes() for f in fields(m)] == \
+                [getattr(k, f.name).tobytes() for f in fields(k)]
 
 
 class TestPairDetection:
@@ -528,6 +759,76 @@ class TestInstanceFiles:
         path = tmp_path / "sparse.json"
         save_instance(p, path)
         np.testing.assert_array_equal(load_instance(path).Q, Q)
+
+    def test_coordinate_list_loads_as_csr_last_value_wins(self, tmp_path):
+        # a repeated [i, j] keeps its last value, as in a dense block
+        # written entry by entry, and a last value of zero is not stored
+        n = 80
+        Q = np.zeros((n, n))
+        Q[3, 7] = Q[7, 3] = 1.5
+        path = tmp_path / "repeated.json"
+        save_instance(QuadraticMpcc.build(Q=Q, q=np.zeros(n)), path)
+        doc = json.loads(path.read_text())
+        doc["objective"]["Q"]["entries"] = [
+            [7, 3, 9.0], [3, 7, 2.5], [7, 3, 2.5], [5, 5, 4.0], [5, 5, 0.0],
+            [6, 6, 0.0], [0, 0, -1.0], [0, 0, 1.0]]
+        path.write_text(json.dumps(doc))
+        loaded = load_instance(path).Q
+        assert isinstance(loaded, scipy.sparse.csr_array)
+        ref = np.zeros((n, n))
+        ref[3, 7] = ref[7, 3] = 2.5
+        ref[0, 0] = 1.0
+        for mine, theirs in zip(_arrays(loaded),
+                                _arrays(scipy.sparse.csr_array(ref))):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_coordinate_list_decodes_as_the_entry_by_entry_loop(self):
+        # random lists with repeats, zeros and one or two bad entries
+        rng = np.random.default_rng(11)
+        bad = [5, [1, 2], [0, True, 1.0], [0, 9, 1.0], [-1, 0, 1.0],
+               [0, 0, "x"], [0, 0, None], [0, 0, 10**400], [1.0, 0, 1.0],
+               [0, 0, float("inf")], [[0], 0, 1.0]]
+        for case in range(60):
+            entries = [[int(i), int(j), float(rng.choice([0.0, -1.5, 2.0]))]
+                       for i, j in rng.integers(0, (4, 5), size=(12, 2))]
+            for _ in range(case % 3):
+                entries.insert(int(rng.integers(0, 13)),
+                               bad[int(rng.integers(0, len(bad)))])
+            try:
+                want = _loop_decode(entries, [4, 5], "A")
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    _coordinate_list(entries, [4, 5], "A")
+                assert str(got.value) == str(err)
+                continue
+            mat = _coordinate_list(entries, [4, 5], "A")
+            assert isinstance(mat, scipy.sparse.csr_array)
+            ref = scipy.sparse.csr_array(want)
+            for mine, theirs in zip(_arrays(mat), _arrays(ref)):
+                np.testing.assert_array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("instance", [
+        IocParams(n_div=2), IocParams(n_div=2, w_a=-0.05), IocParams(),
+        IocParams(w_a=-0.05), None], ids=["ioc2", "ioc2-shifted", "ioc8",
+                                          "ioc8-shifted", "tiny"])
+    def test_files_are_the_bytes_of_the_dense_encoder(self, tmp_path,
+                                                      instance):
+        p = random_tiny_mpcc(np.random.default_rng(5)) if instance is None \
+            else assemble_instance(instance).problem
+        path = tmp_path / "instance.json"
+        save_instance(p, path)
+        doc = {"format": "mpcc-instance", "version": 1,
+               "n": p.n, "r": p.r, "s": p.s, "t": p.t,
+               "coordinate_selection": p.coordinate_selection,
+               "objective": {"Q": _dense_encoding(p.dense_rows("Q")),
+                             "q": [float(v) for v in p.q], "c0": p.c0}}
+        for key, a_name, b_name in (("ineq", "A_g", "b_g"),
+                                    ("eq", "A_h", "b_h"),
+                                    ("comp_G", "A_G", "b_G"),
+                                    ("comp_H", "A_H", "b_H")):
+            doc[key] = {"A": _dense_encoding(p.dense_rows(a_name)),
+                        "b": [float(v) for v in getattr(p, b_name)]}
+        assert path.read_text() == json.dumps(doc, indent=1)
 
     def test_stored_false_over_selecting_rows_loads_with_partition(
             self, tmp_path):

@@ -1,9 +1,12 @@
 """Finite-element inverse-optimal-control instance generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
-from mpcckit.core import load_instance
+from mpcckit.core import as_operator, load_instance
 from mpcckit.iocfem import (
     IocParams,
     assemble_instance,
@@ -80,6 +83,14 @@ def _reference_instance(params):
                 areas=areas)
 
 
+def _arrays(block):
+    """The arrays that hold a block: a CSR array's data, indices and
+    pointers, or the dense array itself."""
+    if scipy.sparse.issparse(block):
+        return block.data, block.indices, block.indptr
+    return (block,)
+
+
 class TestBuildMesh:
     def test_default_resolution_counts(self):
         mesh = build_mesh(8)
@@ -138,7 +149,7 @@ class TestAssembleInstance:
 
     def test_objective_block_structure(self):
         inst = assemble_instance(IocParams(n_div=4))
-        Q = inst.problem.Q
+        Q = inst.problem.dense_rows("Q")
         np.testing.assert_allclose(Q[np.ix_(inst.u_idx, inst.u_idx)],
                                    np.diag(inst.mesh.areas), atol=1e-15)
         np.testing.assert_array_equal(Q[np.ix_(inst.xi_idx, inst.xi_idx)], 0.0)
@@ -190,6 +201,21 @@ class TestAssembleInstance:
             2.0, abs=1e-12)
 
 
+    def test_assembly_forms_no_dense_n_by_n_array(self):
+        # Q, A_g, A_G and A_H are assembled as CSR; A_h, under half zero,
+        # is the one dense block, s x n
+        tracemalloc.start()
+        try:
+            inst = assemble_instance(IocParams(n_div=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = inst.problem
+        assert peak < p.n * p.n * 8
+        assert [scipy.sparse.issparse(getattr(p, name)) for name in (
+            "Q", "A_g", "A_h", "A_G", "A_H")] == [True, True, False, True,
+                                                  True]
+
     @pytest.mark.parametrize("n_div", [1, 2, 3, 8])
     @pytest.mark.parametrize("w_a", [0.0, -0.05])
     def test_equals_the_per_element_loops_bit_for_bit(self, n_div, w_a):
@@ -204,10 +230,17 @@ class TestAssembleInstance:
             "vertices", "triangles", "interior", "areas")})
         assert got.keys() == ref.keys()
         for name, value in ref.items():
+            if name in ("Q", "A_g", "A_h", "A_G", "A_H"):
+                # stored as the operator of the CSR of the reference block,
+                # so a dense block holds 0.0 where the reference holds -0.0
+                value = as_operator(scipy.sparse.csr_array(value))
+                assert scipy.sparse.issparse(got[name]) == \
+                    scipy.sparse.issparse(value), name
             # signed zeros included
-            assert got[name].dtype == value.dtype, name
-            assert got[name].shape == value.shape, name
-            assert got[name].tobytes() == value.tobytes(), name
+            for mine, theirs in zip(_arrays(got[name]), _arrays(value)):
+                assert mine.dtype == theirs.dtype, name
+                assert mine.shape == theirs.shape, name
+                assert mine.tobytes() == theirs.tobytes(), name
 
 
 class TestReferencePoint:

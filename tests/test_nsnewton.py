@@ -409,9 +409,10 @@ def _reference_df(p, v):
 
 def _reference_kkt(p):
     """K = [[Q, A'], [A, 0]] as a dense array, from the problem's blocks."""
-    rows = np.vstack([p.A_g, p.A_h, p.A_G, p.A_H])
+    rows = np.vstack([p.dense_rows(name) for name in ("A_g", "A_h", "A_G",
+                                                      "A_H")])
     K = np.zeros((p.n + len(rows),) * 2)
-    K[:p.n, :p.n] = p.Q
+    K[:p.n, :p.n] = p.dense_rows("Q")
     K[:p.n, p.n:] = rows.T
     K[p.n:, :p.n] = rows
     return K
