@@ -63,16 +63,13 @@ class PairPartition:
         rows, or a coordinate selected twice, raise ValueError."""
 
         def split(A):
-            if not sp.issparse(A):
-                A = np.asarray(A, dtype=float)
+            A = sp.csr_array(A)
             idx = singleton_columns(A)
             if np.any(idx < 0):
                 raise ValueError(
                     "coordinate-selection rows must be signed unit vectors"
                 )
-            if sp.issparse(A):
-                return idx, A.data[A.indptr[:-1]]
-            return idx, A[np.arange(idx.size), idx]
+            return idx, A.data[A.indptr[:-1]]
 
         idx_g, sign_g = split(A_G)
         idx_h, sign_h = split(A_H)
@@ -126,15 +123,11 @@ class PairPartition:
 def singleton_columns(A) -> np.ndarray:
     """For each row of A, the column of its single nonzero, or -1. A is a
     dense array or a CSR array with no stored zeros."""
-    if sp.issparse(A):
-        cols = np.full(A.shape[0], -1)
-        one = np.diff(A.indptr) == 1
-        cols[one] = A.indices[A.indptr[:-1][one]]
-        return cols
-    nonzero = np.asarray(A) != 0.0
-    if nonzero.shape[1] == 0:
-        return np.full(len(nonzero), -1)
-    return np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1)
+    A = sp.csr_array(A)
+    cols = np.full(A.shape[0], -1)
+    one = np.diff(A.indptr) == 1
+    cols[one] = A.indices[A.indptr[:-1][one]]
+    return cols
 
 
 def project_onto_C(z_g, z_h) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -92,8 +90,8 @@ class QuadraticMpcc:
             given = self.q if self.q is not None else self.Q
             if given is None:
                 raise ValueError("cannot infer n: provide Q, q, or n")
-            n = _shape(given)[-1]
-        r, s, t = (0 if a is None else _shape(a)[0]
+            n = np.shape(given)[-1]
+        r, s, t = (0 if a is None else np.shape(a)[0]
                    for a in (self.A_g, self.A_h, self.A_G))
         shapes = {"Q": (n, n), "q": (n,), "A_g": (r, n), "b_g": (r,),
                   "A_h": (s, n), "b_h": (s,), "A_G": (t, n), "b_G": (t,),
@@ -222,30 +220,14 @@ def as_operator(mat):
     return mat.toarray() if sparse else mat
 
 
-# entries of Q per block of rows of the symmetry check, 16 MB of floats, so
-# that Q - Q' is formed whole only where it fits in one block
-_SYMMETRY_ENTRIES = 1 << 21
-
-
 def _asymmetry(Q) -> float:
-    """|Q - Q'|_F, for a dense Q as the 2-norm of the norms of its blocks of
-    rows, for a CSR Q from the entries of the CSR Q - Q'."""
-    if sp.issparse(Q):
-        return _frobenius(Q - Q.T)
-    rows = max(1, _SYMMETRY_ENTRIES // max(1, Q.shape[0]))
-    return math.hypot(*(np.linalg.norm(Q[i:i + rows] - Q[:, i:i + rows].T)
-                        for i in range(0, Q.shape[0], rows)))
+    """|Q - Q'|_F of a dense or a CSR Q."""
+    return _frobenius(Q - Q.T)
 
 
 def _frobenius(mat) -> float:
     """|mat|_F of a dense or a sparse matrix."""
     return float(np.linalg.norm(mat.data if sp.issparse(mat) else mat))
-
-
-def _shape(block) -> tuple:
-    """The shape of a block as given: an array, a nested list or a sparse
-    matrix."""
-    return block.shape if sp.issparse(block) else np.shape(block)
 
 
 def _stored(arr, given, matrix: bool):
@@ -625,64 +607,36 @@ def _decode_matrix(obj, rows: int, cols: int, name: str):
     return _coordinate_list(entries, shape, name)
 
 
-# elementwise type(a), len(a) and a[k] over object arrays, in C-level loops
-_TYPE = np.frompyfunc(type, 1, 1)
-_LEN = np.frompyfunc(len, 1, 1)
-_ITEM = np.frompyfunc(operator.getitem, 2, 1)
-# the ints from which float() rounds to 2^1024 and overflows
-_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
-
-
 def _coordinate_list(entries: list, shape: list, name: str) -> sp.csr_array:
     """The CSR array of the [i, j, v] triples of a coordinate list, each
     checked to be a triple of integer indices in range and a number within
     the float range; the first entry that fails raises its first failed
     check's message. As in a dense block written entry by entry, a repeated
     [i, j] takes its last value, and a zero value is not stored."""
-    items = np.fromiter(entries, object, len(entries))
-    # per entry, 0 or the first failed check: 1 the triple, 2 the indices,
-    # 3 the value's type and 4 its range
-    fail = np.where(_TYPE(items) == list, 0, 1)
-    ok = np.flatnonzero(fail == 0)
-    fail[ok] = np.where(_LEN(items[ok]) == 3, 0, 1)
-    ok = np.flatnonzero(fail == 0)
-    i, j, v = (_ITEM(items[ok], k) for k in range(3))
-    index = (_TYPE(i) == int) & (_TYPE(j) == int)
-    at = np.flatnonzero(index)
-    index[at] = ((i[at] >= 0) & (i[at] < shape[0])
-                 & (j[at] >= 0) & (j[at] < shape[1]))
-    kind = _TYPE(v)
-    number, big = (kind == int) | (kind == float), kind == int
-    at = np.flatnonzero(big)
-    big[at] = np.abs(v[at]) >= _FLOAT_OVERFLOW
-    fail[ok] = np.select([~index, ~number, big], [2, 3, 4], 0)
-    bad = np.flatnonzero(fail)
-    if bad.size:
-        first = int(bad[0])
-        code, entry = fail[first], entries[first]
-        if code == 1:
+    rows, cols = shape
+    last = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"{name}: coordinate-list 'entries' item "
                              f"{entry!r} is not an [i, j, v] triple")
         i, j, v = entry
-        if code == 2:
+        if not (type(i) is type(j) is int and 0 <= i < rows
+                and 0 <= j < cols):
             raise ValueError(f"{name}: coordinate-list index ({i!r}, {j!r}) "
                              f"is not an integer or out of range for shape "
                              f"{shape}")
-        if code == 3:
+        if type(v) not in (int, float):
             raise ValueError(f"{name}: coordinate-list value {v!r} at "
                              f"({i}, {j}) is not a number")
-        raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
-                         "is beyond the float range")
-    # the last entry of each [i, j], in row-major order, unless it is zero
-    key = i.astype(np.int64) * shape[1] + j.astype(np.int64)
-    _, first = np.unique(key[::-1], return_index=True)
-    last = key.size - 1 - first
-    values = v.astype(float)[last]
-    last, values = last[values != 0.0], values[values != 0.0]
-    _finite(values, name)
-    return sp.csr_array((values, (i[last].astype(np.int64),
-                                  j[last].astype(np.int64))),
-                        shape=tuple(shape))
+        try:
+            last[i, j] = float(v)
+        except OverflowError:
+            raise ValueError(f"{name}: coordinate-list value at ({i}, {j}) "
+                             "is beyond the float range") from None
+    kept = {ij: v for ij, v in last.items() if v != 0.0}
+    values = _finite(list(kept.values()), name)
+    ij = np.array(list(kept), dtype=np.int64).reshape(-1, 2)
+    return sp.csr_array((values, (ij[:, 0], ij[:, 1])), shape=tuple(shape))
 
 
 def _section(doc: dict, key: str) -> dict:

@@ -53,22 +53,23 @@ class TestProblemContainer:
     def test_symmetry_check_forms_no_n_by_n_temporary(self):
         n = 2048
         Q = np.eye(n)
-        Q.setflags(write=False)  # shared, not copied
+        Q.setflags(write=False)  # as_operator stores it as CSR all the same
         tracemalloc.start()
         try:
             QuadraticMpcc(Q=Q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Q - Q' would take Q.nbytes; each of the two blocks of rows half
+        # a dense Q - Q' would take Q.nbytes; the CSR one is sized by its
+        # entries
         assert peak < Q.nbytes / 2 + 2 ** 20
         off = np.eye(n)
-        off[300, 1500] = 1e-6  # in another block of rows than its mirror
+        off[300, 1500] = 1e-6  # an entry whose mirror is zero
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticMpcc(Q=off)
 
     def test_asymmetry_is_the_frobenius_norm_of_q_minus_its_transpose(self):
-        Q = np.random.default_rng(5).normal(size=(1500, 1500))  # two blocks
+        Q = np.random.default_rng(5).normal(size=(1500, 1500))  # dense
         assert _asymmetry(Q) == pytest.approx(np.linalg.norm(Q - Q.T),
                                               rel=1e-13)
         assert _asymmetry(Q + Q.T) == 0.0
@@ -454,19 +455,36 @@ class TestPairDetection:
         assert p.pair_partition().t == 0
 
     def test_singleton_columns(self):
+        def columns(A):
+            # dense and as a CSR array, to equal columns of equal dtype
+            dense = singleton_columns(A)
+            csr = singleton_columns(scipy.sparse.csr_array(A))
+            np.testing.assert_array_equal(csr, dense)
+            assert csr.dtype == dense.dtype
+            return dense
+
         A = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, -2.0, 0.0],
                       [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-        np.testing.assert_array_equal(singleton_columns(A),
-                                      [-1, -1, 1, 2, 2])
+        np.testing.assert_array_equal(columns(A), [-1, -1, 1, 2, 2])
         # against a row loop, on rows with 0, 1 or several nonzeros
         rng = np.random.default_rng(8)
         A = rng.normal(size=(200, 6)) * (rng.random((200, 6)) < 0.2)
         loop = [np.flatnonzero(row)[0] if np.count_nonzero(row) == 1 else -1
                 for row in A]
-        np.testing.assert_array_equal(singleton_columns(A), loop)
-        assert singleton_columns(np.zeros((0, 3))).shape == (0,)
-        np.testing.assert_array_equal(singleton_columns(np.zeros((2, 0))),
-                                      [-1, -1])
+        np.testing.assert_array_equal(columns(A), loop)
+        assert columns(np.zeros((0, 3))).shape == (0,)
+        np.testing.assert_array_equal(columns(np.zeros((2, 0))), [-1, -1])
+        # a -0.0 beside a row's unit entry is no second nonzero
+        A_G, A_H = [[-0.0, 1.0, 0.0]], [[0.0, -0.0, -1.0]]
+        np.testing.assert_array_equal(columns(A_G), [1])
+        dense = PairPartition.from_rows(A_G, [0.0], A_H, [0.0])
+        csr = PairPartition.from_rows(scipy.sparse.csr_array(A_G), [0.0],
+                                      scipy.sparse.csr_array(A_H), [0.0])
+        for name, want in (("idx_g", [1]), ("idx_h", [2]),
+                           ("sign_g", [1.0]), ("sign_h", [-1.0])):
+            np.testing.assert_array_equal(getattr(dense, name), want)
+            np.testing.assert_array_equal(getattr(csr, name), want)
+            assert getattr(csr, name).dtype == getattr(dense, name).dtype
 
     @pytest.mark.parametrize("A_G, A_H", [
         ([[0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),
@@ -475,15 +493,17 @@ class TestPairDetection:
         ([[1.0, 0.0, 0.0]], [[-1.0, 0.0, 0.0]]),
     ], ids=["zero-row", "two-nonzeros", "entry-of-2", "repeated-coordinate"])
     def test_rows_that_select_no_coordinates(self, A_G, A_H):
-        with pytest.raises(ValueError):
-            PairPartition.from_rows(A_G, [0.0], A_H, [0.0])
-        p = QuadraticMpcc(n=3, A_G=A_G, A_H=A_H)
-        assert p.coordinate_selection is False
-        with pytest.raises(ValueError):
-            p.pair_partition()
-        with pytest.raises(ValueError, match="coordinate_selection"):
-            QuadraticMpcc.build(n=3, A_G=A_G, A_H=A_H,
-                                coordinate_selection=True)
+        csr = scipy.sparse.csr_array
+        for G, H in ((A_G, A_H), (csr(A_G), csr(A_H))):
+            with pytest.raises(ValueError):
+                PairPartition.from_rows(G, [0.0], H, [0.0])
+            p = QuadraticMpcc(n=3, A_G=G, A_H=H)
+            assert p.coordinate_selection is False
+            with pytest.raises(ValueError):
+                p.pair_partition()
+            with pytest.raises(ValueError, match="coordinate_selection"):
+                QuadraticMpcc.build(n=3, A_G=G, A_H=H,
+                                    coordinate_selection=True)
 
     def test_replace_derives_dimensions_and_detects_again(self):
         p = _pair_problem()
@@ -762,7 +782,8 @@ class TestInstanceFiles:
 
     def test_coordinate_list_loads_as_csr_last_value_wins(self, tmp_path):
         # a repeated [i, j] keeps its last value, as in a dense block
-        # written entry by entry, and a last value of zero is not stored
+        # written entry by entry, and a last value of zero, or of -0.0, is
+        # not stored
         n = 80
         Q = np.zeros((n, n))
         Q[3, 7] = Q[7, 3] = 1.5
@@ -771,13 +792,15 @@ class TestInstanceFiles:
         doc = json.loads(path.read_text())
         doc["objective"]["Q"]["entries"] = [
             [7, 3, 9.0], [3, 7, 2.5], [7, 3, 2.5], [5, 5, 4.0], [5, 5, 0.0],
-            [6, 6, 0.0], [0, 0, -1.0], [0, 0, 1.0]]
+            [6, 6, 0.0], [0, 0, -1.0], [0, 0, 1.0], [4, 4, float("nan")],
+            [4, 4, 3.0], [2, 2, -0.0]]
         path.write_text(json.dumps(doc))
-        loaded = load_instance(path).Q
+        loaded = load_instance(path).Q  # the overwritten NaN is no error
         assert isinstance(loaded, scipy.sparse.csr_array)
         ref = np.zeros((n, n))
         ref[3, 7] = ref[7, 3] = 2.5
         ref[0, 0] = 1.0
+        ref[4, 4] = 3.0
         for mine, theirs in zip(_arrays(loaded),
                                 _arrays(scipy.sparse.csr_array(ref))):
             assert mine.tobytes() == theirs.tobytes()
