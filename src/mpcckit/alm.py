@@ -134,8 +134,8 @@ def _oracle_factory(problem: QuadraticMpcc):
     times, so it multiplies through the problem's bound operators, and the
     multiplier shifts are folded in per outer iteration.
     """
-    Q, Ag, Ah = map(problem.operator, ("Q", "A_g", "A_h"))
-    AgT, AhT = (problem.operator(a, transposed=True) for a in ("A_g", "A_h"))
+    Q, Ag, Ah = problem.Q, problem.A_g, problem.A_h
+    AgT, AhT = map(problem.transposed, ("A_g", "A_h"))
     q, c0, b_g, b_h = problem.q, problem.c0, problem.b_g, problem.b_h
 
     def build(rho, hat):
@@ -186,9 +186,8 @@ def _update(problem: QuadraticMpcc, x, rho: float,
     lam = np.maximum(rho * problem.g(x) + safeguarded.lam, 0.0)
     eta = rho * problem.h(x) + safeguarded.eta
     pairs = problem.pair_partition()
-    op = problem.operator
-    partial = (problem.grad_f(x) + op("A_g", transposed=True) @ lam
-               + op("A_h", transposed=True) @ eta)
+    partial = (problem.grad_f(x) + problem.transposed("A_g") @ lam
+               + problem.transposed("A_h") @ eta)
     mu = -pairs.sign_g * partial[pairs.idx_g]
     nu = -pairs.sign_h * partial[pairs.idx_h]
     return MultiplierSet(lam, eta, mu, nu), partial

@@ -64,8 +64,9 @@ class QuadraticMpcc:
     the CSR of the dense block. Every block is stored read-only: a block the
     caller can still write is copied, and a read-only one, such as another
     problem's, is shared. The pair structure of D is detected on
-    construction (see pair_partition), the transposed operators and the data
-    a solver caches with the problem (see cached) on first use.
+    construction (see pair_partition), the transposed blocks (see
+    transposed) and the data a solver caches with the problem (see cached)
+    on first use.
     """
 
     Q: np.ndarray | None = None
@@ -149,14 +150,11 @@ class QuadraticMpcc:
         """Whether the pair maps were detected to select coordinates."""
         return self._pairs is not None
 
-    def operator(self, name: str, transposed: bool = False):
-        """The block name (Q, A_g, A_h, A_G or A_H), which is stored as its
-        operator, or its transpose, bound by as_operator on first use, once
-        per problem."""
-        mat = getattr(self, name)
-        if not transposed:
-            return mat
+    def transposed(self, name: str):
+        """The transpose of the block name (Q, A_g, A_h, A_G or A_H), bound
+        by as_operator on first use, once per problem."""
         if name not in self._cache:
+            mat = getattr(self, name)
             self._cache[name] = as_operator(
                 sp.csr_array(mat.T) if sp.issparse(mat)
                 else np.ascontiguousarray(mat.T))
@@ -178,22 +176,22 @@ class QuadraticMpcc:
     # pointwise evaluations
     def f(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (self.operator("Q") @ x) + self.q @ x + self.c0)
+        return float(0.5 * x @ (self.Q @ x) + self.q @ x + self.c0)
 
     def grad_f(self, x) -> np.ndarray:
-        return self.operator("Q") @ np.asarray(x, dtype=float) + self.q
+        return self.Q @ np.asarray(x, dtype=float) + self.q
 
     def g(self, x) -> np.ndarray:
-        return self.operator("A_g") @ np.asarray(x, dtype=float) + self.b_g
+        return self.A_g @ np.asarray(x, dtype=float) + self.b_g
 
     def h(self, x) -> np.ndarray:
-        return self.operator("A_h") @ np.asarray(x, dtype=float) + self.b_h
+        return self.A_h @ np.asarray(x, dtype=float) + self.b_h
 
     def G(self, x) -> np.ndarray:
-        return self.operator("A_G") @ np.asarray(x, dtype=float) + self.b_G
+        return self.A_G @ np.asarray(x, dtype=float) + self.b_G
 
     def H(self, x) -> np.ndarray:
-        return self.operator("A_H") @ np.asarray(x, dtype=float) + self.b_H
+        return self.A_H @ np.asarray(x, dtype=float) + self.b_H
 
     def pair_partition(self) -> PairPartition:
         """Pair structure of D, built once with the problem.
@@ -418,9 +416,8 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
     x = np.asarray(x, dtype=float)
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
-    op = problem.operator
-    grad = (problem.grad_f(x) + m.lam @ op("A_g") + m.eta @ op("A_h")
-            + m.mu @ op("A_G") + m.nu @ op("A_H"))
+    grad = (problem.grad_f(x) + m.lam @ problem.A_g + m.eta @ problem.A_h
+            + m.mu @ problem.A_G + m.nu @ problem.A_H)
     return float(value), grad, problem.Q
 
 
@@ -598,7 +595,8 @@ def _decode_matrix(obj, rows: int, cols: int, name: str):
                              f"does not match {(rows, cols)}")
         return mat.reshape(rows, cols)
     shape = obj["shape"]
-    if not isinstance(shape, list) or tuple(shape) != (rows, cols):
+    if not (isinstance(shape, list) and all(type(k) is int for k in shape)
+            and tuple(shape) == (rows, cols)):
         raise ValueError(f"{name}: coordinate-list shape {shape} "
                          f"does not match {(rows, cols)}")
     entries = obj["entries"]

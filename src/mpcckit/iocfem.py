@@ -76,9 +76,6 @@ class FemInstance:
     problem: QuadraticMpcc
     mesh: FemMesh
     params: IocParams
-    stiffness: np.ndarray  # interior-node P1 stiffness matrix
-    load: np.ndarray  # interior-node loads int(zeta * basis)
-    mean_w: np.ndarray  # (T, n_int) element means of the interior P1 basis
     u_idx: np.ndarray
     xi_idx: np.ndarray
     w_idx: np.ndarray
@@ -111,8 +108,9 @@ def build_mesh(n_div: int) -> FemMesh:
 
 
 def _p1_interior_operators(mesh: FemMesh, zeta: float):
-    """Stiffness matrix, load vector, and element means of the interior
-    basis, with both sums in element order, then local vertex order."""
+    """The stiffness matrix's nonzeros (i, j, value), the load vector, and
+    the element means of the interior basis (element, interior node, 1/3),
+    with both sums in element order, then local vertex order."""
     n_int = mesh.interior.size
     local = np.full(len(mesh.vertices), -1)
     local[mesh.interior] = np.arange(n_int)
@@ -127,12 +125,12 @@ def _p1_interior_operators(mesh: FemMesh, zeta: float):
     e, a = np.nonzero(tri >= 0)
     load = np.zeros(n_int)
     np.add.at(load, tri[e, a], zeta * mesh.areas[e] / 3.0)
-    mean_w = np.zeros((len(mesh.triangles), n_int))
-    mean_w[e, tri[e, a]] = 1.0 / 3.0
+    means = e, tri[e, a], np.full(e.size, 1.0 / 3.0)
     e, a, b = np.nonzero((tri[:, :, None] >= 0) & (tri[:, None, :] >= 0))
     stiffness = np.zeros((n_int, n_int))
     np.add.at(stiffness, (tri[e, a], tri[e, b]), k_loc[e, a, b])
-    return stiffness, load, mean_w
+    si, sj = np.nonzero(stiffness)
+    return (si, sj, stiffness[si, sj]), load, means
 
 
 def _csr(rows: int, cols: int, i, j, values) -> sp.csr_array:
@@ -150,7 +148,8 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     n_el = len(mesh.triangles)
     n_int = mesh.interior.size
     areas = mesh.areas
-    stiffness, load, mean_w = _p1_interior_operators(mesh, params.zeta)
+    (si, sj, k_values), load, (e, j, means) = _p1_interior_operators(
+        mesh, params.zeta)
 
     n = 2 * n_el + n_int
     u_idx = np.arange(n_el)
@@ -158,10 +157,9 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     w_idx = 2 * n_el + np.arange(n_int)
 
     # Q: the element areas on u, the stiffness on w
-    si, sj = np.nonzero(stiffness)
     big_q = _csr(n, n, np.concatenate((u_idx, w_idx[si])),
                  np.concatenate((u_idx, w_idx[sj])),
-                 np.concatenate((areas, stiffness[si, sj])))
+                 np.concatenate((areas, k_values)))
     lin = np.zeros(n)
     lin[u_idx] = -params.u_obs * areas
     lin[w_idx] = load
@@ -174,9 +172,8 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     # optimality system of OC(w), tested per element and scaled by 1/area:
     # the S*S coupling sum_T' a_T' u_T' (the first n_el^2 entries, row by
     # row) with alpha added on its diagonal, then -xi_T and -alpha mean_T(w)
-    e, j = np.nonzero(mean_w)
     values = np.concatenate((np.tile(areas, n_el), np.full(n_el, -1.0),
-                             -params.alpha * mean_w[e, j]))
+                             -params.alpha * means))
     values[:n_el * n_el:n_el + 1] += params.alpha
     a_h = _csr(n_el, n,
                np.concatenate((np.repeat(u_idx, n_el), u_idx, e),
@@ -203,7 +200,6 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
                 part = part.base
     problem = QuadraticMpcc(c0=c0, **blocks)
     return FemInstance(problem=problem, mesh=mesh, params=params,
-                       stiffness=stiffness, load=load, mean_w=mean_w,
                        u_idx=u_idx, xi_idx=xi_idx, w_idx=w_idx)
 
 

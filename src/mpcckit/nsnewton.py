@@ -281,9 +281,9 @@ def _gamma(m):
 
 
 def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
-    Q = sp.csr_array(problem.operator("Q"))
-    a = sp.vstack([sp.csr_array(problem.operator(name))
-                   for name in ("A_g", "A_h", "A_G", "A_H")], format="csr")
+    Q = sp.csr_array(problem.Q)
+    a = sp.vstack([sp.csr_array(block) for block in (
+        problem.A_g, problem.A_h, problem.A_G, problem.A_H)], format="csr")
     m = a.shape[0]
     KI = sp.vstack((sp.hstack((Q, a.T), format="csr"),
                     sp.hstack((a, sp.coo_array((m, m))), format="csr"),
@@ -294,8 +294,8 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
     norms = np.concatenate([
         np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
         for i in range(0, KI.shape[0], _NORM_ROWS)])
-    ops = (as_operator(KI[:problem.n]),
-           *map(problem.operator, ("A_g", "A_h", "A_G", "A_H")))
+    ops = (as_operator(KI[:problem.n]), problem.A_g, problem.A_h,
+           problem.A_G, problem.A_H)
     k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                         problem.b_G, problem.b_H])
     gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
@@ -675,13 +675,6 @@ def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):
     return step
 
 
-def _newton_step(problem: QuadraticMpcc, rows, rhs: np.ndarray,
-                 pivot_tol: float):
-    """The solution d of DF d = rhs, or None where the step is not well
-    defined, for DF given by its row description rows (see _factor)."""
-    return _solve(_factor(problem, rows, pivot_tol), rows[1], rhs)
-
-
 class _FactorSlot:
     """The factorization of the previous step's DF, or its None, with the
     ext it was built for. DF depends on ext alone, so while consecutive
@@ -692,8 +685,9 @@ class _FactorSlot:
         self.ext = self.factor = None
 
     def step(self, rows, rhs: np.ndarray):
-        """_newton_step(problem, rows, rhs, pivot_tol), from the kept
-        factorization where rows select its ext."""
+        """The solution d of DF d = rhs, or None where the step is not well
+        defined, for DF given by its row description rows (see _factor),
+        solved by the kept factorization where rows select its ext."""
         ext = rows[0]
         if self.ext is None or not np.array_equal(ext, self.ext):
             # emptied first, so that one factorization is alive at a time

@@ -34,7 +34,7 @@ def _obstacle_qp_value(instance):
     """Independent oracle for the obstacle runs: with the control at zero the
     coupled program splits and the w-block is a bound-constrained QP."""
     problem = instance.problem
-    K = instance.stiffness
+    K = problem.dense_rows("Q", instance.w_idx)[:, instance.w_idx]
     qw = problem.q[instance.w_idx]
     w_a = instance.params.w_a
     res = minimize(lambda w: 0.5 * w @ (K @ w) + qw @ w, np.zeros(qw.size),

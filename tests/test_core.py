@@ -147,15 +147,14 @@ class TestBoundOperators:
             block = p.dense_rows(name)
             sparse = block.size >= 4096 and \
                 np.count_nonzero(block) < 0.25 * block.size
-            # each block is stored once, as its operator
-            assert p.operator(name) is getattr(p, name)
-            for transposed in (False, True):
-                op = p.operator(name, transposed)
-                assert p.operator(name, transposed) is op
-                assert scipy.sparse.issparse(op) == sparse, (name, transposed)
-                dense = op.toarray() if sparse else op
+            # each block is stored once, as its operator, and its
+            # transpose is bound once
+            transposed = p.transposed(name)
+            assert p.transposed(name) is transposed
+            for op, ref in ((getattr(p, name), block), (transposed, block.T)):
+                assert scipy.sparse.issparse(op) == sparse, name
                 np.testing.assert_array_equal(
-                    dense, block.T if transposed else block)
+                    op.toarray() if sparse else op, ref)
         assert isinstance(p.A_h, np.ndarray)  # 43 % nonzero: kept dense
 
     def test_csr_input_follows_the_same_rule(self):
@@ -230,8 +229,8 @@ def _rebuilt(p, matrix):
 
 
 def _signed_zeros(block):
-    """block with -0.0 in each of its zeros, as a dense assembly by
-    -alpha * mean_w leaves them."""
+    """block with -0.0 in each of its zeros, as a dense assembly that
+    scales zeros by a negative factor leaves them."""
     return np.where(block == 0.0, -0.0, block)
 
 
@@ -319,7 +318,6 @@ class TestSparseBlocks:
         A = scipy.sparse.coo_array((vals, (rows, cols)), shape=(60, 80))
         p = QuadraticMpcc(q=np.zeros(80), A_h=A, b_h=np.zeros(60))
         assert isinstance(p.A_h, scipy.sparse.csr_array)
-        assert p.operator("A_h") is p.A_h
         ref = scipy.sparse.csr_array(A.toarray())
         for mine, theirs in zip(_arrays(p.A_h), _arrays(ref)):
             assert mine.dtype == theirs.dtype
@@ -885,6 +883,8 @@ class TestInstanceFiles:
         (2, float("nan"), "NaN or infinite"),
         ("shape", [41, 40], "does not match"),
         ("shape", 5, "does not match"),
+        ("shape", [40.0, 40.0], r"Q: coordinate-list shape \[40.0, 40.0\] "
+                                "does not match"),
         ("entries", 5, "'entries' is not a list"),
         ("entry", [3, 7], r"'entries' item \[3, 7\] is not an \[i, j, v\]"),
         ("entry", 5, r"'entries' item 5 is not an \[i, j, v\]"),
@@ -894,6 +894,7 @@ class TestInstanceFiles:
                      "float range"),
     ], ids=["negative-index", "index-too-large", "fractional-index",
             "string-index", "nan-value", "shape-mismatch", "shape-not-a-list",
+            "shape-of-floats",
             "entries-not-a-list", "entry-a-pair", "entry-a-number",
             "string-value", "list-value", "huge-integer-value"])
     def test_malformed_coordinate_list_is_rejected(self, tmp_path, field,

@@ -30,7 +30,6 @@ from mpcckit.nsnewton import (
     _kkt,
     _kkt_times,
     _merit_gradient,
-    _newton_step,
     _phi_vec,
     _rows,
     _screen,
@@ -44,6 +43,12 @@ from mpcckit.nsnewton import (
     theta,
 )
 from mpcckit.oracle import finite_diff
+
+
+def _newton_step(problem, rows, rhs, pivot_tol):
+    """The solution d of DF d = rhs, or None where the step is not well
+    defined, for DF given by its row description rows (see _factor)."""
+    return _solve(_factor(problem, rows, pivot_tol), rows[1], rhs)
 
 
 def _toy_problem():
@@ -613,8 +618,6 @@ class TestAgainstDenseAssembly:
         # [K; I] is built from the bound CSR blocks; the dense K[:n] alone
         # would take n * N * 8 bytes, 30 MB at n_div = 16
         p = assemble_instance(IocParams(n_div=16)).problem
-        for name in ("Q", "A_g", "A_h", "A_G", "A_H"):
-            p.operator(name)
         tracemalloc.start()
         try:
             _kkt(p)
