@@ -61,6 +61,12 @@ its Armijo bound cannot pass and is skipped; the others are evaluated, in
 order, and the first that passes the exact test is accepted. So the search
 takes the step that trying every length in order takes, bit for bit, with
 about one evaluation per search in place of one per length.
+Exits, tested in this order before each step: "converged" where |F| <=
+tau_nsn; "max_iters" after max_iters steps; "stationary_merit" where
+|grad Phi_FB| <= merit_grad_tol |F_FB|, near a stationary point of the
+merit with a nonzero residual, which a method that descends on the merit
+cannot leave (De Luca, Facchinei and Kanzow, Math. Program. 75, 1996); and
+"line_search_failure" where no step length passes the Armijo test.
 
 Derivative selection rules (deterministic): min picks the smallest attaining
 index, max the first attaining argument in written order, d|t| = sign(t) with
@@ -72,6 +78,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -107,13 +114,16 @@ class NewtonConfig:
     max_iters: int = 1000
     max_backtracks: int = 60
     pivot_tol: float = 1e-12
-    merit_grad_tol: float = 1e-12
+    # relative: the run stops where |grad Phi_FB| <= merit_grad_tol |F_FB|
+    merit_grad_tol: float = 1e-5
 
 
 @dataclass
 class NewtonResult:
     z: FullPoint
-    status: str  # {"converged","max_iters","stationary_merit","line_search_failure"}
+    # "converged" (|F| <= tau_nsn), "max_iters", "stationary_merit"
+    # (|grad Phi_FB| <= merit_grad_tol |F_FB|) or "line_search_failure"
+    status: str
     iterations: int
     full_steps: int
     damped_steps: int
@@ -130,39 +140,72 @@ def ncp_fb(a, b):
 
 # Candidate bank of the pair residual, one (value, axis, sign) triple a row:
 # -a, -b, |a|, |b|, |mu|, |nu|, mu, nu, where axis indexes (a, b, mu, nu) and
-# sign 0 stands for sign(value of that axis).
+# the sign of the derivative row is -1, sign(value of that axis) or +1.
 _BANK_AXIS = np.array([0, 1, 0, 1, 2, 3, 2, 3])
-_BANK_SIGN = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 # psi1 = max(-a, |b|, |mu|), psi2 = max(-b, |a|, |nu|), psi3 = max(|a|, |b|,
 # mu, nu); the short rows repeat their first candidate, which a tie keeps
 _PSI = np.array([[0, 3, 4, 0], [1, 2, 5, 1], [2, 3, 6, 7]])
-_PSI_ROW = np.arange(3)[:, None]
 # phi2 = min of two candidates chosen by the axis of phi1's candidate:
 # (|b|, |nu|), (|a|, |mu|), |b| alone, |a| alone
 _PHI2 = np.array([[3, 2, 3, 2], [5, 4, 3, 2]])
+# the sign of a derivative row, by whether its value is >= 0
+_SIGNS = np.array([-1.0, 1.0])
+
+
+class _PairIndex(NamedTuple):
+    """Index tables of the pair selection for t pairs. The bank of t pairs
+    is one array of 8t candidates, candidate k of pair i at k t + i: psi
+    (3, 4, t) holds the candidates of psi1, psi2 and psi3, phi2 (2, 8t) the
+    two candidates of phi2 for each candidate phi1 may pick, cols is
+    arange(t), and ends the signs (-1, +1) of the first and last 2t
+    candidates' derivative rows, 2t entries each."""
+
+    psi: np.ndarray
+    phi2: np.ndarray
+    cols: np.ndarray
+    ends: tuple
+
+
+def _pair_index(t: int) -> _PairIndex:
+    cols = np.arange(t)
+    return _PairIndex(_PSI[:, :, None] * t + cols,
+                      (_PHI2[:, _BANK_AXIS, None] * t + cols).reshape(2, -1),
+                      cols, (np.full(2 * t, -1.0), np.ones(2 * t)))
+
+
+def _pick(index: _PairIndex, wp: np.ndarray, vp: np.ndarray):
+    """(bank, picked, sign) of phi over the t pairs of wp = (a, b) and
+    vp = (mu, nu): the 8t candidates, the candidates phi1 and phi2 pick,
+    pair by pair (2t, in the bank's numbering), and the signs of their
+    derivative rows.
+
+    argmax and argmin return the first attaining candidate, which is the
+    selection rule of the module docstring; a NaN attains both. A psi is
+    compared by its maximum, which only the sign of a zero tells apart from
+    the candidate attaining it."""
+    bank = np.concatenate((-wp, np.abs(np.concatenate((wp, vp))), vp))
+    group = bank.take(index.psi)
+    top = group.argmax(axis=1)
+    cols = index.cols
+    first = group.max(axis=1).argmin(axis=0)  # phi1 = min(psi1, psi2, psi3)
+    picked = np.empty(2 * cols.size, np.intp)
+    picked[::2] = index.psi[first, top[first, cols], cols]
+    cand = index.phi2.take(picked[::2], axis=1)
+    picked[1::2] = cand[bank.take(cand).argmin(axis=0), cols]
+    # -1, sign(a), sign(b), sign(mu), sign(nu) or +1, with sign(0) := +1
+    sign = _SIGNS.take(np.concatenate((index.ends[0], wp, vp, index.ends[1]))
+                       .take(picked) >= 0.0)
+    return bank, picked, sign
 
 
 def _phi_vec(a, b, mu, nu):
     """phi over all pairs: values (t, 2), and the axis (index into (a, b,
-    mu, nu)) and sign (t, 2 each) of their derivative rows.
-
-    np.argmax / np.argmin return the first attaining candidate, which is the
-    selection rule of the module docstring.
-    """
-    z = np.array([a, b, mu, nu])
-    cols = np.arange(z.shape[1])
-    vals = np.concatenate((-z[:2], np.abs(z), z[2:]))
-    psi = _PSI[_PSI_ROW, vals[_PSI].argmax(axis=1)]
-    k1 = psi[vals[psi, cols].argmin(axis=0), cols]
-    cand = _PHI2[:, _BANK_AXIS[k1]]
-    k2 = cand[vals[cand, cols].argmin(axis=0), cols]
-    picked = np.stack((k1, k2), axis=1)
-    pair = cols[:, None]
-    axis = _BANK_AXIS[picked]
-    sign = _BANK_SIGN[picked]
-    sign = np.where(sign == 0.0, np.where(z[axis, pair] >= 0.0, 1.0, -1.0),
-                    sign)  # sign(0) := +1
-    return vals[picked, pair], axis, sign
+    mu, nu)) and sign (t, 2 each) of their derivative rows."""
+    t = a.size
+    bank, picked, sign = _pick(_pair_index(t), np.concatenate((a, b)),
+                               np.concatenate((mu, nu)))
+    return (bank.take(picked).reshape(t, 2),
+            _BANK_AXIS[picked // t].reshape(t, 2), sign.reshape(t, 2))
 
 
 def phi(a: float, b: float, mu: float, nu: float):
@@ -252,7 +295,10 @@ class _Kkt(NamedTuple):
     1-norms of [K; I] and the layout of the blocks. w_error = (a, b) bounds
     the rounding of w in the 2-norm by a |v|_inf + b: w_i rounds by at most
     gamma_{m_i + 1} (|K_i|_1 |v|_inf + |k_i|) for the m_i entries of row i
-    of K, where gamma_m = m u / (1 - m u) and u is the unit roundoff."""
+    of K, where gamma_m = m u / (1 - m u) and u is the unit roundoff. _rows
+    reads its index tables here: span = arange(N), pairs for the pair
+    selection, and pair_ext, the row of [K; I] of each candidate of the
+    pairs' bank (see _pick)."""
 
     KI: sp.csr_array
     ops: tuple
@@ -260,6 +306,9 @@ class _Kkt(NamedTuple):
     norms: np.ndarray
     layout: _FbLayout
     w_error: tuple
+    span: np.ndarray
+    pairs: _PairIndex
+    pair_ext: np.ndarray
 
 
 # rows of [K; I] per block of its row 1-norms, so |K| is never formed whole
@@ -278,6 +327,12 @@ def _gamma(m):
     """Higham's gamma_m = m u / (1 - m u), the relative rounding of a sum of
     m terms."""
     return m * _U / (1.0 - m * _U)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a 1-D float array, with the bits of np.linalg.norm,
+    which computes sqrt(x.dot(x)) too, without its call overhead."""
+    return math.sqrt(x.dot(x))
 
 
 def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
@@ -299,10 +354,17 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
     k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                         problem.b_G, problem.b_H])
     gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
-    return _Kkt(KI, ops, k, norms,
-                _fb_layout(problem.n, problem.r, problem.s, problem.t),
-                (float(np.linalg.norm(gamma * norms[:k.size])),
-                 float(np.linalg.norm(gamma * k))))
+    layout = _fb_layout(problem.n, problem.r, problem.s, problem.t)
+    _, _, _, t, base = layout.dims
+    # candidate k of pair i is a, b, mu or nu of the pair: the row of G_i or
+    # H_i in K, or the unit row of mu_i or nu_i, which share the index
+    # base + i (+ t)
+    axis = _BANK_AXIS[:, None]
+    pair_ext = (base + t * (axis % 2) + k.size * (axis >= 2)
+                + np.arange(t)).ravel()
+    return _Kkt(KI, ops, k, norms, layout,
+                (_norm(gamma * norms[:k.size]), _norm(gamma * k)),
+                np.arange(k.size), _pair_index(t), pair_ext)
 
 
 def _kkt(problem: QuadraticMpcc) -> _Kkt:
@@ -430,22 +492,19 @@ def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
     ext_i of [K; I], so a row of K for ext_i < N and the unit row
     e_{ext_i - N} past it, and row_scale is the largest row 1-norm of DF."""
     kkt = _kkt(problem)
-    n, r, _, t, base = kkt.layout.dims
+    n, r, _, _, base = kkt.layout.dims
     size = v.size
-    ext = np.arange(size)
+    ext = kkt.span.copy()
     sign = np.ones(size)
     # min(-g_i, lam_i): smallest attaining index wins ties
     g_side = -w[n:n + r] <= v[n:n + r]
     sign[n:n + r][g_side] = -1.0
     ext[n:n + r][~g_side] += size
-    # phi rows pick a, b, mu or nu of pair i: the row of G_i or H_i in K, or
-    # the unit row of mu_i or nu_i, which share the index base + i (+ t)
-    _, axis, pair_sign = _phi_vec(w[base:base + t], w[base + t:],
-                                  v[base:base + t], v[base + t:])
-    ext[base:] = (base + np.arange(t)[:, None] + t * (axis % 2)
-                  + size * (axis >= 2)).ravel()
-    sign[base:] = pair_sign.ravel()
-    return ext, sign, float(kkt.norms[ext].max())
+    # phi rows pick a, b, mu or nu of pair i (see _pick)
+    _, picked, pair_sign = _pick(kkt.pairs, w[base:], v[base:])
+    ext[base:] = kkt.pair_ext.take(picked)
+    sign[base:] = pair_sign
+    return ext, sign, float(kkt.norms.take(ext).max())
 
 
 def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
@@ -689,7 +748,8 @@ class _FactorSlot:
         defined, for DF given by its row description rows (see _factor),
         solved by the kept factorization where rows select its ext."""
         ext = rows[0]
-        if self.ext is None or not np.array_equal(ext, self.ext):
+        # ext is an index array of DF's order, so equal bytes are equal rows
+        if self.ext is None or ext.tobytes() != self.ext.tobytes():
             # emptied first, so that one factorization is alive at a time
             self.ext = self.factor = None
             self.factor = _factor(self.problem, rows, self.pivot_tol)
@@ -763,7 +823,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
         v, w, _, merit_val, _, _ = point
         rows = _rows(problem, w, v)
         f_res = _residual(w, v, rows)
-        norm_f = float(np.linalg.norm(f_res))
+        norm_f = _norm(f_res)
         if norm_f <= cfg.tau_nsn:
             status = "converged"
             break
@@ -772,8 +832,8 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             break
         tic = time.perf_counter()
         merit_grad = _merit_gradient(problem, point)
-        grad_norm = float(np.linalg.norm(merit_grad))
-        if grad_norm <= cfg.merit_grad_tol:
+        grad_norm = _norm(merit_grad)
+        if grad_norm <= cfg.merit_grad_tol * _norm(point[2]):
             status = "stationary_merit"
             break
 
@@ -784,7 +844,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             step_type = "full_newton"
         else:
             if direction is None or float(merit_grad @ direction) > \
-                    -cfg.angle_rho * float(np.linalg.norm(direction)) * grad_norm:
+                    -cfg.angle_rho * _norm(direction) * grad_norm:
                 direction = -merit_grad
                 step_type = "gradient"
                 trial = None

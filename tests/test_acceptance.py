@@ -144,7 +144,8 @@ def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(4001)
     tic = time.perf_counter()
     n_alm = n_nsn = 0
-    for _ in range(100):
+    stationary = {}
+    for i in range(100):
         problem = random_tiny_mpcc(rng)
         candidates = [x for x, _, _ in enumerate_branch_nlps(problem)]
         x0 = rng.normal(size=problem.n)
@@ -159,15 +160,20 @@ def test_criterion_4_oracle_equivalence():
                                          tol=1e-6).is_M
         z0 = FullPoint.from_parts(x0, MultiplierSet.zeros(problem))
         n = solve_newton(problem, z0=z0)
+        if n.status == "stationary_merit":
+            stationary[i] = n.iterations
         if n.status == "converged":
             n_nsn += 1
             dist = min(np.max(np.abs(n.z.x - c)) for c in candidates)
             assert dist <= 1e-6
             assert classify_stationarity(problem, n.z.x, n.z.multipliers(),
                                          tol=1e-6).is_M
-    # anti-vacuity: the deterministic suite converges far more often than this
-    assert n_alm >= 90
-    assert n_nsn >= 60
+    # the deterministic stream's counts, exactly: ALM converges on every
+    # instance and Newton on 84; three of Newton's other 16 runs stop at a
+    # stationary point of its merit with a nonzero residual
+    assert n_alm == 100
+    assert n_nsn == 84
+    assert stationary == {24: 457, 32: 266, 84: 715}
     assert time.perf_counter() - tic < 60.0
 
 

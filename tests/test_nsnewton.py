@@ -141,20 +141,23 @@ def _sgn1(v):
     return 1.0 if v >= 0.0 else -1.0
 
 
+def _first_nan(pairs):
+    """The first (value, row) whose value is NaN, or None."""
+    return next((pair for pair in pairs if pair[0] != pair[0]), None)
+
+
 def _pick_max(pairs):
-    """(value, row) of the first argument attaining the maximum, written order."""
+    """(value, row) of the first argument attaining the maximum, written
+    order; a NaN attains it, as in np.argmax."""
     top = max(v for v, _ in pairs)
-    for v, row in pairs:
-        if v == top:
-            return v, row
+    return _first_nan(pairs) or next(pair for pair in pairs if pair[0] == top)
 
 
 def _pick_min(pairs):
-    """(value, row) of the smallest attaining index of the minimum."""
+    """(value, row) of the smallest attaining index of the minimum; a NaN
+    attains it, as in np.argmin."""
     low = min(v for v, _ in pairs)
-    for v, row in pairs:
-        if v == low:
-            return v, row
+    return _first_nan(pairs) or next(pair for pair in pairs if pair[0] == low)
 
 
 def _reference_phi(a, b, mu, nu):
@@ -185,7 +188,8 @@ def _reference_phi(a, b, mu, nu):
 
 
 class TestPairKernel:
-    """The vectorised kernel against the scalar reference, bit for bit."""
+    """The vectorised kernel, and the rows of DF that _rows selects with
+    it, against the scalar reference, bit for bit."""
 
     def _assert_matches_reference(self, pts):
         vals, axis, sign = _phi_vec(*pts.T)
@@ -199,9 +203,29 @@ class TestPairKernel:
             one_vals, one_rows = phi(*pt)
             assert one_vals.tobytes() == ref_vals.tobytes(), pt
             assert one_rows.tobytes() == ref_rows.tobytes(), pt
+        # one problem with a pair per point, n = 1: pair i's rows select
+        # a, b, mu or nu, the row 1 + i (+ t) of K or of the identity
+        t = len(pts)
+        p = QuadraticMpcc(Q=np.eye(1), q=np.zeros(1), A_G=np.zeros((t, 1)),
+                          b_G=np.zeros(t), A_H=np.zeros((t, 1)),
+                          b_H=np.zeros(t))
+        size = 1 + 2 * t
+        w, v = np.zeros(size), np.zeros(size)
+        w[1:], v[1:] = pts[:, :2].T.ravel(), pts[:, 2:].T.ravel()
+        ext, row_sign, _ = _rows(p, w, v)
+        at = 1 + np.arange(t)[:, None] + t * (axis % 2) + size * (axis >= 2)
+        assert ext[1:].tobytes() == at.ravel().tobytes()
+        assert row_sign[1:].tobytes() == sign.ravel().tobytes()
 
     def test_grid_with_signed_zeros(self):
         grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+        self._assert_matches_reference(
+            np.array(list(itertools.product(grid, repeat=4))))
+
+    def test_grid_with_signed_zeros_and_nan(self):
+        # a NaN attains every max and min, as in np.argmax and np.argmin,
+        # and its sign is -1, as NaN >= 0 fails
+        grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, np.nan]
         self._assert_matches_reference(
             np.array(list(itertools.product(grid, repeat=4))))
 
@@ -894,9 +918,10 @@ def _stalled_tiny_start():
 
 
 def _rounding_tiny_start():
-    """The 25th instance of criterion 4's stream with its start: Newton runs
-    to max_iters on gradient steps whose Armijo tests, down to
-    alpha = 2^-32, are decided by the last bits of the trial merits."""
+    """The 25th instance of criterion 4's stream with its start: Newton takes
+    gradient steps whose Armijo tests, down to alpha = 2^-32, are decided by
+    the last bits of the trial merits, towards a stationary point of
+    Phi_FB with merit 0.055, and exits "stationary_merit" at iteration 457."""
     return _tiny_start(25)
 
 
@@ -1250,10 +1275,43 @@ class TestScreenedSearch:
         assert calls["_evaluate"] >= 4 * screened
 
 
+class TestStationaryMeritExit:
+    """Newton exits "stationary_merit" where |grad Phi_FB| <= merit_grad_tol
+    |F_FB|: near a stationary point of the merit with F_FB nonzero, which
+    no descent step on the merit leaves."""
+
+    def test_rounding_stall_exits_at_iteration_457(self):
+        p, z0 = _rounding_tiny_start()
+        res = solve_newton(p, z0=z0)
+        assert res.status == "stationary_merit" and res.iterations == 457
+        assert len(res.trace.rows) == 457
+        # the exit takes no step: the run is the first 457 iterations of the
+        # run that never exits there
+        cfg = NewtonConfig(merit_grad_tol=0.0)
+        full = solve_newton(p, cfg, z0=z0)
+        assert full.status == "max_iters" and full.iterations == 1000
+
+        def fields(rows):  # repr tells -0.0 from 0.0
+            return [repr((row.k, row.objective, row.residual, row.merit,
+                          row.step_type, row.alpha)) for row in rows]
+        assert fields(res.trace.rows) == fields(full.trace.rows[:457])
+        capped = solve_newton(p, replace(cfg, max_iters=457), z0=z0)
+        assert capped.status == "max_iters"
+        assert res.z.to_vector().tobytes() == capped.z.to_vector().tobytes()
+        assert res.final_merit == capped.final_merit
+        assert res.final_residual == capped.final_residual
+        # the tolerance is relative to |F_FB|, and the exit's point is no
+        # zero of F
+        point = _evaluate(p, res.z.to_vector())
+        assert np.linalg.norm(_merit_gradient(p, point)) <= \
+            1e-5 * np.linalg.norm(point[2])
+        assert res.final_merit > 0.05
+
+
 class TestSolveNewton:
     def test_stationary_merit_exit(self):
-        # with an infinite tolerance on |grad Phi_FB| the first test stops
-        # the run at its start, before any step or trace row
+        # with an infinite tolerance on |grad Phi_FB| / |F_FB| the first
+        # test stops the run at its start, before any step or trace row
         z0 = np.array([5.0, -3.0, 2.0, 7.0])
         res = solve_newton(_toy_problem(), NewtonConfig(merit_grad_tol=np.inf),
                            z0=z0)
@@ -1340,3 +1398,4 @@ class TestSolveNewton:
         assert cfg.max_iters == 1000
         assert cfg.max_backtracks == 60
         assert cfg.pivot_tol == 1e-12
+        assert cfg.merit_grad_tol == 1e-5  # relative to |F_FB|
