@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pgrad
-from .core import FullPoint, MultiplierSet, QuadraticMpcc, SolverTrace, TraceRow
+from .core import (FullPoint, MultiplierSet, QuadraticMpcc, SolverTrace,
+                   TraceRow, start_vector)
 
 __all__ = [
     "AlmConfig",
@@ -214,8 +215,9 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
     """
     cfg = config or AlmConfig()
     n, s, t = problem.n, problem.s, problem.t
-    start = FullPoint.from_vector(problem, FullPoint.from_parts(
-        np.zeros(n) if x0 is None else x0, m0 or MultiplierSet.zeros(problem)))
+    start = FullPoint.from_vector(problem, start_vector(
+        problem, FullPoint.from_parts(np.zeros(n) if x0 is None else x0,
+                                      m0 or MultiplierSet.zeros(problem))))
     x0, m = start.x, start.multipliers()
     lifted = _lifts(problem, cfg)
     solved, point = problem, x0.copy()

@@ -63,7 +63,8 @@ class QuadraticMpcc:
     indices, duplicates summed and no stored zeros, equal entry for entry to
     the CSR of the dense block. Every block is stored read-only: a block the
     caller can still write is copied, and a read-only one, such as another
-    problem's, is shared. The pair structure of D is detected on
+    problem's, is shared. A block or a c0 that holds a NaN or an infinite
+    value is rejected. The pair structure of D is detected on
     construction (see pair_partition), the transposed blocks (see
     transposed) and the data a solver caches with the problem (see cached)
     on first use.
@@ -107,11 +108,13 @@ class QuadraticMpcc:
                 arr = np.asarray(given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, _stored(arr, given, len(shape) == 2))
+            stored = _stored(arr, given, len(shape) == 2)
+            _finite(stored.data if sp.issparse(stored) else stored, name)
+            object.__setattr__(self, name, stored)
         if _asymmetry(self.Q) > 1e-12 * _frobenius(self.Q):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "c0", _scalar(self.c0, "c0"))
         try:
             pairs = PairPartition.from_rows(self.A_G, self.b_G,
                                             self.A_H, self.b_H)
@@ -333,9 +336,14 @@ class FullPoint(_FloatBlocks):
         return MultiplierSet(self.lam, self.eta, self.mu, self.nu).copy()
 
 
+def start_vector(problem: QuadraticMpcc, z) -> np.ndarray:
+    """full_vector(problem, z), checked to be finite: the start of a solve."""
+    return _finite(full_vector(problem, z), "the start")
+
+
 def full_vector(problem: QuadraticMpcc, z) -> np.ndarray:
     """The full point z, a FullPoint or a vector, as one float vector of
-    length n + r + s + 2t: the one check of a start against the problem, a
+    length n + r + s + 2t: the one check of a point's lengths, a
     FullPoint's blocks (x, lam, eta, mu, nu) against (n, r, s, t, t)."""
     sizes = (problem.n, problem.r, problem.s, problem.t, problem.t)
     if isinstance(z, FullPoint):

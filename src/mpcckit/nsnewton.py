@@ -15,7 +15,9 @@ is exactly the pairwise M-stationarity set
 
 built from componentwise max/min compositions, so each row of the Newton
 derivative DF is +-1 times a row of K or a unit row, and the same selection
-gives F: F_i = +-w_j for the row j of K, or +-v_j for the unit row e_j. On
+gives F: F_i = +-w_j for the row j of K, or +-v_j for the unit row e_j. The
+signs cancel in the Newton equation DF d = -F, which is the system
+[K; I]_ext d = -(w, v)_ext of the rows ext of [K; I] that DF selects. On
 that set the selected linearization is exact in a neighborhood (the Newton
 iteration terminates finitely for piecewise linear residuals), but F is
 discontinuous elsewhere, so globalization uses the continuously
@@ -38,11 +40,11 @@ multiplier columns since K[n:, n:] = 0, and when they outnumber the live x
 columns the step is rejected before any factorization. The linear system counts as well defined
 iff DF passes these pattern checks and every peeled value and every pivot
 of the core exceeds pivot_tol times the largest row 1-norm of DF. All of
-this depends on the rows of [K; I] that DF selects, ext, alone: the signs of
-DF's rows enter only the right-hand side. So the peel and the LU are one
-factorization of DF, or the verdict that it is singular, and the iteration
-keeps the previous step's; while consecutive steps select the same rows, a
-step only replays the peel's arithmetic on its right-hand side. A point is
+this depends on ext alone, as does the right-hand side -(w, v)_ext. So the
+peel and the LU are one factorization of [K; I]_ext, or the verdict that it
+is singular, and the iteration keeps the previous step's; while consecutive
+steps select the same rows, a step only replays the peel's arithmetic on
+its right-hand side. A point is
 evaluated by one product with K and one stacked Fischer-Burmeister pass: all
 r + 4t FB terms of F_FB from a single ncp_fb call, whose arguments and
 values also give the merit gradient its partials in one call. An accepted
@@ -53,9 +55,8 @@ when it passes an angle test against grad Phi_FB (damped Newton step) or
 replaced by the steepest descent direction (gradient step), followed by an
 Armijo backtracking line search over alpha = beta^k, k <= max_backtracks.
 The search screens its lengths before it evaluates any: w at v + alpha d is
-modelled as w + alpha K d, where K d is the full step's trial w less w for
-a damped step and one product for a gradient step, and one stacked FB pass
-over many lengths at once bounds each trial merit from below, by the
+modelled as w + alpha K d, with K d from one product, and one stacked FB
+pass over many lengths at once bounds each trial merit from below, by the
 model's merit less a forward-error margin. A length whose bound exceeds
 its Armijo bound cannot pass and is skipped; the others are evaluated, in
 order, and the first that passes the exact test is accepted. So the search
@@ -88,7 +89,7 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 
 from .core import (FullPoint, QuadraticMpcc, SolverTrace, TraceRow,
-                   as_operator, full_vector)
+                   as_operator, full_vector, start_vector)
 
 __all__ = [
     "FullPoint",
@@ -289,16 +290,16 @@ def _fb_partials(uv):
 
 
 class _Kkt(NamedTuple):
-    """w = K v + k, with the operators of K[:n] and of A's blocks. Row i of
-    DF is sign_i times a row of K or of the identity, so K is stored stacked
-    over I, as the CSR [K; I] (row N + j is the unit row e_j), with the row
-    1-norms of [K; I] and the layout of the blocks. w_error = (a, b) bounds
-    the rounding of w in the 2-norm by a |v|_inf + b: w_i rounds by at most
-    gamma_{m_i + 1} (|K_i|_1 |v|_inf + |k_i|) for the m_i entries of row i
-    of K, where gamma_m = m u / (1 - m u) and u is the unit roundoff. _rows
-    reads its index tables here: span = arange(N), pairs for the pair
-    selection, and pair_ext, the row of [K; I] of each candidate of the
-    pairs' bank (see _pick)."""
+    """w = K v + k, with ops the operators of K[:n] and of the blocks of A
+    that have rows. Row i of DF is sign_i times a row of K or of the
+    identity, so K is stored stacked over I, as the CSR [K; I] (row N + j
+    is the unit row e_j), with the row 1-norms of [K; I] and the layout of
+    the blocks. w_error = (a, b) bounds the rounding of w in the 2-norm by
+    a |v|_inf + b: w_i rounds by at most gamma_{m_i + 1} (|K_i|_1 |v|_inf +
+    |k_i|) for the m_i entries of row i of K, where gamma_m = m u /
+    (1 - m u) and u is the unit roundoff. _rows reads its index tables
+    here: span = arange(N), pairs for the pair selection, and pair_ext, the
+    row of [K; I] of each candidate of the pairs' bank (see _pick)."""
 
     KI: sp.csr_array
     ops: tuple
@@ -349,8 +350,9 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
     norms = np.concatenate([
         np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
         for i in range(0, KI.shape[0], _NORM_ROWS)])
-    ops = (as_operator(KI[:problem.n]), problem.A_g, problem.A_h,
-           problem.A_G, problem.A_H)
+    ops = (as_operator(KI[:problem.n]), *[
+        block for block in (problem.A_g, problem.A_h, problem.A_G,
+                            problem.A_H) if block.shape[0]])
     k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                         problem.b_G, problem.b_H])
     gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
@@ -418,12 +420,11 @@ def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
     """K y, skipping the zero block K[n:, n:]. The rows of A are multiplied
     one block at a time by the operators of problem.g(x) and the others,
     which gives their bits (a stacked product can round differently), so a
-    tie -g_i = lambda_i is one tie; op.dot(x) runs the product op @ x with
-    less call overhead."""
-    top, a_g, a_h, a_G, a_H = _kkt(problem).ops
+    tie -g_i = lambda_i is one tie; a block without rows adds nothing, and
+    op.dot(x) runs the product op @ x with less call overhead."""
+    top, *blocks = _kkt(problem).ops
     x = y[:problem.n]
-    return np.concatenate((top.dot(y), a_g.dot(x), a_h.dot(x), a_G.dot(x),
-                           a_H.dot(x)))
+    return np.concatenate([top.dot(y), *[op.dot(x) for op in blocks]])
 
 
 def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
@@ -455,11 +456,11 @@ def _screen(problem: QuadraticMpcc, v: np.ndarray, w: np.ndarray,
             + 4 u sqrt(N) (|w|_inf + alpha |kd|_inf)
 
     of _evaluate's w: the w at v, the w at v + alpha d and kd each round by
-    one w_error (three for a kd that is the difference of two evaluated w,
-    scaled by alpha <= 1), the point v + alpha d rounds by 2 u (|v|_inf +
+    one w_error, the point v + alpha d rounds by 2 u (|v|_inf +
     alpha |d|_inf), which K turns into at most one more, and the model's own
-    sum and product round by 2 u (|w| + alpha |kd|). Each FB term is
-    2-Lipschitz in each argument, so F_FB moves by at most sqrt(12) E. Each
+    sum and product round by 2 u (|w| + alpha |kd|). That is 4 w_error,
+    where E counts 7. Each FB term is 2-Lipschitz in each argument, so F_FB
+    moves by at most sqrt(12) E. Each
     FB term rounds by at most 8 u (|U| + |V|) in either pass, and by 2^-536
     where its squares underflow; over all terms and both passes, at most
     33 u sqrt(N) (|w|_inf + |v|_inf + alpha (|kd|_inf + |d|_inf)) + 16 u E.
@@ -488,9 +489,9 @@ def _screen(problem: QuadraticMpcc, v: np.ndarray, w: np.ndarray,
 
 
 def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
-    """(ext, sign, row_scale) of DF at v: row i of DF is sign_i times row
-    ext_i of [K; I], so a row of K for ext_i < N and the unit row
-    e_{ext_i - N} past it, and row_scale is the largest row 1-norm of DF."""
+    """(ext, sign) of DF at v: row i of DF is sign_i times row ext_i of
+    [K; I], so a row of K for ext_i < N and the unit row e_{ext_i - N} past
+    it, and F_i = sign_i (w, v)_{ext_i}."""
     kkt = _kkt(problem)
     n, r, _, _, base = kkt.layout.dims
     size = v.size
@@ -504,15 +505,7 @@ def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
     _, picked, pair_sign = _pick(kkt.pairs, w[base:], v[base:])
     ext[base:] = kkt.pair_ext.take(picked)
     sign[base:] = pair_sign
-    return ext, sign, float(kkt.norms.take(ext).max())
-
-
-def _residual(w: np.ndarray, v: np.ndarray, rows) -> np.ndarray:
-    """F at v from the row description of DF at v: F_i = sign_i (w, v)_{ext_i},
-    so F and DF share one selection. A selected |t| at t = -0.0 gives
-    F_i = -0.0, by sign(0) := +1."""
-    ext, sign, _ = rows
-    return sign * np.concatenate((w, v)).take(ext)
+    return ext, sign
 
 
 def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
@@ -536,16 +529,19 @@ def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
 
 
 def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
-    """Residual of the M-stationarity system at the full point z."""
+    """Residual of the M-stationarity system at the full point z: F and DF
+    share one selection (see _rows). A selected |t| at t = -0.0 gives
+    F_i = -0.0, by sign(0) := +1."""
     v = full_vector(problem, z)
     w = _affine(problem, v)
-    return _residual(w, v, _rows(problem, w, v))
+    ext, sign = _rows(problem, w, v)
+    return sign * np.concatenate((w, v)).take(ext)
 
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix)."""
     v = full_vector(problem, z)
-    ext, sign, _ = _rows(problem, _affine(problem, v), v)
+    ext, sign = _rows(problem, _affine(problem, v), v)
     entries = _entries(_kkt(problem).KI, ext)
     row, col, val = entries.take(np.ones(entries.col.size, bool))
     df = np.zeros((ext.size, ext.size))
@@ -560,7 +556,7 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
 
 
 class _Factor(NamedTuple):
-    """DF factored by _factor, for any row signs. forward holds, per round
+    """The rows ext of [K; I] factored by _factor. forward holds, per round
     of the forward peel, the rows it peels, their columns and values, and
     the entries (row, column, value) of the rows still live on those
     columns. The core is given by its rows, its columns and their LU (None
@@ -578,17 +574,13 @@ class _Factor(NamedTuple):
     back: list
 
 
-def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
-    """DF of the row description rows, factored by peeling its singleton
-    rows and columns and an LU of the dense core that is left, or None
-    where DF is singular by its pattern or to within pivot_tol; DF itself is
-    not formed.
-
-    DF depends on ext alone (see _rows): its row signs only scale the
-    right-hand side, as row i reads (row ext_i of [K; I]) d = sign_i rhs_i,
-    and row_scale is the largest row 1-norm of the rows ext. So the
-    factorization serves every step that selects the same ext, whatever its
-    signs (see _solve). It has three parts:
+def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
+    """The matrix [K; I]_ext of the rows ext of [K; I], which is DF up to
+    its row signs (see _rows), factored by peeling its singleton rows and
+    columns and an LU of the dense core that is left, or None where it is
+    singular by its pattern or to within pivot_tol; it is not formed. The
+    factorization serves every step that selects the same ext (see _solve).
+    It has three parts:
 
     1. Forward peel, in rounds: a row with one live entry fixes d at that
        entry's column (round 0 holds the unit rows and the rows of K with
@@ -606,16 +598,16 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     round peels, and the two counts part only where two rows peel onto one
     column or two columns onto one row. DF is then singular by its pattern.
     It is None where any value divided by, a peeled entry or a pivot of the
-    core, is at most pivot_tol times the largest row 1-norm of DF. So DF is
-    nonsingular iff every peeled value is nonzero and the core is
-    nonsingular. A live row of A after round 0 is zero on every multiplier
+    core, is at most pivot_tol times the largest row 1-norm of the rows
+    ext. So DF is nonsingular iff every peeled value is nonzero and the
+    core is nonsingular. A live row of A after round 0 is zero on every multiplier
     column, as K[n:, n:] = 0, so it lives on the live x columns alone: when
     such rows outnumber those columns, DF is singular whatever its values,
     and None is returned right after round 0."""
-    KI = _kkt(problem).KI
-    ext, _, row_scale = rows
+    kkt = _kkt(problem)
+    KI = kkt.KI
     size = ext.size
-    tol = pivot_tol * row_scale
+    tol = pivot_tol * float(kkt.norms.take(ext).max())
     live_row, live_col = np.ones((2, size), bool)
 
     def peel(peeled, col_at, value):
@@ -700,11 +692,11 @@ def _factor(problem: QuadraticMpcc, rows, pivot_tol: float):
     return _Factor(forward, core_rows, core_cols, lu, piv, back)
 
 
-def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):
-    """The solution d of DF d = rhs for DF factored by _factor with the row
-    signs sign, or None where factor is None or d is not finite.
+def _solve(factor: _Factor | None, rhs: np.ndarray):
+    """The solution d of [K; I]_ext d = rhs for the rows ext factored by
+    _factor, or None where factor is None or d is not finite.
 
-    The peel's arithmetic runs on sign * rhs in _factor's order: each
+    The peel's arithmetic runs on a copy of rhs in _factor's order: each
     forward round divides by its peeled values and moves its columns to
     the right-hand side with one product, the core is solved by its LU, and
     the column rounds are solved back in reverse order. A row peeled onto a
@@ -712,7 +704,7 @@ def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):
     known once the later rounds are solved."""
     if factor is None:
         return None
-    res = sign * rhs
+    res = rhs.copy()
     size = res.size
     step = None
     for peel, col_at, value, row, col, val in factor.forward:
@@ -735,26 +727,25 @@ def _solve(factor: _Factor | None, sign: np.ndarray, rhs: np.ndarray):
 
 
 class _FactorSlot:
-    """The factorization of the previous step's DF, or its None, with the
-    ext it was built for. DF depends on ext alone, so while consecutive
-    steps select the same rows no peel or LU runs again."""
+    """The factorization of the previous step's rows ext, or its None, with
+    that ext: while consecutive steps select the same rows no peel or LU
+    runs again."""
 
     def __init__(self, problem: QuadraticMpcc, pivot_tol: float):
         self.problem, self.pivot_tol = problem, pivot_tol
         self.ext = self.factor = None
 
-    def step(self, rows, rhs: np.ndarray):
-        """The solution d of DF d = rhs, or None where the step is not well
-        defined, for DF given by its row description rows (see _factor),
-        solved by the kept factorization where rows select its ext."""
-        ext = rows[0]
+    def step(self, ext: np.ndarray, rhs: np.ndarray):
+        """The solution d of [K; I]_ext d = rhs, or None where the step is
+        not well defined, solved by the kept factorization where ext is
+        its ext."""
         # ext is an index array of DF's order, so equal bytes are equal rows
         if self.ext is None or ext.tobytes() != self.ext.tobytes():
             # emptied first, so that one factorization is alive at a time
             self.ext = self.factor = None
-            self.factor = _factor(self.problem, rows, self.pivot_tol)
+            self.factor = _factor(self.problem, ext, self.pivot_tol)
             self.ext = ext
-        return _solve(self.factor, rows[1], rhs)
+        return _solve(self.factor, rhs)
 
 
 class _Armijo:
@@ -781,22 +772,15 @@ class _Armijo:
         self.steps = cfg.armijo_sigma * self.alphas
         self.width = max(1, _SCREEN_ENTRIES // _kkt(problem).k.size)
 
-    def search(self, point, d: np.ndarray, slope: float, first=None):
+    def search(self, point, d: np.ndarray, slope: float):
         """(alpha, trial) of the accepted length, or
-        (beta^(max_backtracks + 1), None) where no length passes. first is
-        the trial of alpha = 1 where it is evaluated already (the damped
-        step's full trial); its w then gives kd = K d without a product."""
+        (beta^(max_backtracks + 1), None) where no length passes."""
         v, w, _, merit_val, _, _ = point
         with np.errstate(all="ignore"):
             # the bits of merit_val + sigma * alpha * slope in floats
             bounds = merit_val + self.steps * slope
-            kd = _kkt_times(self.problem, d) if first is None else first[1] - w
-        start = 0
-        if first is not None:
-            if not first[3] > bounds[0]:
-                return 1.0, first
-            start = 1
-        for lo in range(start, self.last, self.width):
+            kd = _kkt_times(self.problem, d)
+        for lo in range(0, self.last, self.width):
             hi = min(lo + self.width, self.last)
             low = _screen(self.problem, v, w, d, kd, self.alphas[lo:hi])
             for k in lo + np.flatnonzero(~(low > bounds[lo:hi])):
@@ -811,7 +795,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     """Run the globalized iteration from z0 (defaults to the origin)."""
     cfg = config or NewtonConfig()
     n = problem.n
-    v = full_vector(problem, FullPoint.zeros(problem) if z0 is None else z0)
+    v = start_vector(problem, FullPoint.zeros(problem) if z0 is None else z0)
     point = _evaluate(problem, v)
     trace = SolverTrace()
     factors = _FactorSlot(problem, cfg.pivot_tol)
@@ -821,9 +805,10 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     status = None
     while True:
         v, w, _, merit_val, _, _ = point
-        rows = _rows(problem, w, v)
-        f_res = _residual(w, v, rows)
-        norm_f = _norm(f_res)
+        # F = sign (w, v)_ext, and DF d = -F is [K; I]_ext d = -(w, v)_ext
+        ext, _ = _rows(problem, w, v)
+        selected = np.concatenate((w, v)).take(ext)
+        norm_f = _norm(selected)
         if norm_f <= cfg.tau_nsn:
             status = "converged"
             break
@@ -837,7 +822,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
             status = "stationary_merit"
             break
 
-        direction = factors.step(rows, -f_res)
+        direction = factors.step(ext, -selected)
         alpha = 1.0
         trial = None if direction is None else _evaluate(problem, v + direction)
         if trial is not None and trial[3] <= cfg.q_nsn * merit_val:
@@ -847,11 +832,10 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
                     -cfg.angle_rho * _norm(direction) * grad_norm:
                 direction = -merit_grad
                 step_type = "gradient"
-                trial = None
             else:
-                step_type = "damped_newton"  # alpha = 1 is the full step's trial
+                step_type = "damped_newton"
             alpha, trial = armijo.search(point, direction,
-                                         float(merit_grad @ direction), trial)
+                                         float(merit_grad @ direction))
             if trial is None:
                 status = "line_search_failure"
         if status is None:

@@ -440,6 +440,10 @@ class TestSolveAlm:
         m0 = _m(mu=[0.0], nu=[0.0, 0.0])
         with pytest.raises(ValueError, match=r"\(0, 0, 1, 1\)"):
             solve_alm(p, m0=m0)
+        for start in (dict(x0=[np.nan, 0.0]), dict(m0=_m(mu=[-np.inf],
+                                                          nu=[0.0]))):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                solve_alm(p, **start)
 
     def test_slack_free_requires_coordinate_selection(self):
         p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),

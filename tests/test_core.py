@@ -90,8 +90,18 @@ class TestProblemContainer:
         (dict(q=np.zeros(2), A_G=[[1.0, 0.0]], b_G=[0.0],
               A_H=[[0.0, 1.0], [1.0, 0.0]], b_H=[0.0, 0.0]),
          r"A_H must have shape \(1, 2\), got \(2, 2\)"),
+        (dict(Q=[[1.0, np.nan], [np.nan, 1.0]]),
+         "Q holds a NaN or infinite value"),
+        (dict(q=[0.0, np.inf]), "q holds a NaN or infinite value"),
+        (dict(q=np.zeros(2), A_h=scipy.sparse.csr_array([[-np.inf, 0.0]]),
+              b_h=[0.0]), "A_h holds a NaN or infinite value"),
+        (dict(q=np.zeros(2), A_G=[[1.0, 0.0]], b_G=[np.nan],
+              A_H=[[0.0, 1.0]], b_H=[0.0]),
+         "b_G holds a NaN or infinite value"),
+        (dict(q=np.zeros(2), c0=np.inf), "c0 holds a NaN or infinite value"),
     ], ids=["Q-rows", "Q-against-q", "A_h-columns", "b_g-length",
-            "A_H-rows"])
+            "A_H-rows", "Q-nan", "q-inf", "A_h-csr-inf", "b_G-nan",
+            "c0-inf"])
     def test_block_of_the_wrong_shape_is_rejected(self, blocks, message):
         with pytest.raises(ValueError, match=message):
             QuadraticMpcc(**blocks)
@@ -561,6 +571,15 @@ class TestSharedModel:
                       lambda: FullPoint.from_vector(p, np.zeros(5))):
             with pytest.raises(ValueError, match=message):
                 solve()
+        # a start must be finite too, while FullPoint.from_vector, which
+        # also builds a solver's result, takes a point that overflowed
+        for start in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, np.inf, 0.0]):
+            z0 = FullPoint.from_vector(p, start)
+            for solve in (lambda: solve_alm(p, x0=z0.x, m0=z0.multipliers()),
+                          lambda: solve_newton(p, z0=z0)):
+                with pytest.raises(ValueError, match="the start holds a NaN "
+                                   "or infinite value"):
+                    solve()
 
     def test_cached_builds_once_per_problem(self):
         p = _pair_problem(Q=np.eye(2))

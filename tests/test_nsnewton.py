@@ -45,10 +45,10 @@ from mpcckit.nsnewton import (
 from mpcckit.oracle import finite_diff
 
 
-def _newton_step(problem, rows, rhs, pivot_tol):
-    """The solution d of DF d = rhs, or None where the step is not well
-    defined, for DF given by its row description rows (see _factor)."""
-    return _solve(_factor(problem, rows, pivot_tol), rows[1], rhs)
+def _newton_step(problem, ext, rhs, pivot_tol):
+    """The solution d of [K; I]_ext d = rhs, or None where the step is not
+    well defined, for the rows ext of [K; I] (see _factor)."""
+    return _solve(_factor(problem, ext, pivot_tol), rhs)
 
 
 def _toy_problem():
@@ -212,7 +212,7 @@ class TestPairKernel:
         size = 1 + 2 * t
         w, v = np.zeros(size), np.zeros(size)
         w[1:], v[1:] = pts[:, :2].T.ravel(), pts[:, 2:].T.ravel()
-        ext, row_sign, _ = _rows(p, w, v)
+        ext, row_sign = _rows(p, w, v)
         at = 1 + np.arange(t)[:, None] + t * (axis % 2) + size * (axis >= 2)
         assert ext[1:].tobytes() == at.ravel().tobytes()
         assert row_sign[1:].tobytes() == sign.ravel().tobytes()
@@ -558,7 +558,9 @@ class TestAgainstDenseAssembly:
                 name: 1e-3 * getattr(p, name)
                 for name in ("Q", "A_g", "A_h", "A_G", "A_H")})
             for q in (p, small):
-                *_, scale = _rows(q, _affine(q, v), v)
+                ext, _ = _rows(q, _affine(q, v), v)
+                # the scale by which _factor measures its pivots
+                scale = _kkt(q).norms.take(ext).max()
                 ref = np.abs(_reference_df(q, v)).sum(axis=1).max()
                 assert scale == ref
                 unit_largest += ref == 1.0
@@ -571,7 +573,9 @@ class TestAgainstDenseAssembly:
             if np.linalg.cond(df) >= 1e8:
                 continue
             rhs = -residual_F(p, v)
-            step = _newton_step(p, _rows(p, _affine(p, v), v), rhs, 1e-12)
+            # DF d = -F is [K; I]_ext d = sign (-F), as F = sign (w, v)_ext
+            ext, sign = _rows(p, _affine(p, v), v)
+            step = _newton_step(p, ext, sign * rhs, 1e-12)
             ref = np.linalg.solve(df, rhs)
             assert step is not None
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -584,7 +588,7 @@ class TestAgainstDenseAssembly:
         # rejected without an LU
         fired = 0
         for p, v in _reference_points():
-            ext, _, _ = rows = _rows(p, _affine(p, v), v)
+            ext, _ = _rows(p, _affine(p, v), v)
             df = newton_derivative_DF(p, v)
             col = singleton_columns(df)
             fixed = col >= 0
@@ -595,7 +599,7 @@ class TestAgainstDenseAssembly:
                     p.n - np.count_nonzero(cols < p.n):
                 continue
             assert structural_rank(csr_matrix(df)) < len(v)
-            assert _newton_step(p, rows, np.ones(len(v)), 1e-12) is None
+            assert _newton_step(p, ext, np.ones(len(v)), 1e-12) is None
             fired += 1
         assert fired >= 10
 
@@ -605,6 +609,10 @@ class TestAgainstDenseAssembly:
         for p, v in _reference_points():
             kkt, x = _kkt(p), v[:p.n]
             assert all(isinstance(op, np.ndarray) for op in kkt.ops)
+            # the blocks of A without rows make no product
+            assert len(kkt.ops) == 1 + sum(
+                getattr(p, name).shape[0] > 0
+                for name in ("A_g", "A_h", "A_G", "A_H"))
             top = _reference_kkt(p)[:p.n]
             ref = np.concatenate((top.dot(v), p.A_g.dot(x), p.A_h.dot(x),
                                   p.A_G.dot(x), p.A_H.dot(x)))
@@ -696,8 +704,8 @@ class TestSingularStep:
         v = np.asarray(v, dtype=float)
         pivot_tol = NewtonConfig().pivot_tol
         assert np.linalg.cond(newton_derivative_DF(p, v)) > 1.0 / pivot_tol
-        assert _newton_step(p, _rows(p, _affine(p, v), v), np.ones(len(v)),
-                            pivot_tol) is None
+        assert _newton_step(p, _rows(p, _affine(p, v), v)[0],
+                            np.ones(len(v)), pivot_tol) is None
 
     def test_two_singleton_rows_on_one_column(self):
         # row 0 of K is e_lam (Q's row 0 is zero), and -g = 1 > lam = 0
@@ -705,7 +713,7 @@ class TestSingularStep:
         p = QuadraticMpcc.build(Q=[[0.0, 0.0], [0.0, 1.0]], q=np.zeros(2),
                                 A_g=[[1.0, 0.0]], b_g=[0.0])
         v = np.array([-1.0, 0.0, 0.0])
-        ext, _, _ = _rows(p, _affine(p, v), v)
+        ext, _ = _rows(p, _affine(p, v), v)
         assert ext[2] == len(v) + 2
         self._assert_no_step(p, v)
 
@@ -728,25 +736,23 @@ class TestSingularStep:
                                 b_h=[0.0, 0.0], A_G=[[1.0, 0.0, 0.0]],
                                 b_G=[0.0], A_H=[[0.0, 1.0, 0.0]], b_H=[0.0])
         v = np.array([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0, -2.0])
-        ext, _, _ = _rows(p, _affine(p, v), v)
+        ext, _ = _rows(p, _affine(p, v), v)
         assert list(ext[5:]) == [5, 6]
         assert structural_rank(csr_matrix(newton_derivative_DF(p, v))) < 7
         self._assert_no_step(p, v)
 
 
-def _dense_df(p, ext, sign):
-    """DF of the rows ext of [K; I] with the signs sign, from the dense K."""
+def _dense_df(p, ext):
+    """The rows ext of [K; I], from the dense K."""
     K = _reference_kkt(p)
-    return sign[:, None] * np.vstack((K, np.eye(len(K))))[ext]
+    return np.vstack((K, np.eye(len(K))))[ext]
 
 
 def _description(p, src, unit):
-    """The row description (ext, sign, row_scale) of _rows for rows chosen
-    by hand: row i of DF is row src_i of K, or the unit row e_{src_i} where
-    unit_i."""
+    """The rows ext of [K; I] chosen by hand: row i is row src_i of K, or
+    the unit row e_{src_i} where unit_i."""
     src, unit = np.asarray(src), np.asarray(unit, dtype=bool)
-    ext, sign = src + src.size * unit, np.ones(src.size)
-    return ext, sign, np.abs(_dense_df(p, ext, sign)).sum(axis=1).max()
+    return src + src.size * unit
 
 
 def _column_peel_problem(eps):
@@ -767,13 +773,11 @@ class TestPeel:
         # both rows are singletons, so the step is rhs / (0.5, 1); a
         # quotient that overflows, or a NaN right-hand side, gives no step
         p = QuadraticMpcc.build(Q=np.diag([0.5, 1.0]), q=np.zeros(2))
-        rows = _description(p, [0, 1], [False, False])
-        factor = _factor(p, rows, 1e-12)
-        assert _solve(factor, rows[1], np.array([1.0, 2.0])).tolist() == \
-            [2.0, 2.0]
+        factor = _factor(p, _description(p, [0, 1], [False, False]), 1e-12)
+        assert _solve(factor, np.array([1.0, 2.0])).tolist() == [2.0, 2.0]
         for rhs in ([1e308, 1.0], [1.0, np.nan]):
             with np.errstate(all="ignore"):
-                assert _solve(factor, rows[1], np.array(rhs)) is None
+                assert _solve(factor, np.array(rhs)) is None
 
     def test_no_lu_fixture_trips_on_a_core(self, no_lu):
         # no row or column of Q has a single entry, so the core is all of it
@@ -787,11 +791,11 @@ class TestPeel:
         # on column 1, and then row 2, on column 0: three rounds
         p = QuadraticMpcc.build(Q=[[0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
                                    [1.0, 1.0, 1.0]], q=np.zeros(3))
-        rows = _description(p, [0, 1, 2], [False] * 3)
+        ext = _description(p, [0, 1, 2], [False] * 3)
         rhs = np.array([1.0, -2.0, 3.0])
-        step = _newton_step(p, rows, rhs, 1e-12)
+        step = _newton_step(p, ext, rhs, 1e-12)
         np.testing.assert_allclose(
-            step, np.linalg.solve(_dense_df(p, *rows[:2]), rhs), rtol=1e-14)
+            step, np.linalg.solve(_dense_df(p, ext), rhs), rtol=1e-14)
 
     def test_two_rows_peel_onto_one_column_in_a_later_round(self, no_lu):
         # once the unit rows have fixed x1 and x3, the rows of A_h[0] and
@@ -802,10 +806,10 @@ class TestPeel:
                                 A_g=[[0.0, 0.0, 1.0, 1.0]], b_g=[0.0],
                                 A_h=[[0.0, 1.0, 1.0, 1.0], [1.0] * 4],
                                 b_h=[0.0, 0.0])
-        rows = _description(p, [1, 2, 1, 3, 3, 5, 4],
-                            [False, False, True, False, True, False, False])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 7
-        assert _newton_step(p, rows, np.ones(7), 1e-12) is None
+        ext = _description(p, [1, 2, 1, 3, 3, 5, 4],
+                           [False, False, True, False, True, False, False])
+        assert structural_rank(csr_matrix(_dense_df(p, ext))) < 7
+        assert _newton_step(p, ext, np.ones(7), 1e-12) is None
 
     def test_value_below_pivot_tolerance_in_a_later_round(self, no_lu):
         # once e_3 has fixed the multiplier column, row 1 of K has its one
@@ -813,10 +817,10 @@ class TestPeel:
         p = QuadraticMpcc.build(Q=[[1.0, 1e-20, 1.0], [1e-20, 0.0, 0.0],
                                    [1.0, 0.0, 2.0]], q=np.zeros(3),
                                 A_g=[[0.0, 1.0, 0.0]], b_g=[0.0])
-        rows = _description(p, [0, 1, 2, 3], [False, False, False, True])
+        ext = _description(p, [0, 1, 2, 3], [False, False, False, True])
         pivot_tol = NewtonConfig().pivot_tol
-        assert np.linalg.cond(_dense_df(p, *rows[:2])) > 1.0 / pivot_tol
-        assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
+        assert np.linalg.cond(_dense_df(p, ext)) > 1.0 / pivot_tol
+        assert _newton_step(p, ext, np.ones(4), pivot_tol) is None
 
     def test_two_columns_peel_onto_one_row(self, no_lu):
         # once e_4 and e_5 have fixed the multiplier columns, no row has one
@@ -826,10 +830,10 @@ class TestPeel:
                                 q=np.zeros(4), A_h=[[1.0, 1.0, 0.0, 0.0],
                                                     [1.0, 2.0, 0.0, 0.0]],
                                 b_h=[0.0, 0.0])
-        rows = _description(p, [0, 1, 4, 5, 4, 5],
-                            [False, False, False, False, True, True])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 6
-        assert _newton_step(p, rows, np.ones(6), 1e-12) is None
+        ext = _description(p, [0, 1, 4, 5, 4, 5],
+                           [False, False, False, False, True, True])
+        assert structural_rank(csr_matrix(_dense_df(p, ext))) < 6
+        assert _newton_step(p, ext, np.ones(6), 1e-12) is None
 
     def test_column_peel_and_back_substitution(self, monkeypatch):
         cores = []
@@ -839,18 +843,18 @@ class TestPeel:
             cores.append(a.shape)
             return dgetrf(a, **kwargs)
         monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", spy)
-        p, rows = _column_peel_problem(0.5)
+        p, ext = _column_peel_problem(0.5)
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
-        step = _newton_step(p, rows, rhs, 1e-12)
+        step = _newton_step(p, ext, rhs, 1e-12)
         np.testing.assert_allclose(
-            step, np.linalg.solve(_dense_df(p, *rows[:2]), rhs), rtol=1e-12)
+            step, np.linalg.solve(_dense_df(p, ext), rhs), rtol=1e-12)
         assert cores == [(2, 2)]
 
     def test_column_singleton_below_pivot_tolerance(self, no_lu):
-        p, rows = _column_peel_problem(1e-20)
+        p, ext = _column_peel_problem(1e-20)
         pivot_tol = NewtonConfig().pivot_tol
-        assert np.linalg.cond(_dense_df(p, *rows[:2])) > 1.0 / pivot_tol
-        assert _newton_step(p, rows, np.ones(4), pivot_tol) is None
+        assert np.linalg.cond(_dense_df(p, ext)) > 1.0 / pivot_tol
+        assert _newton_step(p, ext, np.ones(4), pivot_tol) is None
 
     def test_row_emptied_by_peeling(self, no_lu):
         # the unit rows fix columns 0 and 1, which hold every entry of row 0
@@ -861,10 +865,10 @@ class TestPeel:
                                    [0.0, 1.0, 2.0, 1.0, 1.0],
                                    [0.0, 1.0, 1.0, 3.0, 1.0],
                                    [0.0, 1.0, 1.0, 1.0, 4.0]], q=np.zeros(5))
-        rows = _description(p, [0, 1, 0, 2, 3], [True, True, False, False,
-                                                 False])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 5
-        assert _newton_step(p, rows, np.ones(5), 1e-12) is None
+        ext = _description(p, [0, 1, 0, 2, 3], [True, True, False, False,
+                                                False])
+        assert structural_rank(csr_matrix(_dense_df(p, ext))) < 5
+        assert _newton_step(p, ext, np.ones(5), 1e-12) is None
 
     def test_column_left_empty(self, no_lu):
         # rows 0 and 1 of Q and the row of A_h have entries on columns 0 and
@@ -872,9 +876,9 @@ class TestPeel:
         p = QuadraticMpcc.build(Q=[[1.0, 1.0, 0.0], [1.0, 2.0, 0.0],
                                    [0.0, 0.0, 1.0]], q=np.zeros(3),
                                 A_h=[[2.0, 1.0, 0.0]], b_h=[0.0])
-        rows = _description(p, [0, 1, 3, 3], [False, False, False, True])
-        assert structural_rank(csr_matrix(_dense_df(p, *rows[:2]))) < 4
-        assert _newton_step(p, rows, np.ones(4), 1e-12) is None
+        ext = _description(p, [0, 1, 3, 3], [False, False, False, True])
+        assert structural_rank(csr_matrix(_dense_df(p, ext))) < 4
+        assert _newton_step(p, ext, np.ones(4), 1e-12) is None
 
     def test_steps_of_a_cold_start_solve_the_full_system(self, monkeypatch):
         # criterion 1's first start at n_div = 8, whose first and last steps
@@ -882,9 +886,9 @@ class TestPeel:
         p = assemble_instance(IocParams()).problem
         steps = []
 
-        def spy(slot, rows, rhs, _step=_FactorSlot.step):
-            step = _step(slot, rows, rhs)
-            steps.append((rows, rhs, step))
+        def spy(slot, ext, rhs, _step=_FactorSlot.step):
+            step = _step(slot, ext, rhs)
+            steps.append((ext, rhs, step))
             return step
         monkeypatch.setattr(_FactorSlot, "step", spy)
         x0, m0 = make_start(p, 1)
@@ -892,10 +896,10 @@ class TestPeel:
             "converged"
         assert [step is None for *_, step in steps] == [False] + [True] * 8 \
             + [False]
-        for (ext, sign, _), rhs, step in steps:
+        for ext, rhs, step in steps:
             if step is None:
                 continue
-            df = _dense_df(p, ext, sign)
+            df = _dense_df(p, ext)
             assert np.linalg.cond(df) < 1e8
             ref = np.linalg.solve(df, rhs)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -943,19 +947,18 @@ def _same_solve(a, b):
 
 
 def _factor_calls(monkeypatch):
-    """The rows of each _factor call that solve_newton makes."""
+    """The rows ext of each _factor call that solve_newton makes."""
     calls = []
 
-    def spy(problem, rows, pivot_tol, _factor=_factor):
-        calls.append(rows)
-        return _factor(problem, rows, pivot_tol)
+    def spy(problem, ext, pivot_tol, _factor=_factor):
+        calls.append(ext)
+        return _factor(problem, ext, pivot_tol)
     monkeypatch.setattr("mpcckit.nsnewton._factor", spy)
     return calls
 
 
 class TestFactorReuse:
-    """DF depends on ext alone, so a factorization serves every step that
-    selects the same rows, whatever their signs."""
+    """A factorization serves every step that selects the same rows."""
 
     @pytest.mark.parametrize("start", [_stalled_tiny_start,
                                        _cold_start_n_div_8])
@@ -967,9 +970,9 @@ class TestFactorReuse:
         reused = len(calls) < kept.iterations
         calls.clear()
 
-        def miss(slot, rows, rhs, _step=_FactorSlot.step):
+        def miss(slot, ext, rhs, _step=_FactorSlot.step):
             slot.ext = None
-            return _step(slot, rows, rhs)
+            return _step(slot, ext, rhs)
         monkeypatch.setattr(_FactorSlot, "step", miss)
         fresh = solve_newton(p, z0=z0)
         assert len(calls) == fresh.iterations
@@ -978,36 +981,14 @@ class TestFactorReuse:
             assert kept.damped_steps > 0 and kept.gradient_steps > 0
         _same_solve(kept, fresh)
 
-    def test_flipped_row_signs_reuse_the_factorization(self):
-        rng = np.random.default_rng(62)
-        ioc, z0 = _cold_start_n_div_8()
-        solved = 0
-        for p, v in itertools.chain(_reference_points(),
-                                    [(ioc, z0.to_vector())]):
-            ext, sign, scale = rows = _rows(p, _affine(p, v), v)
-            factor = _factor(p, rows, 1e-12)
-            if factor is None:
-                continue
-            rhs = -residual_F(p, v)
-            # a signed zero in the right-hand side keeps its bits too
-            rhs[rng.random(rhs.size) < 0.2] = -0.0
-            for _ in range(3):
-                flipped = sign * rng.choice([-1.0, 1.0], size=sign.size)
-                step = _solve(factor, flipped, rhs)
-                ref = _newton_step(p, (ext, flipped, scale), rhs, 1e-12)
-                assert step is not None
-                assert step.tobytes() == ref.tobytes()
-            solved += 1
-        assert solved >= 30
-
     def test_one_factorization_per_change_of_rows(self, monkeypatch):
         p, z0 = _stalled_tiny_start()
         calls = _factor_calls(monkeypatch)
         exts = []
 
-        def spy(slot, rows, rhs, _step=_FactorSlot.step):
-            exts.append(rows[0])
-            return _step(slot, rows, rhs)
+        def spy(slot, ext, rhs, _step=_FactorSlot.step):
+            exts.append(ext)
+            return _step(slot, ext, rhs)
         monkeypatch.setattr(_FactorSlot, "step", spy)
         res = solve_newton(p, z0=z0)
         assert len(exts) == res.iterations == 1000
@@ -1015,8 +996,8 @@ class TestFactorReuse:
                    if k == 0 or not np.array_equal(ext, exts[k - 1])]
         assert 1 < len(changes) <= 10
         assert len(calls) == len(changes)
-        for rows, k in zip(calls, changes):
-            np.testing.assert_array_equal(rows[0], exts[k])
+        for ext, k in zip(calls, changes):
+            np.testing.assert_array_equal(ext, exts[k])
 
 
 def _reference_merit_gradient(p, point):
@@ -1083,8 +1064,8 @@ def _searches(monkeypatch):
     makes."""
     calls = []
 
-    def spy(self, point, d, slope, first=None, _search=_Armijo.search):
-        alpha, trial = _search(self, point, d, slope, first)
+    def spy(self, point, d, slope, _search=_Armijo.search):
+        alpha, trial = _search(self, point, d, slope)
         calls.append((point, d, slope, alpha, trial))
         return alpha, trial
     monkeypatch.setattr(_Armijo, "search", spy)
@@ -1116,10 +1097,11 @@ class TestScreenedSearch:
             point = _evaluate(p, v)
             grad = _merit_gradient(p, point)
             alphas = _Armijo(p, cfg).alphas
-            # a gradient step's kd is a product, a damped step's a difference
-            # of two evaluated w
+            # the search's kd is a product; a difference of two evaluated w
+            # rounds more, and the margin covers it too
             step = rng.normal(size=v.size) * np.abs(v).max()
             for d, kd in ((-grad, _kkt_times(p, -grad)),
+                          (step, _kkt_times(p, step)),
                           (step, _evaluate(p, v + step)[1] - point[1])):
                 low = _screen(p, v, point[1], d, kd, alphas)
                 exact = np.array([_evaluate(p, v + alpha * d)[3]
@@ -1134,8 +1116,7 @@ class TestScreenedSearch:
         armijo = _Armijo(p, NewtonConfig())
         d = np.full(v.size, 1e308)
         with np.errstate(all="ignore"):
-            # the w of an overflowing full trial, as a damped step has it
-            kd = _evaluate(p, v + d)[1] - point[1]
+            kd = _kkt_times(p, d)  # overflows, as the search's own product
         assert not np.all(np.isfinite(kd))
         d_grad = -_merit_gradient(p, point)
         with warnings.catch_warnings():
@@ -1219,37 +1200,6 @@ class TestScreenedSearch:
         _sequential(monkeypatch)
         _same_solve(res, solve_newton(p, cfg, z0=z0))
 
-    def test_damped_step_of_full_length_takes_the_full_trial(self,
-                                                            monkeypatch):
-        # q_nsn = 0 takes no full step, so a Newton direction that passes the
-        # angle test is a damped step; where its full trial, evaluated
-        # already, passes the Armijo test at alpha = 1, the search returns
-        # that trial and evaluates nothing
-        import mpcckit.nsnewton as nsn
-        evaluated = [0]
-
-        def counted(*args, _evaluate=nsn._evaluate):
-            evaluated[0] += 1
-            return _evaluate(*args)
-        monkeypatch.setattr(nsn, "_evaluate", counted)
-        reused = []
-
-        def spy(self, point, d, slope, first=None, _search=_Armijo.search):
-            before = evaluated[0]
-            alpha, trial = _search(self, point, d, slope, first)
-            if first is not None and trial is first:
-                assert alpha == 1.0 and evaluated[0] == before
-                reused.append(point)
-            return alpha, trial
-        monkeypatch.setattr(_Armijo, "search", spy)
-        damped = 0
-        for count in range(1, 11):
-            p, z0 = _tiny_start(count)
-            res = solve_newton(p, NewtonConfig(q_nsn=0.0, max_iters=50), z0)
-            assert res.full_steps == 0
-            damped += res.damped_steps
-        assert len(reused) == 10 and damped > len(reused)
-
     def test_about_one_evaluation_per_search(self, monkeypatch):
         import mpcckit.nsnewton as nsn
         calls = dict.fromkeys(("_evaluate", "_screen", "ncp_fb"), 0)
@@ -1329,6 +1279,10 @@ class TestSolveNewton:
                            nu=[])]
         for z0 in wrong:
             with pytest.raises(ValueError, match=r"n \+ r \+ s \+ 2t = 4"):
+                solve_newton(p, z0=z0)
+        for z0 in ([0.0, np.nan, 0.0, 0.0], FullPoint(
+                x=[1.0, 0.0], lam=[], eta=[], mu=[np.inf], nu=[0.0])):
+            with pytest.raises(ValueError, match="NaN or infinite"):
                 solve_newton(p, z0=z0)
 
     def test_zero_iterations_at_solution(self):
