@@ -92,8 +92,8 @@ class QuadraticMpcc:
             given = self.q if self.q is not None else self.Q
             if given is None:
                 raise ValueError("cannot infer n: provide Q, q, or n")
-            n = np.shape(given)[-1]
-        r, s, t = (0 if a is None else np.shape(a)[0]
+            n = (np.shape(given) or (0,))[-1]  # a 0-d block fails its shape
+        r, s, t = ((np.shape(a) or (0,))[0]
                    for a in (self.A_g, self.A_h, self.A_G))
         shapes = {"Q": (n, n), "q": (n,), "A_g": (r, n), "b_g": (r,),
                   "A_h": (s, n), "b_h": (s,), "A_G": (t, n), "b_G": (t,),
@@ -421,7 +421,7 @@ class StationarityReport:
 def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
     """Value, gradient, and (constant) Hessian of the MPCC Lagrangian; the
     Hessian is Q as the problem stores it, dense or CSR."""
-    x = np.asarray(x, dtype=float)
+    x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     value = (problem.f(x) + m.lam @ problem.g(x) + m.eta @ problem.h(x)
              + m.mu @ problem.G(x) + m.nu @ problem.H(x))
     grad = (problem.grad_f(x) + m.lam @ problem.A_g + m.eta @ problem.A_h
@@ -431,6 +431,7 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
 
 def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
                        tol: float = 1e-6) -> IndexSets:
+    x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     g = problem.g(x)
     G = problem.G(x)
     H = problem.H(x)
@@ -452,7 +453,7 @@ def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
 def classify_stationarity(problem: QuadraticMpcc, x, m: MultiplierSet,
                           tol: float = 1e-6) -> StationarityReport:
     """Grade (x, m) along the chain S => M => C => W, enforced structurally."""
-    x = np.asarray(x, dtype=float)
+    x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     g, h = problem.g(x), problem.h(x)
     G, H = problem.G(x), problem.H(x)
     sets = compute_index_sets(problem, x, m, tol)

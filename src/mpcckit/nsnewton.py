@@ -13,11 +13,14 @@ is exactly the pairwise M-stationarity set
 
     {(a,0,0,nu) : a >= 0} u {(0,b,mu,0) : b >= 0} u {(0,0,mu,nu) : mu,nu <= 0},
 
-built from componentwise max/min compositions, so each row of the Newton
-derivative DF is +-1 times a row of K or a unit row, and the same selection
-gives F: F_i = +-w_j for the row j of K, or +-v_j for the unit row e_j. The
-signs cancel in the Newton equation DF d = -F, which is the system
-[K; I]_ext d = -(w, v)_ext of the rows ext of [K; I] that DF selects. On
+built from componentwise max/min compositions. So F is a selection from
+the stacked source S = (w, v, |w|, |v|, -w) of the point: row i picks the
+entry sel_i of S, and with ext = sel mod 2N, for the N entries of v,
+F_i = sign_i (w, v)_{ext_i} and row i of the Newton derivative DF is sign_i
+times row ext_i of [K; I], a row of K or a unit row. The sign is +1 in
+(w, v), sign(t) in |t| and -1 in -w; only residual_F, newton_derivative_DF
+and phi form it, as it cancels in the Newton equation DF d = -F, which is
+the system [K; I]_ext d = -(w, v)_ext, read from S by its indices. On
 that set the selected linearization is exact in a neighborhood (the Newton
 iteration terminates finitely for piecewise linear residuals), but F is
 discontinuous elsewhere, so globalization uses the continuously
@@ -44,11 +47,11 @@ this depends on ext alone, as does the right-hand side -(w, v)_ext. So the
 peel and the LU are one factorization of [K; I]_ext, or the verdict that it
 is singular, and the iteration keeps the previous step's; while consecutive
 steps select the same rows, a step only replays the peel's arithmetic on
-its right-hand side. A point is
-evaluated by one product with K and one stacked Fischer-Burmeister pass: all
-r + 4t FB terms of F_FB from a single ncp_fb call, whose arguments and
-values also give the merit gradient its partials in one call. An accepted
-trial's values serve the next iteration.
+its right-hand side. A point is evaluated by one product with K and one
+stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
+ncp_fb call on arguments gathered from S, the S that F selects from, whose
+arguments and values also give the merit gradient its partials in one call.
+An accepted trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -139,105 +142,39 @@ def ncp_fb(a, b):
     return np.sqrt(np.square(a) + np.square(b)) - a - b
 
 
-# Candidate bank of the pair residual, one (value, axis, sign) triple a row:
-# -a, -b, |a|, |b|, |mu|, |nu|, mu, nu, where axis indexes (a, b, mu, nu) and
-# the sign of the derivative row is -1, sign(value of that axis) or +1.
-_BANK_AXIS = np.array([0, 1, 0, 1, 2, 3, 2, 3])
+# Candidates of the pair bank -a, -b, |a|, |b|, |mu|, |nu|, mu, nu (see
+# _Layout), 0 to 7:
 # psi1 = max(-a, |b|, |mu|), psi2 = max(-b, |a|, |nu|), psi3 = max(|a|, |b|,
 # mu, nu); the short rows repeat their first candidate, which a tie keeps
 _PSI = np.array([[0, 3, 4, 0], [1, 2, 5, 1], [2, 3, 6, 7]])
-# phi2 = min of two candidates chosen by the axis of phi1's candidate:
-# (|b|, |nu|), (|a|, |mu|), |b| alone, |a| alone
-_PHI2 = np.array([[3, 2, 3, 2], [5, 4, 3, 2]])
-# the sign of a derivative row, by whether its value is >= 0
-_SIGNS = np.array([-1.0, 1.0])
+# phi2 = min of two candidates chosen by phi1's, one column per candidate:
+# (|b|, |nu|) after -a or |a|, (|a|, |mu|) after -b or |b|, |b| alone after
+# |mu| or mu, and |a| alone after |nu| or nu
+_PHI2 = np.array([[3, 2, 3, 2, 3, 2, 3, 2], [5, 4, 5, 4, 3, 2, 3, 2]])
 
 
-class _PairIndex(NamedTuple):
-    """Index tables of the pair selection for t pairs. The bank of t pairs
-    is one array of 8t candidates, candidate k of pair i at k t + i: psi
-    (3, 4, t) holds the candidates of psi1, psi2 and psi3, phi2 (2, 8t) the
-    two candidates of phi2 for each candidate phi1 may pick, cols is
-    arange(t), and ends the signs (-1, +1) of the first and last 2t
-    candidates' derivative rows, 2t entries each."""
-
-    psi: np.ndarray
-    phi2: np.ndarray
-    cols: np.ndarray
-    ends: tuple
-
-
-def _pair_index(t: int) -> _PairIndex:
-    cols = np.arange(t)
-    return _PairIndex(_PSI[:, :, None] * t + cols,
-                      (_PHI2[:, _BANK_AXIS, None] * t + cols).reshape(2, -1),
-                      cols, (np.full(2 * t, -1.0), np.ones(2 * t)))
-
-
-def _pick(index: _PairIndex, wp: np.ndarray, vp: np.ndarray):
-    """(bank, picked, sign) of phi over the t pairs of wp = (a, b) and
-    vp = (mu, nu): the 8t candidates, the candidates phi1 and phi2 pick,
-    pair by pair (2t, in the bank's numbering), and the signs of their
-    derivative rows.
-
-    argmax and argmin return the first attaining candidate, which is the
-    selection rule of the module docstring; a NaN attains both. A psi is
-    compared by its maximum, which only the sign of a zero tells apart from
-    the candidate attaining it."""
-    bank = np.concatenate((-wp, np.abs(np.concatenate((wp, vp))), vp))
-    group = bank.take(index.psi)
-    top = group.argmax(axis=1)
-    cols = index.cols
-    first = group.max(axis=1).argmin(axis=0)  # phi1 = min(psi1, psi2, psi3)
-    picked = np.empty(2 * cols.size, np.intp)
-    picked[::2] = index.psi[first, top[first, cols], cols]
-    cand = index.phi2.take(picked[::2], axis=1)
-    picked[1::2] = cand[bank.take(cand).argmin(axis=0), cols]
-    # -1, sign(a), sign(b), sign(mu), sign(nu) or +1, with sign(0) := +1
-    sign = _SIGNS.take(np.concatenate((index.ends[0], wp, vp, index.ends[1]))
-                       .take(picked) >= 0.0)
-    return bank, picked, sign
-
-
-def _phi_vec(a, b, mu, nu):
-    """phi over all pairs: values (t, 2), and the axis (index into (a, b,
-    mu, nu)) and sign (t, 2 each) of their derivative rows."""
-    t = a.size
-    bank, picked, sign = _pick(_pair_index(t), np.concatenate((a, b)),
-                               np.concatenate((mu, nu)))
-    return (bank.take(picked).reshape(t, 2),
-            _BANK_AXIS[picked // t].reshape(t, 2), sign.reshape(t, 2))
-
-
-def phi(a: float, b: float, mu: float, nu: float):
-    """Pairwise M-stationarity residual (phi1, phi2) and its 2x4 derivative."""
-    vals, axis, sign = _phi_vec(
-        np.array([a], dtype=float), np.array([b], dtype=float),
-        np.array([mu], dtype=float), np.array([nu], dtype=float))
-    rows = np.zeros((2, 4))
-    rows[(0, 1), axis[0]] = sign[0]
-    return vals[0], rows
-
-
-def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
-    """Four-dimensional Fischer-Burmeister recast of the pairwise system:
-    F_FB of one pair alone, with w = (a, b) and v = (mu, nu)."""
-    return _fb_residual(_PAIR_LAYOUT, np.array([a, b], dtype=float),
-                        np.array([mu, nu], dtype=float))[0]
-
-
-class _FbLayout(NamedTuple):
-    """Index maps of the stacked Fischer-Burmeister pass of _fb_residual for
-    blocks of sizes dims = (n, r, s, t, n + r + s): args picks the arguments
-    uv = (U, V) of the r + 4t terms from (w, v, |w|, |v|, -w), and order
-    picks F_FB from (w[:n + r + s], the terms, theta_1)."""
+class _Layout(NamedTuple):
+    """Index maps into the stacked source S = (w, v, |w|, |v|, -w) of a
+    point, 5N entries, for blocks of sizes dims = (n, r, s, t, n + r + s).
+    args picks the arguments uv = (U, V) of the r + 4t Fischer-Burmeister
+    terms of _fb_residual from S, and order picks F_FB from (w[:n + r + s],
+    the terms, theta_1). bank holds the 8t entries of S at -a, -b, |a|,
+    |b|, |mu|, |nu|, mu and nu, candidate k of pair i at k t + i, from which
+    _rows selects the pair rows: psi (3, 4, t) holds the candidates of psi1,
+    psi2 and psi3, phi2 (2, 8t) the two candidates of phi2 for each
+    candidate phi1 may pick, both numbered in the bank, and cols is
+    arange(t)."""
 
     dims: tuple
     args: np.ndarray
     order: np.ndarray
+    bank: np.ndarray
+    psi: np.ndarray
+    phi2: np.ndarray
+    cols: np.ndarray
 
 
-def _fb_layout(n: int, r: int, s: int, t: int) -> _FbLayout:
+def _layout(n: int, r: int, s: int, t: int) -> _Layout:
     size, base = n + r + s + 2 * t, n + r + s
     g, pair = np.arange(n, n + r), np.arange(base, base + t)
     a, b, mu, nu = pair, pair + t, size + pair, size + pair + t
@@ -250,35 +187,106 @@ def _fb_layout(n: int, r: int, s: int, t: int) -> _FbLayout:
     pairs = term[[4, 1, 2, 3]].T.ravel()
     order = np.concatenate((np.arange(n), base + np.arange(r),
                             np.arange(n + r, base), pairs))
-    return _FbLayout((n, r, s, t, base),
-                     np.stack((np.concatenate(U), np.concatenate(V))), order)
+    bank = np.concatenate((negated + a, negated + b, absolute + a,
+                           absolute + b, absolute + mu, absolute + nu, mu, nu))
+    cols = np.arange(t)
+    return _Layout((n, r, s, t, base),
+                   np.stack((np.concatenate(U), np.concatenate(V))), order,
+                   bank, _PSI[:, :, None] * t + cols,
+                   (_PHI2[:, :, None] * t + cols).reshape(2, -1),
+                   cols)
 
 
-_PAIR_LAYOUT = _fb_layout(0, 0, 0, 1)
+_PAIR_LAYOUT = _layout(0, 0, 0, 1)
 
 
-def _fb_residual(layout: _FbLayout, w: np.ndarray, v: np.ndarray):
-    """(F_FB, uv, terms) at v, given w = K v + k and the layout of the
-    problem's blocks.
+def _stacked(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The stacked source S = (w, v, |w|, |v|, -w) of a point (see
+    _Layout), stacked along the first axis."""
+    return np.concatenate((w, v, np.abs(w), np.abs(v), -w))
+
+
+def _rows(layout: _Layout, S: np.ndarray) -> np.ndarray:
+    """sel, the entry of the stacked source S that each row of F selects:
+    w_i for the rows of x and h, -g_i or lambda_i for the rows of g, and
+    phi's picks among the bank for the pair rows. For ext = sel mod 2N,
+    F_i = sign_i (w, v)_{ext_i} and row i of DF is sign_i times row ext_i
+    of [K; I], with the signs of _signs.
+
+    min and argmin pick the smallest attaining index, max and argmax the
+    first attaining argument in written order, which is the selection rule
+    of the module docstring; a NaN attains both. A psi is compared by its
+    maximum, which only the sign of a zero tells apart from the candidate
+    attaining it."""
+    n, r, _, _, base = layout.dims
+    sel = np.arange(S.size // 5)
+    # min(-g_i, lam_i), the g term's arguments: a tie picks -g_i
+    neg_g, lam = layout.args[:, :r]
+    sel[n:n + r] = np.where(S.take(neg_g) <= S.take(lam), neg_g, lam)
+    bank = S.take(layout.bank)
+    group = bank.take(layout.psi)
+    top = group.argmax(axis=1)
+    cols = layout.cols
+    first = group.max(axis=1).argmin(axis=0)  # phi1 = min(psi1, psi2, psi3)
+    picked = np.empty(2 * cols.size, np.intp)
+    picked[::2] = layout.psi[first, top[first, cols], cols]
+    cand = layout.phi2.take(picked[::2], axis=1)
+    picked[1::2] = cand[bank.take(cand).argmin(axis=0), cols]
+    sel[base:] = layout.bank.take(picked)
+    return sel
+
+
+def _signs(S: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """The sign of each row of F and DF that selects S_sel (see _rows), by
+    the part of S it selects: +1 in (w, v), sign(t) with sign(0) := +1 in
+    |t|, and -1 in -w."""
+    twice = 2 * (S.size // 5)
+    part = sel // twice  # 0, 1 or 2
+    return np.where(part == 1,
+                    np.where(S.take(sel % twice) >= 0.0, 1.0, -1.0),
+                    1.0 - part)
+
+
+def phi(a: float, b: float, mu: float, nu: float):
+    """Pairwise M-stationarity residual (phi1, phi2) and its 2x4 derivative:
+    the selection of _rows for one pair alone, with w = (a, b) and
+    v = (mu, nu), whose values are the selected entries of S."""
+    S = _stacked(np.array([a, b], dtype=float),
+                 np.array([mu, nu], dtype=float))
+    sel = _rows(_PAIR_LAYOUT, S)
+    rows = np.zeros((2, 4))
+    rows[(0, 1), sel % 4] = _signs(S, sel)
+    return S.take(sel), rows
+
+
+def theta(a: float, b: float, mu: float, nu: float) -> np.ndarray:
+    """Four-dimensional Fischer-Burmeister recast of the pairwise system:
+    F_FB of one pair alone, with w = (a, b) and v = (mu, nu)."""
+    return _fb_residual(_PAIR_LAYOUT, np.array([a, b], dtype=float),
+                        np.array([mu, nu], dtype=float))[0]
+
+
+def _fb_residual(layout: _Layout, w: np.ndarray, v: np.ndarray):
+    """(F_FB, S, terms) at v, given w = K v + k and the layout of the
+    problem's blocks, where S is the stacked source of the point.
 
     Every Fischer-Burmeister term of F_FB comes from one ncp_fb call on the
-    stacked arguments uv = (U, V), U = (-g, a, |a|, |b|, |mu|) and
-    V = (lambda, b, |mu|, |nu|, |nu|), with (a, b) = (G, H). Pair i of F_FB
-    is theta = (|FB(a, b)|, FB(|a|, |mu|), FB(|b|, |nu|), theta_4), where
-    theta_4 is FB(|mu|, |nu|), or 0 where mu, nu <= 0. terms holds the r + 4t
-    values in the order of uv, with theta_4 in place and FB(a, b) signed.
-    w and v may hold k points as the columns of (N, k) arrays, and every
-    value is then the column of its point, with the bits of that point
-    alone.
+    stacked arguments uv = (U, V) = S.take(layout.args),
+    U = (-g, a, |a|, |b|, |mu|) and V = (lambda, b, |mu|, |nu|, |nu|), with
+    (a, b) = (G, H). Pair i of F_FB is theta = (|FB(a, b)|, FB(|a|, |mu|),
+    FB(|b|, |nu|), theta_4), where theta_4 is FB(|mu|, |nu|), or 0 where
+    mu, nu <= 0. terms holds the r + 4t values in the order of uv, with
+    theta_4 in place and FB(a, b) signed. w and v may hold k points as the
+    columns of (N, k) arrays, and every value is then the column of its
+    point, with the bits of that point alone.
     """
     _, r, _, t, base = layout.dims
-    uv = np.concatenate((w, v, np.abs(w), np.abs(v), -w)).take(layout.args,
-                                                                 axis=0)
-    terms = ncp_fb(*uv)
+    S = _stacked(w, v)
+    terms = ncp_fb(*S.take(layout.args, axis=0))
     # mu, nu <= 0 iff max(mu, nu) <= 0
     terms[r + 3 * t:][np.maximum(v[base:base + t], v[base + t:]) <= 0.0] = 0.0
     res = np.concatenate((w[:base], terms, np.abs(terms[r:r + t])))
-    return res.take(layout.order, axis=0), uv, terms
+    return res.take(layout.order, axis=0), S, terms
 
 
 def _fb_partials(uv):
@@ -291,25 +299,22 @@ def _fb_partials(uv):
 
 class _Kkt(NamedTuple):
     """w = K v + k, with ops the operators of K[:n] and of the blocks of A
-    that have rows. Row i of DF is sign_i times a row of K or of the
-    identity, so K is stored stacked over I, as the CSR [K; I] (row N + j
-    is the unit row e_j), with the row 1-norms of [K; I] and the layout of
-    the blocks. w_error = (a, b) bounds the rounding of w in the 2-norm by
-    a |v|_inf + b: w_i rounds by at most gamma_{m_i + 1} (|K_i|_1 |v|_inf +
-    |k_i|) for the m_i entries of row i of K, where gamma_m = m u /
-    (1 - m u) and u is the unit roundoff. _rows reads its index tables
-    here: span = arange(N), pairs for the pair selection, and pair_ext, the
-    row of [K; I] of each candidate of the pairs' bank (see _pick)."""
+    that have rows. Row i of DF is sign_i times the row ext_i = sel_i mod 2N
+    of [K; I], for the entry sel_i of the stacked source S = (w, v, |w|,
+    |v|, -w) that row i of F selects (see _rows), so K is stored stacked
+    over I, as the CSR [K; I] (row N + j is the unit row e_j), with the row
+    1-norms of [K; I] and the layout, the index maps into S. w_error =
+    (a, b) bounds the rounding of w in the 2-norm by a |v|_inf + b: w_i
+    rounds by at most gamma_{m_i + 1} (|K_i|_1 |v|_inf + |k_i|) for the m_i
+    entries of row i of K, where gamma_m = m u / (1 - m u) and u is the unit
+    roundoff."""
 
     KI: sp.csr_array
     ops: tuple
     k: np.ndarray
     norms: np.ndarray
-    layout: _FbLayout
+    layout: _Layout
     w_error: tuple
-    span: np.ndarray
-    pairs: _PairIndex
-    pair_ext: np.ndarray
 
 
 # rows of [K; I] per block of its row 1-norms, so |K| is never formed whole
@@ -346,27 +351,20 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
                     sp.eye_array(problem.n + m, format="csr")),
                    format="csr")
     # summed over dense blocks of rows as |[K; I]| row by row, whose bits
-    # they keep; the rows of I have norm 1
-    norms = np.concatenate([
+    # they keep; the rows of I have norm 1, and a problem without unknowns
+    # has no block
+    norms = np.concatenate([np.zeros(0), *[
         np.abs(KI[i:i + _NORM_ROWS].toarray()).sum(axis=1)
-        for i in range(0, KI.shape[0], _NORM_ROWS)])
+        for i in range(0, KI.shape[0], _NORM_ROWS)]])
     ops = (as_operator(KI[:problem.n]), *[
         block for block in (problem.A_g, problem.A_h, problem.A_G,
                             problem.A_H) if block.shape[0]])
     k = np.concatenate([problem.q, problem.b_g, problem.b_h,
                         problem.b_G, problem.b_H])
     gamma = _gamma(np.diff(KI.indptr[:k.size + 1]) + 1.0)
-    layout = _fb_layout(problem.n, problem.r, problem.s, problem.t)
-    _, _, _, t, base = layout.dims
-    # candidate k of pair i is a, b, mu or nu of the pair: the row of G_i or
-    # H_i in K, or the unit row of mu_i or nu_i, which share the index
-    # base + i (+ t)
-    axis = _BANK_AXIS[:, None]
-    pair_ext = (base + t * (axis % 2) + k.size * (axis >= 2)
-                + np.arange(t)).ravel()
-    return _Kkt(KI, ops, k, norms, layout,
-                (_norm(gamma * norms[:k.size]), _norm(gamma * k)),
-                np.arange(k.size), _pair_index(t), pair_ext)
+    return _Kkt(KI, ops, k, norms,
+                _layout(problem.n, problem.r, problem.s, problem.t),
+                (_norm(gamma * norms[:k.size]), _norm(gamma * k)))
 
 
 def _kkt(problem: QuadraticMpcc) -> _Kkt:
@@ -433,11 +431,12 @@ def _affine(problem: QuadraticMpcc, v: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(problem: QuadraticMpcc, v: np.ndarray):
-    """(v, w, F_FB, merit, uv, terms) at v, the one evaluation of each point
-    (see _fb_residual)."""
+    """(v, w, F_FB, merit, S, terms) at v, the one evaluation of each point,
+    with S its stacked source, from which F selects (see _rows) and F_FB
+    gathers (see _fb_residual)."""
     w = _affine(problem, v)
-    res, uv, terms = _fb_residual(_kkt(problem).layout, w, v)
-    return v, w, res, float((0.5 * res).dot(res)), uv, terms
+    res, S, terms = _fb_residual(_kkt(problem).layout, w, v)
+    return v, w, res, float((0.5 * res).dot(res)), S, terms
 
 
 def _screen(problem: QuadraticMpcc, v: np.ndarray, w: np.ndarray,
@@ -488,26 +487,6 @@ def _screen(problem: QuadraticMpcc, v: np.ndarray, w: np.ndarray,
         return (0.5 - 2.0 * gamma) * twice - (2.0 + 4.0 * gamma) * spread
 
 
-def _rows(problem: QuadraticMpcc, w: np.ndarray, v: np.ndarray):
-    """(ext, sign) of DF at v: row i of DF is sign_i times row ext_i of
-    [K; I], so a row of K for ext_i < N and the unit row e_{ext_i - N} past
-    it, and F_i = sign_i (w, v)_{ext_i}."""
-    kkt = _kkt(problem)
-    n, r, _, _, base = kkt.layout.dims
-    size = v.size
-    ext = kkt.span.copy()
-    sign = np.ones(size)
-    # min(-g_i, lam_i): smallest attaining index wins ties
-    g_side = -w[n:n + r] <= v[n:n + r]
-    sign[n:n + r][g_side] = -1.0
-    ext[n:n + r][~g_side] += size
-    # phi rows pick a, b, mu or nu of pair i (see _pick)
-    _, picked, pair_sign = _pick(kkt.pairs, w[base:], v[base:])
-    ext[base:] = kkt.pair_ext.take(picked)
-    sign[base:] = pair_sign
-    return ext, sign
-
-
 def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
     """Gradient of 1/2 |F_FB|^2 at the evaluated point (see _evaluate):
     K y_w + y_v, where y_w and y_v are the transposed partials of F_FB with
@@ -515,37 +494,45 @@ def _merit_gradient(problem: QuadraticMpcc, point) -> np.ndarray:
     of _fb_residual's gather onto (w, v, |w|, |v|, -w), which d|t| = sign(t)
     folds onto w and v; the identity rows w_x and w_h, where F_FB is w
     itself, are assigned F_FB, which keeps a -0.0."""
-    v, w, res, _, uv, terms = point
+    v, w, res, _, S, terms = point
     layout = _kkt(problem).layout
     size = v.size
     # theta_1 = |FB(a, b)| enters as sign(FB) |FB| = FB, since inside the
     # merit d|t| = 0 at t = 0; theta_4 is exactly 0 where mu, nu <= 0 and so
     # drops its row there
-    src = np.bincount(layout.args.ravel(), (_fb_partials(uv) * terms).ravel(),
+    partials = _fb_partials(S.take(layout.args))
+    src = np.bincount(layout.args.ravel(), (partials * terms).ravel(),
                       5 * size).reshape(5, size)
     y_w = np.where(layout.order[:size] < layout.dims[4], res[:size],
                    src[0] + np.sign(w) * src[2] - src[4])
     return _kkt_times(problem, y_w) + (src[1] + np.sign(v) * src[3])
 
 
-def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
-    """Residual of the M-stationarity system at the full point z: F and DF
-    share one selection (see _rows). A selected |t| at t = -0.0 gives
-    F_i = -0.0, by sign(0) := +1."""
+def _selection(problem: QuadraticMpcc, z):
+    """(S, sel, ext) at the full point z: its stacked source, F's entries of
+    S and DF's rows of [K; I] (see _rows)."""
     v = full_vector(problem, z)
-    w = _affine(problem, v)
-    ext, sign = _rows(problem, w, v)
-    return sign * np.concatenate((w, v)).take(ext)
+    S = _stacked(_affine(problem, v), v)
+    sel = _rows(_kkt(problem).layout, S)
+    return S, sel, sel % (2 * v.size)
+
+
+def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
+    """Residual of the M-stationarity system at the full point z:
+    F_i = sign_i (w, v)_{ext_i}, in the selection DF shares (see _rows). A
+    selected |t| at t = -0.0 gives F_i = -0.0, by sign(0) := +1."""
+    S, sel, ext = _selection(problem, z)
+    return _signs(S, sel) * S.take(ext)
 
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
-    """Selected Newton derivative of residual_F at z (square matrix)."""
-    v = full_vector(problem, z)
-    ext, sign = _rows(problem, _affine(problem, v), v)
+    """Selected Newton derivative of residual_F at z (square matrix): row i
+    is sign_i times row ext_i of [K; I]."""
+    S, sel, ext = _selection(problem, z)
     entries = _entries(_kkt(problem).KI, ext)
     row, col, val = entries.take(np.ones(entries.col.size, bool))
     df = np.zeros((ext.size, ext.size))
-    df[row, col] = sign[row] * val
+    df[row, col] = _signs(S, sel)[row] * val
     return df
 
 
@@ -770,7 +757,8 @@ class _Armijo:
             alphas.append(alphas[-1] * cfg.armijo_beta)
         self.alphas = np.array(alphas)
         self.steps = cfg.armijo_sigma * self.alphas
-        self.width = max(1, _SCREEN_ENTRIES // _kkt(problem).k.size)
+        # N = 0 for a problem without unknowns
+        self.width = max(1, _SCREEN_ENTRIES // max(1, _kkt(problem).k.size))
 
     def search(self, point, d: np.ndarray, slope: float):
         """(alpha, trial) of the accepted length, or
@@ -795,6 +783,7 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     """Run the globalized iteration from z0 (defaults to the origin)."""
     cfg = config or NewtonConfig()
     n = problem.n
+    layout = _kkt(problem).layout
     v = start_vector(problem, FullPoint.zeros(problem) if z0 is None else z0)
     point = _evaluate(problem, v)
     trace = SolverTrace()
@@ -804,10 +793,11 @@ def solve_newton(problem: QuadraticMpcc, config: NewtonConfig | None = None,
     it = 0
     status = None
     while True:
-        v, w, _, merit_val, _, _ = point
-        # F = sign (w, v)_ext, and DF d = -F is [K; I]_ext d = -(w, v)_ext
-        ext, _ = _rows(problem, w, v)
-        selected = np.concatenate((w, v)).take(ext)
+        v, _, _, merit_val, S, _ = point
+        # F = sign (w, v)_ext, and DF d = -F is [K; I]_ext d = -(w, v)_ext,
+        # the first 2N entries of S
+        ext = _rows(layout, S) % (2 * v.size)
+        selected = S.take(ext)
         norm_f = _norm(selected)
         if norm_f <= cfg.tau_nsn:
             status = "converged"

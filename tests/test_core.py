@@ -99,9 +99,11 @@ class TestProblemContainer:
               A_H=[[0.0, 1.0]], b_H=[0.0]),
          "b_G holds a NaN or infinite value"),
         (dict(q=np.zeros(2), c0=np.inf), "c0 holds a NaN or infinite value"),
+        (dict(q=1.0), r"q must have shape \(0,\), got \(\)"),
+        (dict(Q=1.0), r"Q must have shape \(0, 0\), got \(\)"),
     ], ids=["Q-rows", "Q-against-q", "A_h-columns", "b_g-length",
             "A_H-rows", "Q-nan", "q-inf", "A_h-csr-inf", "b_G-nan",
-            "c0-inf"])
+            "c0-inf", "q-0d", "Q-0d"])
     def test_block_of_the_wrong_shape_is_rejected(self, blocks, message):
         with pytest.raises(ValueError, match=message):
             QuadraticMpcc(**blocks)
@@ -566,9 +568,19 @@ class TestSharedModel:
                    r"\(r, s, t, t\) = \(0, 0, 1, 1\), so n \+ r \+ s \+ 2t = 4")
         bad = FullPoint.from_parts([0.0, 0.0], MultiplierSet([], [], [0.0],
                                                              [0.0, 0.0]))
+        # the starts of both solvers, a full vector, and the point that the
+        # Lagrangian, the index sets and the grading read, here with a long
+        # nu, a long x or a short x
+        points = [(bad.x, bad.multipliers()),
+                  ([0.0] * 3, MultiplierSet.zeros(p)),
+                  ([0.0], MultiplierSet.zeros(p))]
         for solve in (lambda: solve_alm(p, x0=bad.x, m0=bad.multipliers()),
                       lambda: solve_newton(p, z0=bad),
-                      lambda: FullPoint.from_vector(p, np.zeros(5))):
+                      lambda: FullPoint.from_vector(p, np.zeros(5)),
+                      *[lambda check=check, x=x, m=m: check(p, x, m)
+                        for check in (eval_lagrangian, compute_index_sets,
+                                      classify_stationarity)
+                        for x, m in points]):
             with pytest.raises(ValueError, match=message):
                 solve()
         # a start must be finite too, while FullPoint.from_vector, which

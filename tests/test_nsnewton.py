@@ -30,10 +30,12 @@ from mpcckit.nsnewton import (
     _kkt,
     _kkt_times,
     _merit_gradient,
-    _phi_vec,
     _rows,
     _screen,
+    _selection,
+    _signs,
     _solve,
+    _stacked,
     merit_phi_fb,
     ncp_fb,
     newton_derivative_DF,
@@ -188,13 +190,31 @@ def _reference_phi(a, b, mu, nu):
 
 
 class TestPairKernel:
-    """The vectorised kernel, and the rows of DF that _rows selects with
-    it, against the scalar reference, bit for bit."""
+    """The pair rows that _rows selects, with their signs from _signs, and
+    phi, against the scalar reference, bit for bit."""
 
     def _assert_matches_reference(self, pts):
-        vals, axis, sign = _phi_vec(*pts.T)
-        rows = np.zeros((len(pts), 2, 4))
-        rows[np.arange(len(pts))[:, None], (0, 1), axis] = sign
+        # one problem with a pair per point, n = 1: pair i's rows select
+        # from a, b, mu and nu, the entries 1 + i (+ t) of w or of v
+        t = len(pts)
+        p = QuadraticMpcc(Q=np.eye(1), q=np.zeros(1), A_G=np.zeros((t, 1)),
+                          b_G=np.zeros(t), A_H=np.zeros((t, 1)),
+                          b_H=np.zeros(t))
+        size = 1 + 2 * t
+        w, v = np.zeros(size), np.zeros(size)
+        w[1:], v[1:] = pts[:, :2].T.ravel(), pts[:, 2:].T.ravel()
+        S = _stacked(w, v)
+        sel = _rows(_kkt(p).layout, S)
+        vals = S.take(sel[1:]).reshape(t, 2)
+        # a row of pair i selects the row ext = 1 + i + t (axis % 2) +
+        # size (axis >= 2) of [K; I], for its axis, an index into
+        # (a, b, mu, nu)
+        ext = (sel[1:] % (2 * size)).reshape(t, 2)
+        of_v = ext >= size
+        axis = 2 * of_v + (ext - 1 - size * of_v) // t
+        rows = np.zeros((t, 2, 4))
+        rows[np.arange(t)[:, None], (0, 1), axis] = \
+            _signs(S, sel)[1:].reshape(t, 2)
         for i, pt in enumerate(pts):
             ref_vals, ref_rows = _reference_phi(*pt)
             # tobytes: -0.0 and 0.0 count as different
@@ -203,19 +223,6 @@ class TestPairKernel:
             one_vals, one_rows = phi(*pt)
             assert one_vals.tobytes() == ref_vals.tobytes(), pt
             assert one_rows.tobytes() == ref_rows.tobytes(), pt
-        # one problem with a pair per point, n = 1: pair i's rows select
-        # a, b, mu or nu, the row 1 + i (+ t) of K or of the identity
-        t = len(pts)
-        p = QuadraticMpcc(Q=np.eye(1), q=np.zeros(1), A_G=np.zeros((t, 1)),
-                          b_G=np.zeros(t), A_H=np.zeros((t, 1)),
-                          b_H=np.zeros(t))
-        size = 1 + 2 * t
-        w, v = np.zeros(size), np.zeros(size)
-        w[1:], v[1:] = pts[:, :2].T.ravel(), pts[:, 2:].T.ravel()
-        ext, row_sign = _rows(p, w, v)
-        at = 1 + np.arange(t)[:, None] + t * (axis % 2) + size * (axis >= 2)
-        assert ext[1:].tobytes() == at.ravel().tobytes()
-        assert row_sign[1:].tobytes() == sign.ravel().tobytes()
 
     def test_grid_with_signed_zeros(self):
         grid = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
@@ -558,7 +565,7 @@ class TestAgainstDenseAssembly:
                 name: 1e-3 * getattr(p, name)
                 for name in ("Q", "A_g", "A_h", "A_G", "A_H")})
             for q in (p, small):
-                ext, _ = _rows(q, _affine(q, v), v)
+                ext = _selection(q, v)[2]
                 # the scale by which _factor measures its pivots
                 scale = _kkt(q).norms.take(ext).max()
                 ref = np.abs(_reference_df(q, v)).sum(axis=1).max()
@@ -574,8 +581,8 @@ class TestAgainstDenseAssembly:
                 continue
             rhs = -residual_F(p, v)
             # DF d = -F is [K; I]_ext d = sign (-F), as F = sign (w, v)_ext
-            ext, sign = _rows(p, _affine(p, v), v)
-            step = _newton_step(p, ext, sign * rhs, 1e-12)
+            S, sel, ext = _selection(p, v)
+            step = _newton_step(p, ext, _signs(S, sel) * rhs, 1e-12)
             ref = np.linalg.solve(df, rhs)
             assert step is not None
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -588,7 +595,7 @@ class TestAgainstDenseAssembly:
         # rejected without an LU
         fired = 0
         for p, v in _reference_points():
-            ext, _ = _rows(p, _affine(p, v), v)
+            ext = _selection(p, v)[2]
             df = newton_derivative_DF(p, v)
             col = singleton_columns(df)
             fixed = col >= 0
@@ -704,8 +711,8 @@ class TestSingularStep:
         v = np.asarray(v, dtype=float)
         pivot_tol = NewtonConfig().pivot_tol
         assert np.linalg.cond(newton_derivative_DF(p, v)) > 1.0 / pivot_tol
-        assert _newton_step(p, _rows(p, _affine(p, v), v)[0],
-                            np.ones(len(v)), pivot_tol) is None
+        assert _newton_step(p, _selection(p, v)[2], np.ones(len(v)),
+                            pivot_tol) is None
 
     def test_two_singleton_rows_on_one_column(self):
         # row 0 of K is e_lam (Q's row 0 is zero), and -g = 1 > lam = 0
@@ -713,7 +720,7 @@ class TestSingularStep:
         p = QuadraticMpcc.build(Q=[[0.0, 0.0], [0.0, 1.0]], q=np.zeros(2),
                                 A_g=[[1.0, 0.0]], b_g=[0.0])
         v = np.array([-1.0, 0.0, 0.0])
-        ext, _ = _rows(p, _affine(p, v), v)
+        ext = _selection(p, v)[2]
         assert ext[2] == len(v) + 2
         self._assert_no_step(p, v)
 
@@ -736,7 +743,7 @@ class TestSingularStep:
                                 b_h=[0.0, 0.0], A_G=[[1.0, 0.0, 0.0]],
                                 b_G=[0.0], A_H=[[0.0, 1.0, 0.0]], b_H=[0.0])
         v = np.array([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0, -2.0])
-        ext, _ = _rows(p, _affine(p, v), v)
+        ext = _selection(p, v)[2]
         assert list(ext[5:]) == [5, 6]
         assert structural_rank(csr_matrix(newton_derivative_DF(p, v))) < 7
         self._assert_no_step(p, v)
@@ -1004,10 +1011,10 @@ def _reference_merit_gradient(p, point):
     """_merit_gradient with the FB terms' layout written out by hand as
     slices of the terms (r g-terms, then t each of FB(a, b), FB(|a|, |mu|),
     FB(|b|, |nu|) and theta_4)."""
-    v, w, res, _, uv, terms = point
+    v, w, res, _, S, terms = point
     n, r, s, t = p.n, p.r, p.s, p.t
     base = n + r + s
-    d = np.stack(_reference_fb_partials(*uv))
+    d = np.stack(_reference_fb_partials(*S.take(_kkt(p).layout.args)))
     d_terms = d * terms
     y_w = res[:w.size].copy()
     y_v = np.zeros_like(v)
@@ -1284,6 +1291,36 @@ class TestSolveNewton:
                 x=[1.0, 0.0], lam=[], eta=[], mu=[np.inf], nu=[0.0])):
             with pytest.raises(ValueError, match="NaN or infinite"):
                 solve_newton(p, z0=z0)
+
+    def test_a_problem_without_unknowns_converges_at_once(self):
+        p = QuadraticMpcc(n=0)
+        res = solve_newton(p)
+        assert res.status == "converged" and res.iterations == 0
+        assert res.z.to_vector().shape == (0,)
+        assert res.final_residual == res.final_merit == 0.0
+        empty = np.zeros(0)
+        assert residual_F(p, empty).shape == (0,)
+        assert newton_derivative_DF(p, empty).shape == (0, 0)
+        value, grad = merit_phi_fb(p, empty)
+        assert value == 0.0 and grad.shape == (0,)
+
+    def test_the_solver_forms_no_row_signs(self, monkeypatch):
+        # the step solves [K; I]_ext d = -(w, v)_ext, in which the signs of
+        # F and DF cancel, so only residual_F, newton_derivative_DF and phi
+        # form them
+        import mpcckit.nsnewton as nsn
+        calls = []
+
+        def spy(*args, _signs=_signs):
+            calls.append(args)
+            return _signs(*args)
+        monkeypatch.setattr(nsn, "_signs", spy)
+        p, z0 = _stalled_tiny_start()
+        res = solve_newton(p, z0=z0)
+        assert res.iterations == 1000 and res.damped_steps > 0
+        assert calls == []
+        residual_F(p, z0)
+        assert len(calls) == 1
 
     def test_zero_iterations_at_solution(self):
         res = solve_newton(_toy_problem(), z0=_toy_solution())
