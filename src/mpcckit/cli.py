@@ -206,8 +206,10 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     """Defaults, then the config file, then the flags (those not None).
 
     Within one source an explicit seed list beats a seed count. Unknown
-    keys, unknown formats and an empty seed set raise ValueError;
-    run_experiment checks the algorithm before it builds the problem.
+    keys, unknown formats, seeds or a seed count that are not integers
+    (booleans included), a wa for an instance other than ioc and an empty
+    seed set raise ValueError; run_experiment checks the algorithm before
+    it builds the problem.
     """
     unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
@@ -227,19 +229,38 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
             given[name] = replace(section, **given[name])
         n_seeds = given.pop("n_seeds", None)
         if "seeds" in given:
-            given["seeds"] = tuple(int(s) for s in given["seeds"])
+            seeds = given["seeds"]
+            if not (isinstance(seeds, list) and
+                    all(type(s) is int for s in seeds)):
+                raise ValueError(f"'seeds' must be a list of integers, "
+                                 f"got {seeds!r}")
+            given["seeds"] = tuple(seeds)
         elif n_seeds is not None:
-            given["seeds"] = tuple(range(1, int(n_seeds) + 1))
+            if type(n_seeds) is not int:
+                raise ValueError(f"'n_seeds' must be an integer, "
+                                 f"got {n_seeds!r}")
+            given["seeds"] = tuple(range(1, n_seeds + 1))
         if "format" in given:
             given["fmt"] = given.pop("format")
         cfg = replace(cfg, **given)
     if cfg.fmt not in _FORMATS:
         raise ValueError(f"unknown format {cfg.fmt!r} "
                          f"(expected one of {_FORMATS})")
+    if cfg.wa is not None and cfg.instance != "ioc":
+        raise ValueError(f"'wa' sets w_a of the built-in ioc instance and "
+                         f"has no effect on instance {cfg.instance!r}")
     if not cfg.seeds:
         raise ValueError("no seeds to run: give --seeds N with N >= 1 or a "
                          "non-empty seed list")
     return cfg
+
+
+def _seed_list(text: str) -> list:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def main(argv=None) -> int:
@@ -254,7 +275,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", dest="n_seeds", type=int, default=None,
                         metavar="N", help="run seeds 1..N")
     parser.add_argument("--seed-list", dest="seeds", default=None,
-                        metavar="LIST", type=lambda text: text.split(","),
+                        metavar="LIST", type=_seed_list,
                         help="comma-separated explicit seeds")
     parser.add_argument("--out", default=None, help="result table path")
     parser.add_argument("--format", default=None, choices=_FORMATS)

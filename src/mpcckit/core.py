@@ -61,13 +61,12 @@ class QuadraticMpcc:
     A_H is stored once, as the operator the solvers multiply with (see
     as_operator): a dense array, or a canonical CSR array, with sorted
     indices, duplicates summed and no stored zeros, equal entry for entry to
-    the CSR of the dense block. Every block is stored read-only: a block the
-    caller can still write is copied, and a read-only one, such as another
-    problem's, is shared. A block or a c0 that holds a NaN or an infinite
-    value is rejected. The pair structure of D is detected on
-    construction (see pair_partition), the transposed blocks (see
-    transposed) and the data a solver caches with the problem (see cached)
-    on first use.
+    the CSR of the dense block. Every block is stored read-only, in memory
+    of its own that no array the caller passed shares. A block or a c0 that
+    holds a NaN or an infinite value is rejected. The pair structure of D
+    is detected on construction (see pair_partition), the transposed blocks
+    (see transposed) and the data a solver caches with the problem (see
+    cached) on first use.
     """
 
     Q: np.ndarray | None = None
@@ -108,7 +107,7 @@ class QuadraticMpcc:
                 arr = np.asarray(given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            stored = _stored(arr, given, len(shape) == 2)
+            stored = _stored(arr, len(shape) == 2)
             _finite(stored.data if sp.issparse(stored) else stored, name)
             object.__setattr__(self, name, stored)
         if _asymmetry(self.Q) > 1e-12 * _frobenius(self.Q):
@@ -231,14 +230,13 @@ def _frobenius(mat) -> float:
     return float(np.linalg.norm(mat.data if sp.issparse(mat) else mat))
 
 
-def _stored(arr, given, matrix: bool):
-    """The block given, converted to arr, as the problem stores it: a
-    vector, or a matrix as its operator (see as_operator), read-only, and
-    shared only where the caller cannot write it."""
-    if sp.issparse(arr):
-        arr = _canonical_csr(arr)
-    op = as_operator(arr) if matrix else arr
-    if op is arr and not sp.issparse(arr) and _caller_can_write(arr, given):
+def _stored(arr, matrix: bool):
+    """arr, a block as given or as np.asarray made it, as the problem
+    stores it: a vector, or a matrix as its operator (see as_operator),
+    read-only and copied unless _canonical_csr or as_operator made it."""
+    op = as_operator(_canonical_csr(arr) if sp.issparse(arr) else arr) \
+        if matrix else arr
+    if op is arr:
         op = arr.copy()
     for part in (op.data, op.indices, op.indptr) if sp.issparse(op) else (op,):
         part.setflags(write=False)
@@ -248,13 +246,13 @@ def _stored(arr, given, matrix: bool):
 def _canonical_csr(mat) -> sp.csr_array:
     """mat as a canonical CSR array of floats, with sorted indices,
     duplicates summed, no stored zeros and the index type of the CSR of the
-    dense block: mat itself where it is one whose arrays no caller can
-    write, else a new one."""
+    dense block, 32-bit where the shape and the entries fit: mat itself
+    where it is one already, else a new one."""
     if isinstance(mat, sp.csr_array) and mat.dtype == float and \
             mat.has_canonical_format and \
-            np.count_nonzero(mat.data) == mat.nnz and not any(
-                _caller_can_write(a, a) for a in (mat.data, mat.indices,
-                                                  mat.indptr)):
+            np.count_nonzero(mat.data) == mat.nnz and \
+            (mat.indices.dtype == mat.indptr.dtype == np.int32 or
+             max(*mat.shape, mat.nnz) >= 2 ** 31):
         return mat
     mat = sp.csr_array(mat, dtype=float, copy=True)
     mat.sum_duplicates()
@@ -263,19 +261,6 @@ def _canonical_csr(mat) -> sp.csr_array:
         mat.indices = mat.indices.astype(np.int32, copy=False)
         mat.indptr = mat.indptr.astype(np.int32, copy=False)
     return mat
-
-
-def _caller_can_write(arr: np.ndarray, given) -> bool:
-    """Whether arr, the array of the block given, is memory the caller can
-    reach and still write: given itself or a view, with a writeable array
-    or a buffer of another kind anywhere down its bases."""
-    if arr is not given and arr.base is None:
-        return False  # the conversion made a new array
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return True
-        arr = arr.base
-    return arr is not None
 
 
 class _FloatBlocks:
@@ -589,6 +574,21 @@ def _finite(values, name: str) -> np.ndarray:
     return arr
 
 
+def _json_numbers(value, name: str) -> np.ndarray:
+    """_finite of a number or nested lists of numbers read from JSON, in
+    which true and false are not numbers."""
+    if _holds_bool(value):
+        raise ValueError(f"{name} holds a boolean where a number is expected")
+    return _finite(value, name)
+
+
+def _holds_bool(value) -> bool:
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(map(_holds_bool, value)))
+
+
 def _scalar(value, name: str) -> float:
     arr = _finite(value, name)
     if arr.ndim:
@@ -598,7 +598,7 @@ def _scalar(value, name: str) -> float:
 
 def _decode_matrix(obj, rows: int, cols: int, name: str):
     if not isinstance(obj, dict):
-        mat = _finite(obj, name)  # save_instance writes [] for no rows
+        mat = _json_numbers(obj, name)  # save_instance writes [] for no rows
         if mat.shape != (rows, cols) and (rows or mat.shape != (0,)):
             raise ValueError(f"{name}: dense shape {mat.shape} "
                              f"does not match {(rows, cols)}")
@@ -679,12 +679,12 @@ def load_instance(path) -> QuadraticMpcc:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
     try:
         obj = _section(doc, "objective")
-        q = _finite(obj["q"], "q")
+        q = _json_numbers(obj["q"], "q")
         blocks = {"Q": _decode_matrix(obj["Q"], q.size, q.size, "Q"), "q": q,
-                  "c0": _scalar(obj["c0"], "c0")}
+                  "c0": _json_numbers(obj["c0"], "c0")}
         for key, a_name, b_name in _SECTIONS:
             section = _section(doc, key)
-            b = blocks[b_name] = _finite(section["b"], b_name)
+            b = blocks[b_name] = _json_numbers(section["b"], b_name)
             blocks[a_name] = _decode_matrix(section["A"], b.size, q.size, a_name)
     except KeyError as err:
         raise ValueError(f"{path}: missing section or key {err}") from None

@@ -134,8 +134,8 @@ def _p1_interior_operators(mesh: FemMesh, zeta: float):
 
 
 def _csr(rows: int, cols: int, i, j, values) -> sp.csr_array:
-    """The CSR array of the entries (i, j, values), no two in one place,
-    with the 32-bit indices of scipy's CSR of the dense block."""
+    """The canonical CSR array of the entries (i, j, values), no two in one
+    place, with 32-bit indices: the problem takes it without a conversion."""
     return sp.coo_array((values, (i.astype(np.int32, copy=False),
                                   j.astype(np.int32, copy=False))),
                         shape=(rows, cols)).tocsr()
@@ -181,7 +181,7 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
                np.concatenate((np.tile(u_idx, n_el), xi_idx, w_idx[j]),
                               dtype=np.int32),
                values)
-    del values  # copied into a_h, and freed before the problem densifies it
+    del values, si, sj, k_values, e, j, means  # freed before A_h densifies
     b_h = np.full(n_el, -params.y_d)
 
     a_big_g = sp.eye_array(n_el, n, format="csr")  # G = u - u_a
@@ -189,16 +189,9 @@ def assemble_instance(params: IocParams | None = None) -> FemInstance:
     a_big_h = sp.eye_array(n_el, n, k=n_el, format="csr")  # H = xi
     b_big_h = np.zeros(n_el)
 
-    blocks = dict(Q=big_q, q=lin, A_g=a_g, b_g=b_g, A_h=a_h, b_h=b_h,
-                  A_G=a_big_g, b_G=b_big_g, A_H=a_big_h, b_H=b_big_h)
-    # handed over: read-only down to the memory each array views, so shared
-    for block in blocks.values():
-        for part in (block.data, block.indices, block.indptr) \
-                if sp.issparse(block) else (block,):
-            while isinstance(part, np.ndarray):
-                part.setflags(write=False)
-                part = part.base
-    problem = QuadraticMpcc(c0=c0, **blocks)
+    problem = QuadraticMpcc(Q=big_q, q=lin, c0=c0, A_g=a_g, b_g=b_g,
+                            A_h=a_h, b_h=b_h, A_G=a_big_g, b_G=b_big_g,
+                            A_H=a_big_h, b_H=b_big_h)
     return FemInstance(problem=problem, mesh=mesh, params=params,
                        u_idx=u_idx, xi_idx=xi_idx, w_idx=w_idx)
 

@@ -249,6 +249,34 @@ class TestConfigMerge:
         with pytest.raises(ValueError, match="no seeds"):
             main(["--config", cfg_path] + flags)
 
+    @pytest.mark.parametrize("doc", [
+        {"seeds": [1.5]}, {"seeds": [True]}, {"seeds": ["2"]}, {"seeds": 2},
+        {"n_seeds": 2.7}, {"n_seeds": True}, {"n_seeds": "2"},
+    ], ids=["seed-float", "seed-bool", "seed-string", "seeds-a-number",
+            "count-float", "count-bool", "count-string"])
+    def test_seeds_that_are_not_integers_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve, doc):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}", **doc})
+        with pytest.raises(ValueError,
+                           match="must be (a list of integers|an integer)"):
+            main(["--config", cfg_path])
+
+    def test_seed_list_flag_of_non_integers_rejected(self, no_solve, capsys):
+        with pytest.raises(SystemExit):
+            main(["--seed-list", "1,1.5"])
+        assert "not a comma-separated list of integers" in \
+            capsys.readouterr().err
+
+    def test_wa_with_a_file_instance_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve):
+        instance = f"file:{toy_instance_path}"
+        with pytest.raises(ValueError, match="'wa' sets w_a"):
+            main(["--instance", instance, "--wa", "-0.05"])
+        cfg_path = self._write(tmp_path, {"instance": instance, "wa": -0.05})
+        with pytest.raises(ValueError, match="'wa' sets w_a"):
+            main(["--config", cfg_path])
+
     def test_unknown_format_rejected_before_solving(self, toy_instance_path,
                                                     tmp_path, no_solve):
         out = tmp_path / "rows.html"

@@ -128,11 +128,31 @@ class TestProblemContainer:
         view.setflags(write=False)  # Q can still write through it
         assert not np.shares_memory(QuadraticMpcc(Q=view, q=q).Q, Q)
 
-    def test_read_only_blocks_are_shared(self):
-        p = _pair_problem(Q=np.eye(2))
+    def test_no_block_is_shared(self):
+        Q, q = 2.0 * np.eye(2), np.array([-2.0, -2.0])
+        for given in (Q, q):
+            given.setflags(write=False)
+        p = _pair_problem(Q=Q, q=q)
         other = replace(p, c0=1.0)
-        for name in ("Q", "q", "A_g", "b_g", "A_G", "b_G", "A_H", "b_H"):
-            assert getattr(other, name) is getattr(p, name), name
+        for name in _MATRICES + _VECTORS:
+            for mine in _arrays(getattr(p, name)):
+                for theirs in _arrays(getattr(other, name)) + (Q, q):
+                    assert not np.shares_memory(mine, theirs), name
+
+    def test_a_caller_that_writes_a_read_only_block_again_changes_nothing(
+            self):
+        # the quickstart's problem, min (x1-1)^2 + (x2-1)^2 over the pair
+        Q = 2.0 * np.eye(2)
+        Q.setflags(write=False)
+        p = _pair_problem(Q=Q, q=[-2.0, -2.0])
+        z0 = FullPoint.from_parts([0.3, -0.2], MultiplierSet.zeros(p))
+        before = _bits(solve_newton(p, z0=z0))
+        Q.setflags(write=True)  # Q owns its memory, so numpy allows it
+        Q[0, 0] = 100.0
+        np.testing.assert_array_equal(p.Q, 2.0 * np.eye(2))
+        res = solve_newton(p, z0=z0)
+        assert _bits(res) == before
+        assert classify_stationarity(p, res.z.x, res.z.multipliers()).is_M
 
     def test_coordinate_selection_validates_rows(self):
         with pytest.raises(ValueError):
@@ -232,6 +252,18 @@ def _arrays(block):
     if scipy.sparse.issparse(block):
         return block.data, block.indices, block.indptr
     return (block,)
+
+
+def _set_writeable(block, flag: bool):
+    """The write flag of every array that holds block and of every array
+    down its bases, set from the memory up, as its owner may set it."""
+    for part in _arrays(block):
+        chain = []
+        while isinstance(part, np.ndarray):
+            chain.append(part)
+            part = part.base
+        for arr in reversed(chain):
+            arr.setflags(write=flag)
 
 
 def _rebuilt(p, matrix):
@@ -337,17 +369,48 @@ class TestSparseBlocks:
             with pytest.raises(ValueError):
                 mine[0] = mine[0]
 
-    def test_csr_blocks_are_shared_when_read_only_else_copied(self):
+    def test_csr_blocks_are_copied_even_when_read_only(self):
         p = assemble_instance(IocParams()).problem
         other = replace(p, c0=1.0)
         for name in ("Q", "A_g", "A_G", "A_H"):
-            assert getattr(other, name) is getattr(p, name), name
+            for mine, theirs in zip(_arrays(getattr(p, name)),
+                                    _arrays(getattr(other, name))):
+                assert not np.shares_memory(mine, theirs), name
+                assert mine.tobytes() == theirs.tobytes(), name
         given = scipy.sparse.csr_array(p.dense_rows("Q"))
         q = QuadraticMpcc(Q=given, q=p.q)
         assert q.Q is not given
         assert not np.shares_memory(q.Q.data, given.data)
         given.data[:] = 0.0
         assert q.Q.nnz and np.count_nonzero(q.Q.data) == q.Q.nnz
+
+    def test_a_caller_that_writes_a_read_only_csr_again_changes_nothing(
+            self):
+        p = assemble_instance(IocParams()).problem
+        given = p.Q.copy()
+        _set_writeable(given, False)
+        mine = replace(p, Q=given)
+        x0, m0 = make_start(p, 1)
+        z0 = FullPoint.from_parts(x0, m0)
+        before = _bits(solve_newton(mine, z0=z0))
+        _set_writeable(given, True)  # the memory is the caller's own
+        given.data[:] = 0.0
+        for stored, kept in zip(_arrays(mine.Q), _arrays(p.Q)):
+            assert stored.tobytes() == kept.tobytes()
+        assert _bits(solve_newton(mine, z0=z0)) == before
+
+    def test_read_only_int64_csr_is_stored_with_int32_indices(self):
+        p = assemble_instance(IocParams()).problem
+        given = p.Q.copy()
+        given.indices = given.indices.astype(np.int64)
+        given.indptr = given.indptr.astype(np.int64)
+        _set_writeable(given, False)
+        stored = QuadraticMpcc(Q=given, q=p.q).Q
+        from_dense = QuadraticMpcc(Q=p.dense_rows("Q"), q=p.q).Q
+        assert stored.indices.dtype == stored.indptr.dtype == np.int32
+        for mine, theirs in zip(_arrays(stored), _arrays(from_dense)):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_dense_and_csr_input_store_the_same_blocks(self):
         p = assemble_instance(IocParams()).problem
@@ -982,9 +1045,18 @@ class TestInstanceFiles:
          r"A_G: dense shape \(2,\) does not match \(1, 2\)"),
         (("coordinate_selection",), "false",
          "'coordinate_selection' is not a JSON boolean"),
+        (("objective", "c0"), True,
+         "c0 holds a boolean where a number is expected"),
+        (("objective", "q"), [True, False],
+         "q holds a boolean where a number is expected"),
+        (("objective", "Q"), [[0.0, False], [0.0, 1.0]],
+         "Q holds a boolean where a number is expected"),
+        (("comp_H", "b"), [False],
+         "b_H holds a boolean where a number is expected"),
     ], ids=["top-level-list", "objective-list", "section-number",
             "c0-a-list", "q-an-object", "q-huge-integer", "c0-huge-integer",
-            "block-transposed", "block-flat", "selection-a-string"])
+            "block-transposed", "block-flat", "selection-a-string",
+            "c0-a-boolean", "q-booleans", "Q-a-boolean", "b-a-boolean"])
     def test_wrong_typed_document_or_section_is_rejected(self, tmp_path, key,
                                                          value, message):
         path = tmp_path / "bad.json"
