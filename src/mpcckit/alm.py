@@ -31,8 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import pgrad
-from .core import (FullPoint, MultiplierSet, QuadraticMpcc, SolverTrace,
-                   TraceRow, start_vector)
+from .core import (COUNT, FRACTION, NONNEGATIVE, FullPoint, MultiplierSet,
+                   QuadraticMpcc, SolverTrace, TraceRow, check_fields,
+                   is_number, start_vector)
 
 __all__ = [
     "AlmConfig",
@@ -59,6 +60,22 @@ class AlmConfig:
     max_outer_iters: int = 1000
     slack_mode: str = "auto"  # {"slack", "slack_free", "auto"}
 
+    def __post_init__(self):
+        check_fields(
+            self,
+            rho0=(lambda v: v is None or is_number(v) and 0 < v < math.inf,
+                  "None or a finite number > 0"),
+            gamma=(lambda v: is_number(v) and 1 < v < math.inf,
+                   "a finite number > 1"),
+            q_alm=FRACTION,
+            safeguard_bound=(lambda v: is_number(v) and 0 < v < math.inf,
+                             "a finite number > 0"),
+            eps_schedule=(lambda v: v is None or callable(v),
+                          "None or callable"),
+            tau_alm=NONNEGATIVE, max_outer_iters=COUNT,
+            slack_mode=(lambda v: v in ("auto", "slack", "slack_free"),
+                        "'auto', 'slack' or 'slack_free'"))
+
     def eps(self, k: int) -> float:
         if self.eps_schedule is not None:
             return float(self.eps_schedule(k))
@@ -81,8 +98,6 @@ class AlmResult:
 
 def _lifts(problem: QuadraticMpcc, cfg: AlmConfig) -> bool:
     """Whether solve_alm runs on slack_problem(problem)."""
-    if cfg.slack_mode not in ("auto", "slack", "slack_free"):
-        raise ValueError(f"unknown slack_mode {cfg.slack_mode!r}")
     if cfg.slack_mode == "slack_free" and not problem.coordinate_selection:
         raise ValueError("slack_free mode requires coordinate-selection pair maps")
     return cfg.slack_mode == "slack" or not problem.coordinate_selection

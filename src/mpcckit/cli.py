@@ -37,21 +37,19 @@ __all__ = [
 ]
 
 _ALGORITHMS = ("alm", "newton", "warmstart")
-_FORMATS = ("csv", "md")
+_FORMATS = ("csv", "md")  # the suffix of the --out file names its format
 _SECTIONS = ("ioc", "alm", "newton", "pgrad")
 # top-level keys of a config file; the flags parse into the same names
-_KEYS = ("instance", "wa", "algorithm", "seeds", "n_seeds", "out", "format",
-         "warmstart_tau", "classify_tol") + _SECTIONS
+_KEYS = ("instance", "algorithm", "seeds", "n_seeds", "out", "warmstart_tau",
+         "classify_tol") + _SECTIONS
 
 
 @dataclass
 class ExperimentConfig:
     instance: str = "ioc"  # "ioc" or "file:<path>"
-    wa: float | None = None  # overrides ioc.w_a when set
     algorithm: str = "alm"  # {"alm", "newton", "warmstart"}
     seeds: tuple = tuple(range(1, 11))
-    out: str | None = None
-    fmt: str = "csv"  # {"csv", "md"}
+    out: str | None = None  # ends in .csv or .md
     warmstart_tau: float = 1e-5
     classify_tol: float = 1e-4
     ioc: IocParams = field(default_factory=IocParams)
@@ -96,8 +94,7 @@ def make_start(problem: QuadraticMpcc, seed: int):
 
 def _build_problem(cfg: ExperimentConfig) -> QuadraticMpcc:
     if cfg.instance == "ioc":
-        params = cfg.ioc if cfg.wa is None else replace(cfg.ioc, w_a=cfg.wa)
-        return assemble_instance(params).problem
+        return assemble_instance(cfg.ioc).problem
     if cfg.instance.startswith("file:"):
         return load_instance(cfg.instance[len("file:"):])
     raise ValueError(f"unknown instance {cfg.instance!r} "
@@ -115,9 +112,9 @@ def run_experiment(cfg: ExperimentConfig):
     if cfg.algorithm not in _ALGORITHMS:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r} "
                          f"(expected one of {_ALGORITHMS})")
-    problem = _build_problem(cfg)
     alm_cfg = replace(cfg.alm, tau_alm=cfg.warmstart_tau) \
         if cfg.algorithm == "warmstart" else cfg.alm
+    problem = _build_problem(cfg)
     rows = []
     for seed in cfg.seeds:
         x0, m0 = make_start(problem, seed)
@@ -206,10 +203,11 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     """Defaults, then the config file, then the flags (those not None).
 
     Within one source an explicit seed list beats a seed count. Unknown
-    keys, unknown formats, seeds or a seed count that are not integers
-    (booleans included), a wa for an instance other than ioc and an empty
-    seed set raise ValueError; run_experiment checks the algorithm before
-    it builds the problem.
+    keys, an out name that ends in neither .csv nor .md, seeds or a seed
+    count that are not integers (booleans included), an ioc section (the
+    flags' holds --wa) for an instance other than ioc and an empty seed set
+    raise ValueError; run_experiment checks the algorithm before it builds
+    the problem.
     """
     unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
@@ -240,15 +238,13 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
                 raise ValueError(f"'n_seeds' must be an integer, "
                                  f"got {n_seeds!r}")
             given["seeds"] = tuple(range(1, n_seeds + 1))
-        if "format" in given:
-            given["fmt"] = given.pop("format")
         cfg = replace(cfg, **given)
-    if cfg.fmt not in _FORMATS:
-        raise ValueError(f"unknown format {cfg.fmt!r} "
-                         f"(expected one of {_FORMATS})")
-    if cfg.wa is not None and cfg.instance != "ioc":
-        raise ValueError(f"'wa' sets w_a of the built-in ioc instance and "
-                         f"has no effect on instance {cfg.instance!r}")
+    if cfg.out is not None and not cfg.out.endswith((".csv", ".md")):
+        raise ValueError(f"out {cfg.out!r} must end in .csv or .md")
+    if cfg.instance != "ioc" and any(source.get("ioc") is not None
+                                     for source in (file_cfg, flags)):
+        raise ValueError(f"an ioc section or --wa has no effect on "
+                         f"instance {cfg.instance!r}")
     if not cfg.seeds:
         raise ValueError("no seeds to run: give --seeds N with N >= 1 or a "
                          "non-empty seed list")
@@ -277,11 +273,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-list", dest="seeds", default=None,
                         metavar="LIST", type=_seed_list,
                         help="comma-separated explicit seeds")
-    parser.add_argument("--out", default=None, help="result table path")
-    parser.add_argument("--format", default=None, choices=_FORMATS)
+    parser.add_argument("--out", default=None, help="table path, .csv or .md")
     parser.add_argument("--config", default=None,
                         help="JSON config file overriding all defaults")
     flags = vars(parser.parse_args(argv))
+    wa = flags.pop("wa")
+    flags["ioc"] = None if wa is None else {"w_a": wa}
 
     file_cfg = {}
     config_path = flags.pop("config")
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
     rows = run_experiment(cfg)
     if cfg.out is not None:
         with open(cfg.out, "w") as fh:
-            fh.write(format_table(rows, cfg.fmt))
+            fh.write(format_table(rows, cfg.out.rsplit(".", 1)[1]))
     sys.stdout.write(format_table(rows, "md", timings=True))
     return 0 if all(row.accepted for row in rows) else 1
 

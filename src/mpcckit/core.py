@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -107,9 +109,8 @@ class QuadraticMpcc:
                 arr = np.asarray(given, dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            stored = _stored(arr, len(shape) == 2)
-            _finite(stored.data if sp.issparse(stored) else stored, name)
-            object.__setattr__(self, name, stored)
+            object.__setattr__(self, name,
+                               _stored(arr, len(shape) == 2, name))
         if _asymmetry(self.Q) > 1e-12 * _frobenius(self.Q):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "n", int(n))
@@ -230,12 +231,20 @@ def _frobenius(mat) -> float:
     return float(np.linalg.norm(mat.data if sp.issparse(mat) else mat))
 
 
-def _stored(arr, matrix: bool):
+def _stored(arr, matrix: bool, name: str):
     """arr, a block as given or as np.asarray made it, as the problem
     stores it: a vector, or a matrix as its operator (see as_operator),
-    read-only and copied unless _canonical_csr or as_operator made it."""
-    op = as_operator(_canonical_csr(arr) if sp.issparse(arr) else arr) \
-        if matrix else arr
+    read-only and copied unless _canonical_csr or as_operator made it.
+    Its entries are checked finite before as_operator may densify them: a
+    CSR block's stored values, a dense block's min and max, which a NaN or
+    an infinite entry shows in, so no temporary of the block's size is
+    formed."""
+    block = _canonical_csr(arr) if sp.issparse(arr) else arr
+    values = block.data if sp.issparse(block) else block
+    if values.size and not (math.isfinite(values.min()) and
+                            math.isfinite(values.max())):
+        raise ValueError(f"{name} holds a NaN or infinite value")
+    op = as_operator(block) if matrix else block
     if op is arr:
         op = arr.copy()
     for part in (op.data, op.indices, op.indptr) if sp.issparse(op) else (op,):
@@ -369,6 +378,35 @@ class SolverTrace:
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
+
+
+def check_fields(cfg, **rules) -> None:
+    """Raise a ValueError naming the first field of cfg whose value fails
+    its rule, a pair (test, what the value must be): the solver configs'
+    check on construction."""
+    for name, (test, wording) in rules.items():
+        value = getattr(cfg, name)
+        if not test(value):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be {wording}, "
+                             f"got {value!r}")
+
+
+def is_number(value) -> bool:
+    """Whether value is a real number, NaN included, and not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """Whether value is an integer >= 0 and not a boolean."""
+    return isinstance(value, numbers.Integral) and \
+        not isinstance(value, bool) and value >= 0
+
+
+# rules of check_fields that several configs use; NaN fails every one
+FRACTION = (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)")
+NONNEGATIVE = (lambda v: is_number(v) and 0 <= v < math.inf,
+               "a finite number >= 0")
+COUNT = (is_count, "an integer >= 0")
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,9 @@ import numpy as np
 import scipy.linalg.lapack
 import scipy.sparse as sp
 
-from .core import (FullPoint, QuadraticMpcc, SolverTrace, TraceRow,
-                   as_operator, full_vector, start_vector)
+from .core import (COUNT, FRACTION, NONNEGATIVE, FullPoint, QuadraticMpcc,
+                   SolverTrace, TraceRow, as_operator, check_fields,
+                   full_vector, is_number, start_vector)
 
 __all__ = [
     "FullPoint",
@@ -120,6 +121,14 @@ class NewtonConfig:
     pivot_tol: float = 1e-12
     # relative: the run stops where |grad Phi_FB| <= merit_grad_tol |F_FB|
     merit_grad_tol: float = 1e-5
+
+    def __post_init__(self):
+        check_fields(
+            self, q_nsn=FRACTION, tau_nsn=NONNEGATIVE, angle_rho=NONNEGATIVE,
+            armijo_sigma=FRACTION, armijo_beta=FRACTION, max_iters=COUNT,
+            max_backtracks=COUNT, pivot_tol=NONNEGATIVE,
+            merit_grad_tol=(lambda v: is_number(v) and v >= 0,
+                            "a number >= 0, inf included"))
 
 
 @dataclass
@@ -750,8 +759,7 @@ class _Armijo:
 
     def __init__(self, problem: QuadraticMpcc, cfg: NewtonConfig):
         self.problem = problem
-        # a search tries alpha = 1 at least, as the sequential loop does
-        self.last = max(cfg.max_backtracks, 0) + 1
+        self.last = cfg.max_backtracks + 1
         alphas = [1.0]
         for _ in range(self.last):
             alphas.append(alphas[-1] * cfg.armijo_beta)

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import COUNT, FRACTION, check_fields, is_count, is_number
+
 __all__ = ["PgradConfig", "PgradError", "solve_subproblem"]
 
 _FACE_SETTLE = 3  # accepted steps in a row on one free set before a face phase
@@ -53,6 +55,19 @@ class PgradConfig:
     delta: float = 1e-4
     backtrack: float = 0.5
     max_iters: int = 50_000
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            memory_length=(lambda v: is_count(v) and v >= 1,
+                           "an integer >= 1"),
+            step_bounds=(_step_bounds, "a pair (lo, hi), 0 < lo <= hi < inf"),
+            delta=FRACTION, backtrack=FRACTION, max_iters=COUNT)
+
+
+def _step_bounds(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and \
+        all(map(is_number, value)) and 0 < value[0] <= value[1] < math.inf
 
 
 def _check_finite(value, grad, point):

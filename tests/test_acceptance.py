@@ -131,7 +131,8 @@ def test_criterion_2_negative_obstacle():
 
 
 def test_criterion_3_warm_start():
-    cfg = ExperimentConfig(algorithm="warmstart", wa=-0.05, seeds=(1, 2))
+    cfg = ExperimentConfig(algorithm="warmstart", ioc=IocParams(w_a=-0.05),
+                           seeds=(1, 2))
     rows = run_experiment(cfg)
     assert [row.seed for row in rows] == [1, 2]
     for row in rows:

@@ -266,6 +266,24 @@ class TestAlmConfig:
         cfg = AlmConfig(eps_schedule=lambda k: 0.5)
         assert cfg.eps(17) == 0.5
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 1.0), ("gamma", 0.5), ("gamma", np.inf), ("q_alm", np.nan),
+        ("q_alm", 1.0), ("safeguard_bound", 0.0),
+        ("safeguard_bound", np.inf), ("tau_alm", -1.0),
+        ("tau_alm", np.nan), ("max_outer_iters", -1),
+        ("max_outer_iters", 10.0), ("max_outer_iters", True),
+        ("rho0", 0.0), ("rho0", np.inf), ("rho0", np.nan),
+        ("eps_schedule", 1e-4), ("slack_mode", "nope"), ("slack_mode", None),
+    ])
+    def test_bad_value_is_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"AlmConfig.{field} must be"):
+            AlmConfig(**{field: value})
+
+    def test_values_at_the_edge_of_their_range_are_accepted(self):
+        AlmConfig(rho0=7.0, tau_alm=0.0, max_outer_iters=0)
+        for mode in ("auto", "slack", "slack_free"):
+            AlmConfig(slack_mode=mode, eps_schedule=lambda k: 1e-8)
+
 
 class TestSolveAlm:
     def test_start_at_feasible_minimizer(self):

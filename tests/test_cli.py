@@ -158,7 +158,7 @@ class TestMain:
         out = tmp_path / "rows.csv"
         argv = ["--instance", f"file:{toy_instance_path}",
                 "--algorithm", "alm", "--seed-list", "1,2",
-                "--out", str(out), "--format", "csv"]
+                "--out", str(out)]
         assert main(argv) == 0
         first = out.read_bytes()
         assert len(first.decode().strip().split("\n")) == 3
@@ -170,7 +170,7 @@ class TestMain:
         out = tmp_path / "rows.csv"
         assert main(["--instance", f"file:{toy_instance_path}",
                      "--algorithm", "newton", "--seeds", "3",
-                     "--out", str(out), "--format", "csv"]) == 0
+                     "--out", str(out)]) == 0
         parsed = read_table_csv(out)
         assert [rec["seed"] for rec in parsed] == ["1", "2", "3"]
 
@@ -183,7 +183,6 @@ class TestMain:
             "algorithm": "alm",
             "seeds": [5],
             "out": str(out),
-            "format": "csv",
             "alm": {"tau_alm": 1e-7},
         }))
         # the command-line algorithm wins over the file value
@@ -193,6 +192,17 @@ class TestMain:
         assert len(parsed) == 1
         assert parsed[0]["algorithm"] == "newton"
         assert parsed[0]["seed"] == "5"
+
+    @pytest.mark.parametrize("fmt", ["csv", "md"])
+    def test_out_suffix_names_the_table_format(self, toy_instance_path,
+                                               tmp_path, fmt):
+        instance = f"file:{toy_instance_path}"
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["--instance", instance, "--algorithm", "newton",
+                     "--seed-list", "1,2", "--out", str(out)]) == 0
+        rows = run_experiment(ExperimentConfig(
+            instance=instance, algorithm="newton", seeds=(1, 2)))
+        assert out.read_text() == format_table(rows, fmt)
 
     def test_exit_code_reflects_unaccepted_runs(self, toy_instance_path,
                                                 tmp_path):
@@ -271,11 +281,25 @@ class TestConfigMerge:
     def test_wa_with_a_file_instance_rejected_before_solving(
             self, toy_instance_path, tmp_path, no_solve):
         instance = f"file:{toy_instance_path}"
-        with pytest.raises(ValueError, match="'wa' sets w_a"):
+        with pytest.raises(ValueError, match="no effect on instance"):
             main(["--instance", instance, "--wa", "-0.05"])
-        cfg_path = self._write(tmp_path, {"instance": instance, "wa": -0.05})
-        with pytest.raises(ValueError, match="'wa' sets w_a"):
+        cfg_path = self._write(tmp_path, {"instance": instance,
+                                          "ioc": {"w_a": -0.05}})
+        with pytest.raises(ValueError, match="no effect on instance"):
             main(["--config", cfg_path])
+
+    @pytest.mark.parametrize("doc, flags", [
+        ({"ioc": {"n_div": 4, "w_a": 0.0}, "algorithm": "newton",
+          "seeds": [1]}, []),
+        ({"ioc": {}}, []),
+        ({}, ["--wa", "0"]),
+    ], ids=["ioc-section", "empty-ioc-section", "wa-zero"])
+    def test_ioc_setting_with_a_file_instance_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve, doc, flags):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}", **doc})
+        with pytest.raises(ValueError, match="no effect on instance"):
+            main(["--config", cfg_path] + flags)
 
     def test_unknown_format_rejected_before_solving(self, toy_instance_path,
                                                     tmp_path, no_solve):
@@ -284,11 +308,48 @@ class TestConfigMerge:
             "instance": f"file:{toy_instance_path}",
             "seeds": [1],
             "out": str(out),
-            "format": "html",
         })
         with pytest.raises(ValueError, match="html"):
             main(["--config", cfg_path])
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["rows", "rows.csv.txt"])
+    def test_out_name_without_a_table_suffix_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve, name):
+        out = tmp_path / name
+        with pytest.raises(ValueError, match="must end in .csv or .md"):
+            main(["--instance", f"file:{toy_instance_path}",
+                  "--seed-list", "1", "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [tmp_path / "toy.json"]
+
+    def test_format_flag_is_a_usage_error(self, no_solve, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "md"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"wa": -0.05}, {"format": "csv"}],
+                             ids=["wa", "format"])
+    def test_former_wa_and_format_keys_are_unknown(self, tmp_path, no_solve,
+                                                   doc):
+        with pytest.raises(ValueError, match="unknown config key"):
+            main(["--config", self._write(tmp_path, doc)])
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"newton": {"tau_nsn": -1.0}}, "tau_nsn"),
+        ({"newton": {"max_iters": -5}}, "max_iters"),
+        ({"alm": {"gamma": 0.5}}, "gamma"),
+        ({"alm": {"slack_mode": "nope"}}, "slack_mode"),
+        ({"pgrad": {"memory_length": 0}}, "memory_length"),
+        ({"algorithm": "warmstart", "warmstart_tau": -1.0}, "tau_alm"),
+    ], ids=["newton", "newton-count", "alm", "alm-mode", "pgrad",
+            "warmstart-tau"])
+    def test_bad_solver_setting_rejected_before_solving(
+            self, toy_instance_path, tmp_path, no_solve, doc, field):
+        cfg_path = self._write(tmp_path, {
+            "instance": f"file:{toy_instance_path}", **doc})
+        with pytest.raises(ValueError, match=field):
+            main(["--config", cfg_path])
 
     @pytest.mark.parametrize("file_seeds, flag, expected", [
         ({"seeds": [5, 6, 7]}, ["--seeds", "2"], ["1", "2"]),

@@ -99,14 +99,38 @@ class TestProblemContainer:
               A_H=[[0.0, 1.0]], b_H=[0.0]),
          "b_G holds a NaN or infinite value"),
         (dict(q=np.zeros(2), c0=np.inf), "c0 holds a NaN or infinite value"),
+        (dict(q=np.zeros(2), A_g=[[np.inf, -np.inf]], b_g=[0.0]),
+         "A_g holds a NaN or infinite value"),
+        (dict(q=np.zeros(64), A_h=scipy.sparse.csr_array(
+            np.where(np.arange(64 * 64) == 2000, np.nan, 1.0).reshape(64, 64)),
+              b_h=np.zeros(64)), "A_h holds a NaN or infinite value"),
         (dict(q=1.0), r"q must have shape \(0,\), got \(\)"),
         (dict(Q=1.0), r"Q must have shape \(0, 0\), got \(\)"),
     ], ids=["Q-rows", "Q-against-q", "A_h-columns", "b_g-length",
             "A_H-rows", "Q-nan", "q-inf", "A_h-csr-inf", "b_G-nan",
-            "c0-inf", "q-0d", "Q-0d"])
+            "c0-inf", "A_g-both-infs", "A_h-densified-csr-nan", "q-0d",
+            "Q-0d"])
     def test_block_of_the_wrong_shape_is_rejected(self, blocks, message):
         with pytest.raises(ValueError, match=message):
             QuadraticMpcc(**blocks)
+
+    def test_finiteness_check_forms_no_temporary_of_a_densified_block(self):
+        s, n = 500, 2000
+        rng = np.random.default_rng(3)
+        dense = np.where(rng.random((s, n)) < 0.3, rng.random((s, n)), 0.0)
+        A_h = scipy.sparse.csr_array(dense)  # canonical: taken as it is
+        del dense
+        Q = scipy.sparse.eye_array(n, format="csr")
+        tracemalloc.start()
+        try:
+            p = QuadraticMpcc(Q=Q, A_h=A_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(p.A_h, np.ndarray)  # as_operator densified it
+        # the stored block, and less than half of the s x n booleans that
+        # np.isfinite of the dense block would form
+        assert peak < p.A_h.nbytes + s * n // 2
 
     def test_build_infers_dimensions(self):
         p = _pair_problem()

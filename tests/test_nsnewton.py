@@ -1390,3 +1390,21 @@ class TestSolveNewton:
         assert cfg.max_backtracks == 60
         assert cfg.pivot_tol == 1e-12
         assert cfg.merit_grad_tol == 1e-5  # relative to |F_FB|
+
+    @pytest.mark.parametrize("field, value", [
+        ("q_nsn", 1.0), ("q_nsn", np.nan), ("armijo_sigma", 0.0),
+        ("armijo_beta", 2.0), ("tau_nsn", -1.0), ("tau_nsn", np.inf),
+        ("angle_rho", np.nan), ("pivot_tol", -1e-12),
+        ("merit_grad_tol", -1e-5), ("merit_grad_tol", np.nan),
+        ("max_iters", -5), ("max_iters", 2.0), ("max_iters", True),
+        ("max_backtracks", -1), ("max_backtracks", "60"),
+    ])
+    def test_bad_value_is_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"NewtonConfig.{field} must be"):
+            NewtonConfig(**{field: value})
+
+    def test_values_at_the_edge_of_their_range_are_accepted(self):
+        NewtonConfig(merit_grad_tol=np.inf)
+        NewtonConfig(tau_nsn=0.0, angle_rho=0.0, pivot_tol=0.0,
+                     merit_grad_tol=0.0, max_iters=0, max_backtracks=0)
+        NewtonConfig(max_iters=np.int64(3), q_nsn=np.float64(0.5))

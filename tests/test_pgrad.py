@@ -335,3 +335,17 @@ class TestSolveSubproblem:
         assert cfg.delta == 1e-4
         assert cfg.backtrack == 0.5
         assert cfg.max_iters == 50_000
+
+    @pytest.mark.parametrize("field, value", [
+        ("memory_length", 0), ("memory_length", 2.0), ("memory_length", True),
+        ("step_bounds", (1.0, 0.5)), ("step_bounds", (0.0, 1.0)),
+        ("step_bounds", (1e-10, np.inf)), ("step_bounds", (1e-10,)),
+        ("step_bounds", 1.0), ("delta", 0.0), ("delta", np.nan),
+        ("backtrack", 1.0), ("max_iters", -1), ("max_iters", False),
+    ])
+    def test_bad_value_is_rejected_naming_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"PgradConfig.{field} must be"):
+            PgradConfig(**{field: value})
+
+    def test_values_at_the_edge_of_their_range_are_accepted(self):
+        PgradConfig(memory_length=1, step_bounds=[1.0, 1.0], max_iters=0)
