@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .alm import AlmConfig, solve_alm
-from .core import (FullPoint, MultiplierSet, QuadraticMpcc,
-                   classify_stationarity, load_instance)
+from .core import (NONNEGATIVE, FullPoint, MultiplierSet, QuadraticMpcc,
+                   check_fields, classify_stationarity, is_count,
+                   load_instance)
 from .iocfem import IocParams, assemble_instance
 from .nsnewton import NewtonConfig, residual_F, solve_newton
 from .pgrad import PgradConfig
@@ -40,7 +41,7 @@ _ALGORITHMS = ("alm", "newton", "warmstart")
 _FORMATS = ("csv", "md")  # the suffix of the --out file names its format
 _SECTIONS = ("ioc", "alm", "newton", "pgrad")
 # top-level keys of a config file; the flags parse into the same names
-_KEYS = ("instance", "algorithm", "seeds", "n_seeds", "out", "warmstart_tau",
+_KEYS = ("instance", "algorithm", "seeds", "out", "warmstart_tau",
          "classify_tol") + _SECTIONS
 
 
@@ -56,6 +57,22 @@ class ExperimentConfig:
     alm: AlmConfig = field(default_factory=AlmConfig)
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     pgrad: PgradConfig = field(default_factory=PgradConfig)
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            instance=(lambda v: v == "ioc" or isinstance(v, str) and
+                      v.startswith("file:") and v != "file:",
+                      "'ioc' or 'file:' followed by a path"),
+            algorithm=(lambda v: v in _ALGORITHMS, f"one of {_ALGORITHMS}"),
+            seeds=(lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and
+                   all(is_count(s) and s < 2 ** 128 for s in v),
+                   "a non-empty list or tuple of integers in [0, 2**128)"),
+            out=(lambda v: v is None or isinstance(v, str) and
+                 v.endswith((".csv", ".md")),
+                 "None or a name that ends in .csv or .md"),
+            warmstart_tau=NONNEGATIVE, classify_tol=NONNEGATIVE)
+        self.seeds = tuple(self.seeds)
 
 
 @dataclass
@@ -95,10 +112,7 @@ def make_start(problem: QuadraticMpcc, seed: int):
 def _build_problem(cfg: ExperimentConfig) -> QuadraticMpcc:
     if cfg.instance == "ioc":
         return assemble_instance(cfg.ioc).problem
-    if cfg.instance.startswith("file:"):
-        return load_instance(cfg.instance[len("file:"):])
-    raise ValueError(f"unknown instance {cfg.instance!r} "
-                     "(expected 'ioc' or 'file:<path>')")
+    return load_instance(cfg.instance[len("file:"):])
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -109,9 +123,6 @@ def run_experiment(cfg: ExperimentConfig):
     status is the row's; the warm start is converged when both stages are,
     and otherwise reads alm_<status>+nsn_<status>.
     """
-    if cfg.algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r} "
-                         f"(expected one of {_ALGORITHMS})")
     alm_cfg = replace(cfg.alm, tau_alm=cfg.warmstart_tau) \
         if cfg.algorithm == "warmstart" else cfg.alm
     problem = _build_problem(cfg)
@@ -202,12 +213,9 @@ def read_table_csv(path):
 def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     """Defaults, then the config file, then the flags (those not None).
 
-    Within one source an explicit seed list beats a seed count. Unknown
-    keys, an out name that ends in neither .csv nor .md, seeds or a seed
-    count that are not integers (booleans included), an ioc section (the
-    flags' holds --wa) for an instance other than ioc and an empty seed set
-    raise ValueError; run_experiment checks the algorithm before it builds
-    the problem.
+    Unknown keys and an ioc section (the flags' holds --wa) for an instance
+    other than ioc raise ValueError; ExperimentConfig and the section
+    dataclasses check the values.
     """
     unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
@@ -225,30 +233,17 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
                 raise ValueError(f"unknown key(s) {unknown} in config section "
                                  f"{name!r} (expected some of {known})")
             given[name] = replace(section, **given[name])
-        n_seeds = given.pop("n_seeds", None)
-        if "seeds" in given:
-            seeds = given["seeds"]
-            if not (isinstance(seeds, list) and
-                    all(type(s) is int for s in seeds)):
-                raise ValueError(f"'seeds' must be a list of integers, "
-                                 f"got {seeds!r}")
-            given["seeds"] = tuple(seeds)
-        elif n_seeds is not None:
-            if type(n_seeds) is not int:
-                raise ValueError(f"'n_seeds' must be an integer, "
-                                 f"got {n_seeds!r}")
-            given["seeds"] = tuple(range(1, n_seeds + 1))
         cfg = replace(cfg, **given)
-    if cfg.out is not None and not cfg.out.endswith((".csv", ".md")):
-        raise ValueError(f"out {cfg.out!r} must end in .csv or .md")
     if cfg.instance != "ioc" and any(source.get("ioc") is not None
                                      for source in (file_cfg, flags)):
         raise ValueError(f"an ioc section or --wa has no effect on "
                          f"instance {cfg.instance!r}")
-    if not cfg.seeds:
-        raise ValueError("no seeds to run: give --seeds N with N >= 1 or a "
-                         "non-empty seed list")
     return cfg
+
+
+def _seed_count(text: str) -> tuple:
+    """Seeds 1..N; argparse reports a text that int() rejects."""
+    return tuple(range(1, int(text) + 1))
 
 
 def _seed_list(text: str) -> list:
@@ -268,11 +263,12 @@ def main(argv=None) -> int:
     parser.add_argument("--wa", type=float, default=None,
                         help="lower bound w_a of the built-in benchmark")
     parser.add_argument("--algorithm", default=None, choices=_ALGORITHMS)
-    parser.add_argument("--seeds", dest="n_seeds", type=int, default=None,
-                        metavar="N", help="run seeds 1..N")
-    parser.add_argument("--seed-list", dest="seeds", default=None,
-                        metavar="LIST", type=_seed_list,
-                        help="comma-separated explicit seeds")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=_seed_count, default=None,
+                       metavar="N", help="run seeds 1..N")
+    seeds.add_argument("--seed-list", dest="seeds", default=None,
+                       metavar="LIST", type=_seed_list,
+                       help="comma-separated explicit seeds")
     parser.add_argument("--out", default=None, help="table path, .csv or .md")
     parser.add_argument("--config", default=None,
                         help="JSON config file overriding all defaults")

@@ -382,8 +382,8 @@ class SolverTrace:
 
 def check_fields(cfg, **rules) -> None:
     """Raise a ValueError naming the first field of cfg whose value fails
-    its rule, a pair (test, what the value must be): the solver configs'
-    check on construction."""
+    its rule, a pair (test, what the value must be): the configs' check on
+    construction."""
     for name, (test, wording) in rules.items():
         value = getattr(cfg, name)
         if not test(value):
@@ -454,6 +454,8 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
 
 def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
                        tol: float = 1e-6) -> IndexSets:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     g = problem.g(x)
     G = problem.G(x)
@@ -475,11 +477,12 @@ def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
 
 def classify_stationarity(problem: QuadraticMpcc, x, m: MultiplierSet,
                           tol: float = 1e-6) -> StationarityReport:
-    """Grade (x, m) along the chain S => M => C => W, enforced structurally."""
+    """Grade (x, m) along the chain S => M => C => W, enforced structurally;
+    compute_index_sets checks tol first."""
+    sets = compute_index_sets(problem, x, m, tol)
     x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     g, h = problem.g(x), problem.h(x)
     G, H = problem.G(x), problem.H(x)
-    sets = compute_index_sets(problem, x, m, tol)
 
     def vmax(*vals):
         parts = [np.max(v) if np.size(v) else 0.0 for v in vals]

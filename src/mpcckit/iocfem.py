@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import FullPoint, QuadraticMpcc, save_instance
+from .core import (FullPoint, QuadraticMpcc, check_fields, is_count, is_number,
+                   save_instance)
 
 __all__ = [
     "IocParams",
@@ -60,6 +62,16 @@ class IocParams:
     zeta: float = 1.0
     u_obs: float = 1.0
     y_d: float = 0.0
+
+    def __post_init__(self):
+        finite = (lambda v: is_number(v) and math.isfinite(v),
+                  "a finite number")
+        check_fields(
+            self,
+            n_div=(lambda v: is_count(v) and v >= 1, "an integer >= 1"),
+            alpha=(lambda v: is_number(v) and 0 < v < math.inf,
+                   "a finite number > 0"),
+            u_a=finite, w_a=finite, zeta=finite, u_obs=finite, y_d=finite)
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,32 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(instance="bogus"))
 
     def test_unknown_algorithm_rejected(self, toy_instance_path):
-        cfg = ExperimentConfig(instance=f"file:{toy_instance_path}",
-                               algorithm="simplex")
-        with pytest.raises(ValueError):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match=r"ExperimentConfig\.algorithm"):
+            ExperimentConfig(instance=f"file:{toy_instance_path}",
+                             algorithm="simplex")
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("instance", "bogus"), ("instance", "file:"), ("instance", None),
+        ("algorithm", "simplex"), ("algorithm", None),
+        ("seeds", ()), ("seeds", [-1]), ("seeds", [2 ** 128]),
+        ("seeds", [True]), ("seeds", [1.0]), ("seeds", 3), ("seeds", "12"),
+        ("out", "rows.txt"), ("out", "rows"), ("out", 5),
+        ("warmstart_tau", -1.0), ("warmstart_tau", np.nan),
+        ("classify_tol", -1.0), ("classify_tol", np.nan),
+        ("classify_tol", np.inf), ("classify_tol", "x"),
+    ])
+    def test_bad_value_is_rejected_at_construction_naming_its_field(
+            self, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"ExperimentConfig\.{name} must be"):
+            ExperimentConfig(**{name: value})
+
+    def test_values_at_the_edge_of_their_range_are_accepted(self):
+        cfg = ExperimentConfig(instance="file:x.json", seeds=[0, 2 ** 128 - 1],
+                               out="t.md", warmstart_tau=0, classify_tol=0.0)
+        assert cfg.seeds == (0, 2 ** 128 - 1)
 
 
 class TestTables:
@@ -216,6 +238,12 @@ class TestMain:
         assert main(["--config", str(cfg_path)]) == 1
 
 
+_SEEDS_ERROR = (r"ExperimentConfig\.seeds must be a non-empty list or tuple "
+                r"of integers")
+_WARMSTART_TAU = r"ExperimentConfig\.warmstart_tau must be"
+_CLASSIFY_TOL = r"ExperimentConfig\.classify_tol must be"
+
+
 class TestConfigMerge:
     @pytest.fixture
     def no_solve(self, monkeypatch):
@@ -256,21 +284,48 @@ class TestConfigMerge:
             self, toy_instance_path, tmp_path, no_solve, doc, flags):
         cfg_path = self._write(tmp_path, {
             "instance": f"file:{toy_instance_path}", **doc})
-        with pytest.raises(ValueError, match="no seeds"):
+        with pytest.raises(ValueError, match=_SEEDS_ERROR):
             main(["--config", cfg_path] + flags)
 
-    @pytest.mark.parametrize("doc", [
-        {"seeds": [1.5]}, {"seeds": [True]}, {"seeds": ["2"]}, {"seeds": 2},
-        {"n_seeds": 2.7}, {"n_seeds": True}, {"n_seeds": "2"},
+    @pytest.mark.parametrize("doc, match", [
+        ({"seeds": [1.5]}, _SEEDS_ERROR), ({"seeds": [True]}, _SEEDS_ERROR),
+        ({"seeds": ["2"]}, _SEEDS_ERROR), ({"seeds": 2}, _SEEDS_ERROR),
+        ({"n_seeds": 2}, "unknown config key"),
     ], ids=["seed-float", "seed-bool", "seed-string", "seeds-a-number",
-            "count-float", "count-bool", "count-string"])
+            "count"])
     def test_seeds_that_are_not_integers_rejected_before_solving(
-            self, toy_instance_path, tmp_path, no_solve, doc):
+            self, toy_instance_path, tmp_path, no_solve, doc, match):
         cfg_path = self._write(tmp_path, {
             "instance": f"file:{toy_instance_path}", **doc})
-        with pytest.raises(ValueError,
-                           match="must be (a list of integers|an integer)"):
+        with pytest.raises(ValueError, match=match):
             main(["--config", cfg_path])
+
+    @pytest.mark.parametrize("ioc, field", [
+        ({"n_div": 2.5}, "n_div"), ({"n_div": 0}, "n_div"),
+        ({"alpha": -1.0}, "alpha"), ({"alpha": 0}, "alpha"),
+        ({"w_a": float("nan")}, "w_a"), ({"u_a": float("inf")}, "u_a"),
+        ({"zeta": "1"}, "zeta"), ({"u_obs": True}, "u_obs"),
+        ({"y_d": None}, "y_d"),
+    ])
+    def test_bad_ioc_setting_rejected_before_solving(self, tmp_path,
+                                                     no_solve, ioc, field):
+        with pytest.raises(ValueError, match=rf"IocParams\.{field} must be"):
+            main(["--config", self._write(tmp_path, {"ioc": ioc})])
+
+    def test_seed_count_and_seed_list_flags_are_a_usage_error(self, no_solve,
+                                                              capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seeds", "3", "--seed-list", "2"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["2.5", "two", ""])
+    def test_seed_count_flag_of_a_non_integer_rejected(self, no_solve, capsys,
+                                                       text):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seeds", text])
+        assert exc.value.code == 2
+        assert "argument --seeds: invalid" in capsys.readouterr().err
 
     def test_seed_list_flag_of_non_integers_rejected(self, no_solve, capsys):
         with pytest.raises(SystemExit):
@@ -317,7 +372,8 @@ class TestConfigMerge:
     def test_out_name_without_a_table_suffix_rejected_before_solving(
             self, toy_instance_path, tmp_path, no_solve, name):
         out = tmp_path / name
-        with pytest.raises(ValueError, match="must end in .csv or .md"):
+        with pytest.raises(ValueError, match=r"ExperimentConfig\.out must be "
+                           r"None or a name that ends in \.csv or \.md"):
             main(["--instance", f"file:{toy_instance_path}",
                   "--seed-list", "1", "--out", str(out)])
         assert list(tmp_path.iterdir()) == [tmp_path / "toy.json"]
@@ -341,9 +397,16 @@ class TestConfigMerge:
         ({"alm": {"gamma": 0.5}}, "gamma"),
         ({"alm": {"slack_mode": "nope"}}, "slack_mode"),
         ({"pgrad": {"memory_length": 0}}, "memory_length"),
-        ({"algorithm": "warmstart", "warmstart_tau": -1.0}, "tau_alm"),
+        ({"algorithm": "warmstart", "warmstart_tau": -1.0}, _WARMSTART_TAU),
+        ({"algorithm": "alm", "warmstart_tau": -1.0}, _WARMSTART_TAU),
+        ({"algorithm": "newton", "seeds": [1], "classify_tol": -1.0},
+         _CLASSIFY_TOL),
+        ({"classify_tol": float("nan")}, _CLASSIFY_TOL),
+        ({"classify_tol": "x"}, _CLASSIFY_TOL),
+        ({"seeds": [-1]}, _SEEDS_ERROR),
     ], ids=["newton", "newton-count", "alm", "alm-mode", "pgrad",
-            "warmstart-tau"])
+            "warmstart-tau", "warmstart-tau-unused", "tol-negative",
+            "tol-nan", "tol-string", "seed-negative"])
     def test_bad_solver_setting_rejected_before_solving(
             self, toy_instance_path, tmp_path, no_solve, doc, field):
         cfg_path = self._write(tmp_path, {
@@ -353,7 +416,7 @@ class TestConfigMerge:
 
     @pytest.mark.parametrize("file_seeds, flag, expected", [
         ({"seeds": [5, 6, 7]}, ["--seeds", "2"], ["1", "2"]),
-        ({"n_seeds": 3}, ["--seed-list", "7"], ["7"]),
+        ({"seeds": [1, 2, 3]}, ["--seed-list", "7"], ["7"]),
     ])
     def test_seed_flags_override_file_seeds(self, toy_instance_path,
                                             tmp_path, file_seeds, flag,

@@ -764,6 +764,21 @@ class TestIndexSets:
             merged = np.concatenate([sets.i_plus0, sets.i_0plus, sets.i_00])
             np.testing.assert_array_equal(np.sort(merged), np.arange(p.t))
 
+    @pytest.mark.parametrize("grade", [compute_index_sets,
+                                       classify_stationarity])
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_that_is_negative_or_not_finite_is_rejected(
+            self, grade, tol):
+        p = _pair_problem()
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            grade(p, [0.0, 0.0], MultiplierSet.zeros(p), tol=tol)
+
+    def test_zero_tolerance_is_strict(self):
+        p = _pair_problem()
+        sets = compute_index_sets(p, [0.0, 1e-300], MultiplierSet.zeros(p),
+                                  tol=0.0)
+        np.testing.assert_array_equal(sets.i_0plus, [0])
+
 
 class TestClassifyStationarity:
     def test_unconstrained_minimum_is_strongly_stationary(self):

@@ -274,3 +274,25 @@ class TestInstanceIo:
         np.testing.assert_array_equal(loaded.A_h, inst.problem.A_h)
         assert loaded.coordinate_selection
         assert read_params_sidecar(path) == params
+
+    def test_sidecar_with_a_bad_value_is_rejected(self, tmp_path):
+        path = tmp_path / "ioc.json"
+        write_instance(assemble_instance(IocParams(n_div=1)), path)
+        (tmp_path / "ioc.json.meta.json").write_text('{"alpha": 0}')
+        with pytest.raises(ValueError, match=r"IocParams\.alpha"):
+            read_params_sidecar(path)
+
+
+class TestIocParams:
+    @pytest.mark.parametrize("name, value", [
+        ("n_div", 0), ("n_div", 2.5), ("n_div", True), ("n_div", "8"),
+        ("alpha", 0.0), ("alpha", -1.0), ("alpha", np.inf), ("alpha", np.nan),
+        ("u_a", np.nan), ("w_a", np.nan), ("w_a", -np.inf), ("zeta", np.inf),
+        ("u_obs", "1"), ("y_d", None), ("y_d", False),
+    ])
+    def test_bad_value_is_rejected_naming_its_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"IocParams\.{name} must be"):
+            IocParams(**{name: value})
+
+    def test_values_at_the_edge_of_their_range_are_accepted(self):
+        IocParams(n_div=1, alpha=1e-300, u_a=-1e300, w_a=0, zeta=0)
