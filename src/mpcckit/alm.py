@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlmConfig:
     rho0: float | None = None  # None -> scale from initial violation
     gamma: float = 10.0

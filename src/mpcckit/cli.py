@@ -45,7 +45,7 @@ _KEYS = ("instance", "algorithm", "seeds", "out", "warmstart_tau",
          "classify_tol") + _SECTIONS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     instance: str = "ioc"  # "ioc" or "file:<path>"
     algorithm: str = "alm"  # {"alm", "newton", "warmstart"}
@@ -72,7 +72,7 @@ class ExperimentConfig:
                  v.endswith((".csv", ".md")),
                  "None or a name that ends in .csv or .md"),
             warmstart_tau=NONNEGATIVE, classify_tol=NONNEGATIVE)
-        self.seeds = tuple(self.seeds)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 @dataclass
@@ -213,10 +213,15 @@ def read_table_csv(path):
 def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
     """Defaults, then the config file, then the flags (those not None).
 
-    Unknown keys and an ioc section (the flags' holds --wa) for an instance
-    other than ioc raise ValueError; ExperimentConfig and the section
-    dataclasses check the values.
+    A file that is not a JSON object, a section that is neither an object
+    nor null, unknown keys, an ioc section (the flags' holds --wa) for an
+    instance other than ioc, and an alm.tau_alm under the warm start raise
+    ValueError; ExperimentConfig and the section dataclasses check the
+    values.
     """
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"a config file must hold a JSON object, "
+                         f"got {type(file_cfg).__name__}")
     unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} "
@@ -226,6 +231,10 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
         given = {key: value for key, value in source.items()
                  if value is not None}
         for name in given.keys() & _SECTIONS:
+            if not isinstance(given[name], dict):
+                raise ValueError(f"config section {name!r} must be a JSON "
+                                 f"object or null, got "
+                                 f"{type(given[name]).__name__}")
             section = getattr(cfg, name)
             known = [f.name for f in fields(section)]
             unknown = sorted(set(given[name]) - set(known))
@@ -238,6 +247,10 @@ def _config_from_sources(file_cfg: dict, flags: dict) -> ExperimentConfig:
                                      for source in (file_cfg, flags)):
         raise ValueError(f"an ioc section or --wa has no effect on "
                          f"instance {cfg.instance!r}")
+    if cfg.algorithm == "warmstart" and \
+            "tau_alm" in (file_cfg.get("alm") or {}):
+        raise ValueError("alm.tau_alm has no effect under algorithm "
+                         "'warmstart', whose ALM stage stops at warmstart_tau")
     return cfg
 
 

@@ -532,8 +532,9 @@ def _licq_rows(problem: QuadraticMpcc, sets: IndexSets) -> np.ndarray:
                       dense("A_G", idx_G), dense("A_H", idx_H)])
 
 
-def check_mpcc_licq(problem: QuadraticMpcc, x, sets: IndexSets) -> bool:
-    """Linear independence of active g rows, all h rows, and the active pair rows."""
+def check_mpcc_licq(problem: QuadraticMpcc, sets: IndexSets) -> bool:
+    """Linear independence of active g rows, all h rows, and the active pair
+    rows, at the point whose compute_index_sets gave sets."""
     rows = _licq_rows(problem, sets)
     if rows.shape[0] == 0:
         return True
@@ -543,9 +544,9 @@ def check_mpcc_licq(problem: QuadraticMpcc, x, sets: IndexSets) -> bool:
     return bool(sv[-1] > 1e-10 * sv[0])
 
 
-def check_mpcc_ssoc(problem: QuadraticMpcc, x, m: MultiplierSet,
-                    sets: IndexSets):
-    """Second-order sufficiency over the critical directions.
+def check_mpcc_ssoc(problem: QuadraticMpcc, sets: IndexSets):
+    """Second-order sufficiency over the critical directions, at the point
+    and multipliers whose compute_index_sets gave sets.
 
     Enumerates the 2^k branch subspaces induced by the biactive pairs with
     vanishing multipliers (the union whose branches fix G_i'd = 0 or

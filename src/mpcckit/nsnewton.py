@@ -109,7 +109,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     q_nsn: float = 0.999
     tau_nsn: float = 1e-11

@@ -25,6 +25,10 @@ from .core import MultiplierSet, QuadraticMpcc
 __all__ = ["BranchAssignment", "enumerate_branch_nlps", "finite_diff"]
 
 _TAGS = ("G_zero", "H_zero", "both_zero")
+_MAX_PAIRS = 12  # 3**t branches
+_MAX_INEQ = 10  # 2**r active sets per branch
+_FEAS_TOL = 1e-9  # slack of the sign and feasibility tests
+_DEDUP_TOL = 1e-9  # max-norm distance under which two points are one
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,15 @@ class BranchAssignment:
             raise ValueError(f"branch tags must be in {_TAGS}")
 
 
-def enumerate_branch_nlps(problem: QuadraticMpcc, max_pairs: int = 12,
-                          max_ineq: int = 10, feas_tol: float = 1e-9,
-                          dedup_tol: float = 1e-9):
-    """All branch-KKT points as (x, MultiplierSet, BranchAssignment) triples."""
-    if problem.t > max_pairs:
-        raise ValueError(f"too many complementarity pairs ({problem.t} > {max_pairs})")
-    if problem.r > max_ineq:
-        raise ValueError(f"too many inequality rows ({problem.r} > {max_ineq})")
+def enumerate_branch_nlps(problem: QuadraticMpcc):
+    """All branch-KKT points as (x, MultiplierSet, BranchAssignment) triples.
+
+    Raises ValueError for more than 12 pairs or 10 inequality rows.
+    """
+    if problem.t > _MAX_PAIRS:
+        raise ValueError(f"too many complementarity pairs ({problem.t} > {_MAX_PAIRS})")
+    if problem.r > _MAX_INEQ:
+        raise ValueError(f"too many inequality rows ({problem.r} > {_MAX_INEQ})")
     n, r, s, t = problem.n, problem.r, problem.s, problem.t
     Q, A_g, A_h, A_G, A_H = map(problem.dense_rows,
                                 ("Q", "A_g", "A_h", "A_G", "A_H"))
@@ -82,18 +87,18 @@ def enumerate_branch_nlps(problem: QuadraticMpcc, max_pairs: int = 12,
                 nu[fix_h] = mult[s + len(fix_g):s + len(fix_g) + len(fix_h)]
                 lam = np.zeros(r)
                 lam[list(active_g)] = mult[s + len(fix_g) + len(fix_h):]
-                if np.any(lam < -feas_tol):
+                if np.any(lam < -_FEAS_TOL):
                     continue
                 g = problem.g(x)
                 big_g = problem.G(x)
                 big_h = problem.H(x)
-                if np.max(g, initial=0.0) > feas_tol:
+                if np.max(g, initial=0.0) > _FEAS_TOL:
                     continue
-                if np.min(big_g, initial=0.0) < -feas_tol or \
-                        np.min(big_h, initial=0.0) < -feas_tol:
+                if np.min(big_g, initial=0.0) < -_FEAS_TOL or \
+                        np.min(big_h, initial=0.0) < -_FEAS_TOL:
                     continue
                 key = np.concatenate([x, lam, eta, mu, nu])
-                if any(np.max(np.abs(key - old), initial=0.0) <= dedup_tol
+                if any(np.max(np.abs(key - old), initial=0.0) <= _DEDUP_TOL
                        for old in kept):
                     continue
                 kept.append(key)

@@ -48,7 +48,7 @@ class PgradError(RuntimeError):
     """Objective oracle produced a non-finite value or gradient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PgradConfig:
     memory_length: int = 10
     step_bounds: tuple = (1e-10, 1e10)
@@ -63,6 +63,7 @@ class PgradConfig:
                            "an integer >= 1"),
             step_bounds=(_step_bounds, "a pair (lo, hi), 0 < lo <= hi < inf"),
             delta=FRACTION, backtrack=FRACTION, max_iters=COUNT)
+        object.__setattr__(self, "step_bounds", tuple(self.step_bounds))
 
 
 def _step_bounds(value) -> bool:

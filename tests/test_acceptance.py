@@ -209,8 +209,8 @@ def test_criterion_5_local_quadratic_convergence():
     assert np.linalg.norm(residual_F(problem, zstar)) == 0.0
     sets = compute_index_sets(problem, zstar.x, m)
     assert classify_stationarity(problem, zstar.x, m, tol=1e-8).is_M
-    assert check_mpcc_licq(problem, zstar.x, sets)
-    assert check_mpcc_ssoc(problem, zstar.x, m, sets)
+    assert check_mpcc_licq(problem, sets)
+    assert check_mpcc_ssoc(problem, sets)
 
     res = solve_newton(problem, z0=z0)
     assert res.status == "converged"

@@ -1,6 +1,7 @@
 """Experiment harness: starts, pipelines, tables, config, exit codes."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mpcckit.alm import AlmConfig
 from mpcckit.core import QuadraticMpcc, save_instance
 from mpcckit.iocfem import IocParams
 from mpcckit.nsnewton import NewtonConfig
+from mpcckit.pgrad import PgradConfig
 
 
 def _toy_problem():
@@ -33,6 +35,13 @@ def toy_instance_path(tmp_path):
     path = tmp_path / "toy.json"
     save_instance(_toy_problem(), path)
     return str(path)
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    def forbidden(cfg):
+        raise AssertionError("a problem was built")
+    monkeypatch.setattr(cli, "_build_problem", forbidden)
 
 
 class TestMakeStart:
@@ -137,6 +146,21 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(instance="file:x.json", seeds=[0, 2 ** 128 - 1],
                                out="t.md", warmstart_tau=0, classify_tol=0.0)
         assert cfg.seeds == (0, 2 ** 128 - 1)
+
+    @pytest.mark.parametrize("cfg, name, value", [
+        (AlmConfig(), "tau_alm", -1.0), (NewtonConfig(), "max_iters", 5),
+        (PgradConfig(), "step_bounds", (1.0, 0.5)),
+        (ExperimentConfig(), "algorithm", "newton"),
+    ], ids=["alm", "newton", "pgrad", "experiment"])
+    def test_fields_cannot_be_assigned(self, cfg, name, value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+
+    def test_assigned_algorithm_raises_before_the_run(self, no_solve):
+        cfg = ExperimentConfig(ioc=IocParams(n_div=2), seeds=(1,))
+        with pytest.raises(FrozenInstanceError):
+            cfg.algorithm = "simplex"
+            run_experiment(cfg)
 
 
 class TestTables:
@@ -245,12 +269,6 @@ _CLASSIFY_TOL = r"ExperimentConfig\.classify_tol must be"
 
 
 class TestConfigMerge:
-    @pytest.fixture
-    def no_solve(self, monkeypatch):
-        def forbidden(cfg):
-            raise AssertionError("a problem was built")
-        monkeypatch.setattr(cli, "_build_problem", forbidden)
-
     def _write(self, tmp_path, doc):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -342,6 +360,28 @@ class TestConfigMerge:
                                           "ioc": {"w_a": -0.05}})
         with pytest.raises(ValueError, match="no effect on instance"):
             main(["--config", cfg_path])
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], "must hold a JSON object, got list"),
+        ("x", "must hold a JSON object, got str"),
+        ({"ioc": 5}, "section 'ioc' must be a JSON object or null, got int"),
+        ({"alm": [1]},
+         "section 'alm' must be a JSON object or null, got list"),
+    ], ids=["list", "string", "ioc-number", "alm-list"])
+    def test_config_of_the_wrong_shape_rejected_before_solving(
+            self, tmp_path, no_solve, doc, match):
+        with pytest.raises(ValueError, match=match):
+            main(["--config", self._write(tmp_path, doc)])
+
+    @pytest.mark.parametrize("doc, flags", [
+        ({"algorithm": "warmstart", "alm": {"tau_alm": 0.5}}, []),
+        ({"alm": {"tau_alm": 1e-6}}, ["--algorithm", "warmstart"]),
+    ], ids=["file", "flag"])
+    def test_alm_tolerance_under_the_warm_start_rejected_before_solving(
+            self, tmp_path, no_solve, doc, flags):
+        with pytest.raises(ValueError,
+                           match="alm.tau_alm has no effect.*warmstart_tau"):
+            main(["--config", self._write(tmp_path, doc)] + flags)
 
     @pytest.mark.parametrize("doc, flags", [
         ({"ioc": {"n_div": 4, "w_a": 0.0}, "algorithm": "newton",

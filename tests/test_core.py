@@ -505,9 +505,8 @@ class TestSparseBlocks:
             assert sets.i_00_00.size == 2
         assert _licq_rows(p, sets).tobytes() == \
             _licq_rows(twin, sets).tobytes()
-        assert check_mpcc_licq(p, x, sets) == check_mpcc_licq(twin, x, sets)
-        assert check_mpcc_ssoc(p, x, m, sets) == \
-            check_mpcc_ssoc(twin, x, m, sets)
+        assert check_mpcc_licq(p, sets) == check_mpcc_licq(twin, sets)
+        assert check_mpcc_ssoc(p, sets) == check_mpcc_ssoc(twin, sets)
         hess = eval_lagrangian(p, x, m)[2]
         assert hess is p.Q and scipy.sparse.issparse(hess)
 
@@ -837,32 +836,42 @@ class TestConstraintQualifications:
     def test_licq_biactive_unit_rows(self):
         p = _pair_problem()
         sets = compute_index_sets(p, [0.0, 0.0], MultiplierSet.zeros(p))
-        assert check_mpcc_licq(p, [0.0, 0.0], sets) is True
+        assert check_mpcc_licq(p, sets) is True
 
     def test_licq_fails_on_duplicated_rows(self):
         p = QuadraticMpcc.build(n=2, A_g=[[1.0, 0.0], [1.0, 0.0]],
                                 b_g=[0.0, 0.0])
         sets = compute_index_sets(p, [0.0, 0.0], MultiplierSet.zeros(p))
-        assert check_mpcc_licq(p, [0.0, 0.0], sets) is False
+        assert check_mpcc_licq(p, sets) is False
+
+    def test_point_and_multipliers_are_not_arguments(self):
+        # both checks see the point only through its index sets
+        p = _pair_problem()
+        m = MultiplierSet.zeros(p)
+        sets = compute_index_sets(p, [0.0, 0.0], m)
+        with pytest.raises(TypeError):
+            check_mpcc_licq(p, [0.0, 0.0], sets)
+        with pytest.raises(TypeError):
+            check_mpcc_ssoc(p, [0.0, 0.0], m, sets)
 
     def test_ssoc_identity_hessian(self):
         p = _pair_problem(Q=np.eye(2))
         m = MultiplierSet.zeros(p)
         sets = compute_index_sets(p, [0.0, 0.0], m)
-        assert check_mpcc_ssoc(p, [0.0, 0.0], m, sets) is True
+        assert check_mpcc_ssoc(p, sets) is True
 
     def test_ssoc_indefinite_branch(self):
         p = _pair_problem(Q=np.diag([1.0, -1.0]))
         m = MultiplierSet.zeros(p)
         sets = compute_index_sets(p, [0.0, 0.0], m)
-        assert check_mpcc_ssoc(p, [0.0, 0.0], m, sets) is False
+        assert check_mpcc_ssoc(p, sets) is False
 
     def test_ssoc_vacuous_on_empty_critical_subspace(self):
         # equalities fix every direction; indefiniteness never gets tested
         p = QuadraticMpcc.build(Q=-np.eye(2), A_h=np.eye(2), b_h=np.zeros(2))
         m = MultiplierSet.zeros(p)
         sets = compute_index_sets(p, [0.0, 0.0], m)
-        assert check_mpcc_ssoc(p, [0.0, 0.0], m, sets) is True
+        assert check_mpcc_ssoc(p, sets) is True
 
     def test_ssoc_positive_definite_hessian_fuzz(self):
         rng = np.random.default_rng(4)
@@ -871,7 +880,7 @@ class TestConstraintQualifications:
             x = p.pair_partition().project(rng.normal(size=p.n))
             m = MultiplierSet.zeros(p)
             sets = compute_index_sets(p, x, m)
-            assert check_mpcc_ssoc(p, x, m, sets) is True
+            assert check_mpcc_ssoc(p, sets) is True
 
     def test_ssoc_branch_guard_skips(self):
         t = 21
@@ -885,7 +894,7 @@ class TestConstraintQualifications:
         m = MultiplierSet.zeros(p)
         x = np.zeros(2 * t)
         sets = compute_index_sets(p, x, m)
-        assert check_mpcc_ssoc(p, x, m, sets) is None
+        assert check_mpcc_ssoc(p, sets) is None
 
 
 class TestInstanceFiles:

@@ -55,14 +55,23 @@ class TestEnumerateBranchNlps:
         p = QuadraticMpcc.build(n=2 * t, A_G=A_G, b_G=np.zeros(t),
                                 A_H=A_H, b_H=np.zeros(t),
                                 coordinate_selection=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pairs \(13 > 12\)"):
             enumerate_branch_nlps(p)
 
     def test_inequality_guard(self):
         p = QuadraticMpcc.build(Q=np.eye(2), q=np.zeros(2),
                                 A_g=np.ones((11, 2)), b_g=np.zeros(11))
-        with pytest.raises(ValueError):
-            enumerate_branch_nlps(p, max_ineq=10)
+        with pytest.raises(ValueError, match=r"inequality rows \(11 > 10\)"):
+            enumerate_branch_nlps(p)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((13,), {}), ((), {"max_pairs": 13}), ((), {"max_ineq": 11}),
+        ((), {"feas_tol": 1e-6}), ((), {"dedup_tol": 1e-6}),
+    ], ids=["positional", "max_pairs", "max_ineq", "feas_tol", "dedup_tol"])
+    def test_limits_and_tolerances_are_fixed(self, args, kwargs):
+        p = _one_pair(Q=2 * np.eye(2), q=[-2.0, -2.0])
+        with pytest.raises(TypeError):
+            enumerate_branch_nlps(p, *args, **kwargs)
 
     def test_enumerated_points_are_weakly_stationary(self):
         rng = np.random.default_rng(10)

@@ -349,3 +349,7 @@ class TestSolveSubproblem:
 
     def test_values_at_the_edge_of_their_range_are_accepted(self):
         PgradConfig(memory_length=1, step_bounds=[1.0, 1.0], max_iters=0)
+
+    def test_step_bounds_are_stored_as_a_tuple(self):
+        bounds = PgradConfig(step_bounds=[1e-10, 1e10]).step_bounds
+        assert type(bounds) is tuple and bounds == (1e-10, 1e10)
