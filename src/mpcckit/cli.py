@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,10 +39,7 @@ __all__ = [
 
 _ALGORITHMS = ("alm", "newton", "warmstart")
 _FORMATS = ("csv", "md")  # the suffix of the --out file names its format
-_SECTIONS = ("ioc", "alm", "newton", "pgrad")
-# top-level keys of a config file; the flags parse into the same names
-_KEYS = ("instance", "algorithm", "seeds", "out", "warmstart_tau",
-         "classify_tol") + _SECTIONS
+_SUFFIXES = tuple("." + fmt for fmt in _FORMATS)
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,12 @@ class ExperimentConfig:
                    all(is_count(s) and s < 2 ** 128 for s in v),
                    "a non-empty list or tuple of integers in [0, 2**128)"),
             out=(lambda v: v is None or isinstance(v, str) and
-                 v.endswith((".csv", ".md")),
-                 "None or a name that ends in .csv or .md"),
-            warmstart_tau=NONNEGATIVE, classify_tol=NONNEGATIVE)
+                 v.endswith(_SUFFIXES),
+                 "None or a name that ends in " + " or ".join(_SUFFIXES)),
+            warmstart_tau=NONNEGATIVE, classify_tol=NONNEGATIVE,
+            **{f.name: (lambda v, kind=f.default_factory: isinstance(v, kind),
+                        f"of type {f.default_factory.__name__}")
+               for f in fields(self) if f.name in _SECTIONS})
         object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
@@ -98,6 +98,11 @@ class ResultRow:
         return self.status == "converged"
 
 
+# the keys of a config file, which the flags parse into; a section holds a
+# dataclass of settings
+_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_SECTIONS = tuple(f.name for f in fields(ExperimentConfig)
+                  if is_dataclass(f.default_factory))
 _COLUMNS = tuple(f.name for f in fields(ResultRow))
 # wall-clock columns vary run to run; result files leave them out
 _RESULT_COLUMNS = tuple(c for c in _COLUMNS if not c.endswith("_time_s"))

@@ -714,7 +714,8 @@ def save_instance(problem: QuadraticMpcc, path) -> None:
 
 def load_instance(path) -> QuadraticMpcc:
     """Read a save_instance file. A stored "coordinate_selection": true is
-    a requirement on the pair rows; the dimensions come from the blocks."""
+    a requirement on the pair rows; the dimensions come from the blocks,
+    which a stored n, r, s or t must equal, and a stored version is 1."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
@@ -733,4 +734,9 @@ def load_instance(path) -> QuadraticMpcc:
     selection = doc.get("coordinate_selection", False)
     if not isinstance(selection, bool):
         raise ValueError("'coordinate_selection' is not a JSON boolean")
-    return QuadraticMpcc.build(**blocks, coordinate_selection=selection)
+    problem = QuadraticMpcc.build(**blocks, coordinate_selection=selection)
+    stored = {"version": 1, **{key: getattr(problem, key) for key in "nrst"}}
+    for key, want in stored.items():
+        if key in doc and not (type(doc[key]) is int and doc[key] == want):
+            raise ValueError(f"{path}: '{key}' is {doc[key]!r}, not {want}")
+    return problem

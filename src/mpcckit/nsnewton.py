@@ -332,9 +332,8 @@ _NORM_ROWS = 256
 # every length of the default 61 at once for N <= 33, one at a time at
 # N = 3010
 _SCREEN_ENTRIES = 2048
-# entries of DF per block that _factor copies into its core, so that the
-# core's entries are never taken all at once
-_CORE_ENTRIES = 1 << 14
+# core rows that _factor copies per block, which bounds the copy's memory
+_CORE_ROWS = 32
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -354,11 +353,9 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
     Q = sp.csr_array(problem.Q)
     a = sp.vstack([sp.csr_array(block) for block in (
         problem.A_g, problem.A_h, problem.A_G, problem.A_H)], format="csr")
-    m = a.shape[0]
-    KI = sp.vstack((sp.hstack((Q, a.T), format="csr"),
-                    sp.hstack((a, sp.coo_array((m, m))), format="csr"),
-                    sp.eye_array(problem.n + m, format="csr")),
-                   format="csr")
+    # both parts CSR, so that no COO copy of [K; I] is made
+    KI = sp.vstack((sp.block_array([[Q, a.T], [a, None]], format="csr"),
+                    sp.eye_array(sum(a.shape), format="csr")), format="csr")
     # summed over dense blocks of rows as |[K; I]| row by row, whose bits
     # they keep; the rows of I have norm 1, and a problem without unknowns
     # has no block
@@ -397,12 +394,11 @@ class _Entries(NamedTuple):
         """The entries of the rows where mask holds."""
         return np.repeat(mask, np.diff(self.start))
 
-    def take(self, mask: np.ndarray, first: int = 0):
-        """(row, column, value) of the entries where mask holds, for a mask
-        of the entries from the first on. One index array and a take per
-        array cost less than boolean indexing on long, irregular masks."""
+    def take(self, mask: np.ndarray):
+        """(row, column, value) of the entries where mask holds. One index
+        array and a take per array cost less than boolean indexing on long,
+        irregular masks."""
         at = np.flatnonzero(mask)
-        at += first
         # the entries of each row are the ones between its start and the
         # next: a search of the few row starts among the entries taken
         row = np.repeat(np.arange(self.start.size - 1, dtype=self.col.dtype),
@@ -536,13 +532,9 @@ def residual_F(problem: QuadraticMpcc, z) -> np.ndarray:
 
 def newton_derivative_DF(problem: QuadraticMpcc, z) -> np.ndarray:
     """Selected Newton derivative of residual_F at z (square matrix): row i
-    is sign_i times row ext_i of [K; I]."""
+    is sign_i times row ext_i of [K; I], and +0.0 off its entries."""
     S, sel, ext = _selection(problem, z)
-    entries = _entries(_kkt(problem).KI, ext)
-    row, col, val = entries.take(np.ones(entries.col.size, bool))
-    df = np.zeros((ext.size, ext.size))
-    df[row, col] = _signs(S, sel)[row] * val
-    return df
+    return _kkt(problem).KI[ext].multiply(_signs(S, sel)[:, None]).toarray()
 
 
 def merit_phi_fb(problem: QuadraticMpcc, z):
@@ -672,16 +664,12 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
     core_rows, core_cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
     lu = piv = None
     if core_rows.size:
-        # the live rows and columns, numbered in order
-        rank = np.zeros((2, size), np.intp)
-        rank[0, core_rows] = rank[1, core_cols] = np.arange(core_rows.size)
-        core = np.zeros((core_rows.size,) * 2, order="F")
-        flat = core.reshape(-1, order="F")  # a view: core is F-ordered
-        # the entries left, _CORE_ENTRIES at a time
-        left = on & of_rows(live_row)
-        for first in range(0, left.size, _CORE_ENTRIES):
-            i, j, v = take(left[first:first + _CORE_ENTRIES], first)
-            flat[rank[1].take(j) * core_rows.size + rank[0].take(i)] = v
+        # the live rows on the live columns, in the F order of dgetrf
+        core = np.empty((core_rows.size,) * 2, order="F")
+        rows = ext.take(core_rows)
+        for lo in range(0, rows.size, _CORE_ROWS):
+            core[lo:lo + _CORE_ROWS] = \
+                KI[rows[lo:lo + _CORE_ROWS]][:, core_cols].toarray()
         lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
         if np.count_nonzero(np.abs(lu.diagonal()) > tol) != core_rows.size:
             return None

@@ -142,6 +142,22 @@ class TestExperimentConfig:
                            match=rf"ExperimentConfig\.{name} must be"):
             ExperimentConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("ioc", {"n_div": 2}, "IocParams"),
+        ("alm", {"tau_alm": 5}, "AlmConfig"),
+        ("newton", None, "NewtonConfig"),
+        ("pgrad", AlmConfig(), "PgradConfig"),
+    ], ids=["ioc", "alm", "newton", "pgrad"])
+    def test_section_of_another_type_is_rejected_naming_its_field(
+            self, name, value, kind):
+        # a dict in place of AlmConfig used to run, ignored under newton
+        # and failing in the ALM stage under alm
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**{"ioc": IocParams(n_div=2), "seeds": (1,),
+                                "algorithm": "alm", name: value})
+        assert str(err.value) == (f"ExperimentConfig.{name} must be of type "
+                                  f"{kind}, got {value!r}")
+
     def test_values_at_the_edge_of_their_range_are_accepted(self):
         cfg = ExperimentConfig(instance="file:x.json", seeds=[0, 2 ** 128 - 1],
                                out="t.md", warmstart_tau=0, classify_tol=0.0)
@@ -281,8 +297,12 @@ class TestConfigMerge:
             "algoritm": "newton",
             "seeds": [1],
         })
-        with pytest.raises(ValueError, match="algoritm"):
+        with pytest.raises(ValueError) as err:
             main(["--config", cfg_path])
+        assert str(err.value) == (
+            "unknown config key(s) ['algoritm'] (expected some of "
+            "('instance', 'algorithm', 'seeds', 'out', 'warmstart_tau', "
+            "'classify_tol', 'ioc', 'alm', 'newton', 'pgrad'))")
 
     def test_unknown_section_key_rejected_before_solving(
             self, toy_instance_path, tmp_path, no_solve):

@@ -1076,6 +1076,49 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=f"missing section or key '{key}'"):
             load_instance(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("version", 7), ("version", 0), ("version", 1.0), ("version", True),
+        ("version", "1"), ("n", 999), ("n", 2.0), ("r", 1), ("s", -1),
+        ("t", 0), ("t", True), ("t", None),
+    ], ids=["version-7", "version-0", "version-float", "version-true",
+            "version-string", "n-999", "n-float", "r-1", "s-negative", "t-0",
+            "t-true", "t-null"])
+    def test_stored_version_or_size_that_disagrees_is_rejected(
+            self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        save_instance(_pair_problem(), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"'{key}' is {value!r}, not "):
+            load_instance(path)
+
+    def test_edited_version_and_size_are_rejected(self, tmp_path):
+        # the version is read before the sizes
+        path = tmp_path / "edited.json"
+        p = assemble_instance(IocParams(n_div=2)).problem
+        save_instance(p, path)
+        doc = json.loads(path.read_text())
+        doc.update(version=7, n=999)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'version' is 7, not 1"):
+            load_instance(path)
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'n' is 999, not {p.n}"):
+            load_instance(path)
+
+    def test_version_and_sizes_are_optional(self, tmp_path):
+        p = random_tiny_mpcc(np.random.default_rng(5))
+        path = tmp_path / "bare.json"
+        save_instance(p, path)
+        doc = json.loads(path.read_text())
+        for key in ("version", "n", "r", "s", "t"):
+            del doc[key]
+        path.write_text(json.dumps(doc))
+        q = load_instance(path)
+        assert (q.n, q.r, q.s, q.t) == (p.n, p.r, p.s, p.t)
+
     @pytest.mark.parametrize("key, value, message", [
         ((), [1], "not an mpcc-instance file"),
         (("objective",), [1], "section 'objective' is not a JSON object"),

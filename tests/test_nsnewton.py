@@ -556,6 +556,18 @@ class TestAgainstDenseAssembly:
             np.testing.assert_array_equal(newton_derivative_DF(p, v),
                                           _reference_df(p, v))
 
+    def test_derivative_is_plus_zero_off_the_selected_entries(self):
+        # rows of sign -1 must not turn their zeros into -0.0, as a dense
+        # row times its sign would
+        negative = 0
+        for p, v in _reference_points():
+            S, sel, ext = _selection(p, v)
+            df = newton_derivative_DF(p, v)
+            off = _kkt(p).KI[ext].toarray() == 0.0
+            assert not np.signbit(df[off]).any()
+            negative += np.count_nonzero(_signs(S, sel) < 0.0)
+        assert negative >= 30
+
     def test_pivot_scale_is_largest_row_norm(self):
         # with the data shrunk, every row of K has norm below 1, so the
         # largest row of DF is a unit row
@@ -910,6 +922,30 @@ class TestPeel:
             assert np.linalg.cond(df) < 1e8
             ref = np.linalg.solve(df, rhs)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_factorizations_of_a_cold_start_peak_below_16_mb(
+            self, monkeypatch):
+        # the first start at n_div = 16 (DF 3010 x 3010), each factorization
+        # traced on its own: 13.7 MB with 32-row core blocks, under the
+        # 16 MB that ioc-newton's allocator margin allows
+        p = assemble_instance(IocParams(n_div=16)).problem
+        _kkt(p)
+        peaks = []
+
+        def traced(problem, ext, pivot_tol, _factor=_factor):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            factor = _factor(problem, ext, pivot_tol)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return factor
+        monkeypatch.setattr("mpcckit.nsnewton._factor", traced)
+        tracemalloc.start()
+        try:
+            solve_newton(p, z0=FullPoint.from_parts(*make_start(p, 1)))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) >= 5
+        assert max(peaks) < 16e6
 
 
 def _tiny_start(count):
