@@ -645,6 +645,7 @@ def _decode_matrix(obj, rows: int, cols: int, name: str):
             raise ValueError(f"{name}: dense shape {mat.shape} "
                              f"does not match {(rows, cols)}")
         return mat.reshape(rows, cols)
+    _known_keys(obj, ("shape", "entries"), f"{name}: coordinate list")
     shape = obj["shape"]
     if not (isinstance(shape, list) and all(type(k) is int for k in shape)
             and tuple(shape) == (rows, cols)):
@@ -688,10 +689,19 @@ def _coordinate_list(entries: list, shape: list, name: str) -> sp.csr_array:
     return sp.csr_array((values, (ij[:, 0], ij[:, 1])), shape=tuple(shape))
 
 
-def _section(doc: dict, key: str) -> dict:
+def _known_keys(obj: dict, known, where: str) -> None:
+    """Reject a key of obj that is not in known, so that a misspelt key
+    fails instead of being read as absent."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {unknown}")
+
+
+def _section(doc: dict, key: str, known) -> dict:
     section = doc[key]
     if not isinstance(section, dict):
         raise ValueError(f"section '{key}' is not a JSON object")
+    _known_keys(section, known, f"section '{key}'")
     return section
 
 
@@ -715,18 +725,22 @@ def save_instance(problem: QuadraticMpcc, path) -> None:
 def load_instance(path) -> QuadraticMpcc:
     """Read a save_instance file. A stored "coordinate_selection": true is
     a requirement on the pair rows; the dimensions come from the blocks,
-    which a stored n, r, s or t must equal, and a stored version is 1."""
+    which a stored n, r, s or t must equal, and a stored version is 1. A
+    key that save_instance does not write is rejected, at the top level,
+    in a section or in a coordinate list."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"not an {_FORMAT_NAME} file: {path}")
+    _known_keys(doc, ("format", "version", *"nrst", "coordinate_selection",
+                      "objective", *[key for key, *_ in _SECTIONS]), str(path))
     try:
-        obj = _section(doc, "objective")
+        obj = _section(doc, "objective", ("Q", "q", "c0"))
         q = _json_numbers(obj["q"], "q")
         blocks = {"Q": _decode_matrix(obj["Q"], q.size, q.size, "Q"), "q": q,
                   "c0": _json_numbers(obj["c0"], "c0")}
         for key, a_name, b_name in _SECTIONS:
-            section = _section(doc, key)
+            section = _section(doc, key, ("A", "b"))
             b = blocks[b_name] = _json_numbers(section["b"], b_name)
             blocks[a_name] = _decode_matrix(section["A"], b.size, q.size, a_name)
     except KeyError as err:

@@ -32,17 +32,22 @@ DF on the solver's path. K is stored once per problem, stacked over the
 identity as a CSR [K; I], and the Newton step peels DF's rows and columns
 with one entry left: the unit rows and the rows of K with a single nonzero
 (such as coordinate selections in A_g, A_G and A_H) fix the step on their
-columns, which can leave further rows with one entry, round after round; a
+columns, found from the row lengths of [K; I] alone. The rows still live
+are then sliced from [K; I] once, as a CSR, and every later round is a few
+of scipy's compiled row and column slices of it: the entries on the columns
+just fixed move to the right-hand side, and the dead rows and columns are
+dropped, which can leave further rows with one entry, round after round; a
 column with one entry left then fixes its row, which is solved last. LU with
-partial pivoting factors only the dense core of rows and columns left. DF is
-nonsingular iff every peeled value is nonzero and the core is
-nonsingular; a round that leaves a row or column empty, or live rows and
-columns unequal in number, shows DF singular by its pattern. So does a
-count after the first round: the live rows from A are zero on the
+partial pivoting factors only the core of rows and columns left, the CSR
+made dense. DF is nonsingular iff every peeled value is nonzero and the
+core is nonsingular; a round that leaves a row or column empty, or live
+rows and columns unequal in number, shows DF singular by its pattern. So
+does a count after the first round: the live rows from A are zero on the
 multiplier columns since K[n:, n:] = 0, and when they outnumber the live x
-columns the step is rejected before any factorization. The linear system counts as well defined
-iff DF passes these pattern checks and every peeled value and every pivot
-of the core exceeds pivot_tol times the largest row 1-norm of DF. All of
+columns the step is rejected before any slice or factorization. The linear
+system counts as well defined iff DF passes these pattern checks and every
+peeled value and every pivot of the core exceeds pivot_tol times the
+largest row 1-norm of DF. All of
 this depends on ext alone, as does the right-hand side -(w, v)_ext. So the
 peel and the LU are one factorization of [K; I]_ext, or the verdict that it
 is singular, and the iteration keeps the previous step's; while consecutive
@@ -332,8 +337,6 @@ _NORM_ROWS = 256
 # every length of the default 61 at once for N <= 33, one at a time at
 # N = 3010
 _SCREEN_ENTRIES = 2048
-# core rows that _factor copies per block, which bounds the copy's memory
-_CORE_ROWS = 32
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -376,47 +379,6 @@ def _build_kkt(problem: QuadraticMpcc) -> _Kkt:
 def _kkt(problem: QuadraticMpcc) -> _Kkt:
     """The _Kkt of the problem, built on first use and kept in its cache."""
     return problem.cached(_build_kkt)
-
-
-class _Entries(NamedTuple):
-    """The entries of the rows ext_i of a CSR KI, row by row, each row's
-    columns ascending, of which only the columns are kept: entry e, for
-    start_i <= e < start_{i+1}, is of DF's row i, has the column col[e]
-    and the value data[offset_i + e], for data = KI.data. Rows and columns
-    are in KI's index type."""
-
-    start: np.ndarray
-    col: np.ndarray
-    offset: np.ndarray
-    data: np.ndarray
-
-    def of_rows(self, mask: np.ndarray) -> np.ndarray:
-        """The entries of the rows where mask holds."""
-        return np.repeat(mask, np.diff(self.start))
-
-    def take(self, mask: np.ndarray):
-        """(row, column, value) of the entries where mask holds. One index
-        array and a take per array cost less than boolean indexing on long,
-        irregular masks."""
-        at = np.flatnonzero(mask)
-        # the entries of each row are the ones between its start and the
-        # next: a search of the few row starts among the entries taken
-        row = np.repeat(np.arange(self.start.size - 1, dtype=self.col.dtype),
-                        np.diff(np.searchsorted(at, self.start)))
-        place = self.offset.take(row)  # of each entry in data
-        place += at
-        return row, self.col.take(at), self.data[place]
-
-
-def _entries(KI: sp.csr_array, ext: np.ndarray) -> _Entries:
-    """The _Entries of the rows ext_i of the CSR KI."""
-    lengths = KI.indptr[ext + 1] - KI.indptr[ext]
-    start = np.zeros(ext.size + 1, lengths.dtype)
-    np.cumsum(lengths, out=start[1:])
-    offset = KI.indptr[ext] - start[:-1]
-    place = np.repeat(offset, lengths)  # of each entry in KI
-    place += np.arange(place.size, dtype=place.dtype)
-    return _Entries(start, KI.indices[place], offset, KI.data)
 
 
 def _kkt_times(problem: QuadraticMpcc, y: np.ndarray) -> np.ndarray:
@@ -551,8 +513,9 @@ class _Factor(NamedTuple):
     for an empty core). back holds, per round of the column peel, the rows
     it peels, their columns and values, and the entries of those rows on
     the columns the forward peel left, each entry's row numbered by its
-    place among the round's rows. Rows and columns of entries are in the
-    index type of [K; I]."""
+    place among the round's rows. Entries are listed row by row, rows
+    ascending and each row's columns ascending, the order in which _solve
+    sums them; their rows and columns are in the index type of [K; I]."""
 
     forward: list
     core_rows: np.ndarray
@@ -571,14 +534,25 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
     It has three parts:
 
     1. Forward peel, in rounds: a row with one live entry fixes d at that
-       entry's column (round 0 holds the unit rows and the rows of K with
-       one nonzero); its column dies, which moves its other rows' known part
-       to their right-hand side and may leave them with one live entry.
+       entry's column; its column dies, which moves its other rows' known
+       part to their right-hand side and may leave them with one live
+       entry. Round 0 holds the unit rows and the rows of K with one
+       nonzero, read from the row lengths of [K; I]. The rows it leaves are
+       then sliced from [K; I] once, as a CSR L, and each round takes the
+       entries that move as the slice of L on the columns just fixed, then
+       drops those columns and the rows it peels from L, so that a live
+       row's live entries are its entries in L; all by scipy's compiled
+       indexing.
     2. Column peel, in rounds: a live column with one live row fixes that
        row to it; both die, and the row is solved last, by back
-       substitution in reverse round order.
+       substitution in reverse round order. A round reads L on the single
+       columns, and the peeled rows of L whole.
     3. Core: LU with partial pivoting on the square block of the rows and
-       columns still live.
+       columns still live, L made dense in the F order of dgetrf.
+
+    [K; I] is canonical, so a slice of L by ascending rows and columns
+    lists its entries row by row, each row's columns ascending: the order
+    that _Factor keeps.
 
     The factorization is None where a live row or column is left empty, or
     where a round leaves live rows and live columns unequal in number: the
@@ -588,10 +562,10 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
     It is None where any value divided by, a peeled entry or a pivot of the
     core, is at most pivot_tol times the largest row 1-norm of the rows
     ext. So DF is nonsingular iff every peeled value is nonzero and the
-    core is nonsingular. A live row of A after round 0 is zero on every multiplier
-    column, as K[n:, n:] = 0, so it lives on the live x columns alone: when
-    such rows outnumber those columns, DF is singular whatever its values,
-    and None is returned right after round 0."""
+    core is nonsingular. A live row of A after round 0 is zero on every
+    multiplier column, as K[n:, n:] = 0, so it lives on the live x columns
+    alone: when such rows outnumber those columns, DF is singular whatever
+    its values, and None is returned right after round 0."""
     kkt = _kkt(problem)
     KI = kkt.KI
     size = ext.size
@@ -606,8 +580,7 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
 
     start = KI.indptr[ext]
     # round 0 of the forward peel, from the row lengths alone
-    count = (KI.indptr[ext + 1] - start).astype(np.intp)
-    peeled = np.flatnonzero(count == 1)
+    peeled = np.flatnonzero(KI.indptr[ext + 1] - start == 1)
     at = start[peeled]
     col_at, value = KI.indices[at].astype(np.intp), KI.data[at]
     if not peel(peeled, col_at, value):
@@ -616,60 +589,67 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
     # round 0 peels every unit row, so the live rows past n are of A
     if np.count_nonzero(ext[live_row] >= n) > np.count_nonzero(live_col[:n]):
         return None  # more live rows of A than live x columns
-    # Of every entry of DF only its column is held (see _Entries); masks
-    # mark the entries in use, and each live row's count of entries on live
-    # columns, then each live column's count of entries in live rows, falls
-    # by the entries that leave, so a round allocates about as much as the
-    # entries that it takes.
-    entries = _entries(KI, ext)
-    col, of_rows, take = entries.col, entries.of_rows, entries.take
-    on = np.ones(col.size, bool)
+    # L is the CSR of the live rows, rows in DF, on the columns cols in DF
+    index = KI.indices.dtype
+    rows = np.flatnonzero(live_row).astype(index)
+    cols = np.arange(size, dtype=index)
+    L = KI[ext.take(rows)]
     forward = []
     while True:
-        # the entries on the columns the round fixed: those of the live rows
-        # move; the others would move zeros, or reach rows solved already
-        off = on & ~live_col[col]
-        moved = take(off & of_rows(live_row))
-        forward.append((peeled, col_at, value, *moved))
-        count -= np.bincount(moved[0], minlength=size)
-        on &= ~off
-        if np.count_nonzero(count < live_row):
+        # the entries on the columns the round fixed move; L holds no row
+        # solved already, and the columns fixed before are gone
+        fixed = ~live_col.take(cols)
+        moved = L[:, np.flatnonzero(fixed)]
+        forward.append((peeled, col_at, value,
+                        rows.repeat(np.diff(moved.indptr)),
+                        cols[fixed].take(moved.indices), moved.data))
+        cols = cols[~fixed]
+        L = L[:, np.flatnonzero(~fixed)]
+        count = np.diff(L.indptr)
+        if np.count_nonzero(count == 0):
             return None  # an empty row
-        single = (count == 1) & live_row
+        single = count == 1
         if not np.count_nonzero(single):
             break
-        # a row of single has one entry on, so the rows taken are these
-        _, col_at, value = take(of_rows(single) & on)
-        peeled = np.flatnonzero(single)
+        at = L.indptr[:-1][single]  # the one entry of each single row
+        peeled = rows[single]
+        col_at, value = cols.take(L.indices[at]), L.data[at]
         if not peel(peeled, col_at, value):
             return None
-    # on now marks the entries on the columns the forward peel left
-    count = np.bincount(col[on & of_rows(live_row)], minlength=size)
+        rows = rows[~single]
+        L = L[np.flatnonzero(~single)]
+    # L now holds the live rows on the columns the forward peel left, which
+    # the column peel keeps: a column it kills has no entry in a live row
+    count = np.bincount(L.indices, minlength=cols.size)
     back = []
-    place = np.empty(size, col.dtype)
     while True:
-        if np.count_nonzero(count < live_col):
+        if np.count_nonzero(count < live_col.take(cols)):
             return None  # an empty column
-        single = count == 1  # a column with one entry left is live
-        if not np.count_nonzero(single):
+        single = np.flatnonzero(count == 1)  # a column with one entry is live
+        if not single.size:
             break
-        peeled, col_at, value = take(single[col] & of_rows(live_row))
+        one = L[:, single]
+        at = np.arange(rows.size).repeat(np.diff(one.indptr))  # rows of L
+        peeled = rows.take(at)
+        col_at, value = cols.take(single.take(one.indices)), one.data
         if not peel(peeled, col_at, value):
             return None
-        place.fill(-1)
-        place[peeled] = np.arange(peeled.size)
-        mine, cols, vals = take(of_rows(place >= 0) & on)
-        back.append((peeled, col_at, value, place[mine], cols, vals))
-        count -= np.bincount(cols, minlength=size)
+        mine = L[at]
+        back.append((peeled, col_at, value,
+                     np.arange(at.size, dtype=index).repeat(
+                         np.diff(mine.indptr)),
+                     cols.take(mine.indices), mine.data))
+        count -= np.bincount(mine.indices, minlength=cols.size)
+        stay = np.flatnonzero(live_row.take(rows))
+        rows = rows.take(stay)
+        L = L[stay]
     core_rows, core_cols = np.flatnonzero(live_row), np.flatnonzero(live_col)
     lu = piv = None
     if core_rows.size:
-        # the live rows on the live columns, in the F order of dgetrf
-        core = np.empty((core_rows.size,) * 2, order="F")
-        rows = ext.take(core_rows)
-        for lo in range(0, rows.size, _CORE_ROWS):
-            core[lo:lo + _CORE_ROWS] = \
-                KI[rows[lo:lo + _CORE_ROWS]][:, core_cols].toarray()
+        # the live rows on the live columns, in the F order of dgetrf; the
+        # slice replaces L, so that it is freed before the core is made
+        L = L[:, np.flatnonzero(live_col.take(cols))]
+        core = L.toarray(order="F")
         lu, piv, _ = scipy.linalg.lapack.dgetrf(core, overwrite_a=True)
         if np.count_nonzero(np.abs(lu.diagonal()) > tol) != core_rows.size:
             return None

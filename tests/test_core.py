@@ -1076,6 +1076,25 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match=f"missing section or key '{key}'"):
             load_instance(path)
 
+    @pytest.mark.parametrize("section, key", [
+        ((), "versoin"), ((), "coordinate_selecton"), (("objective",), "qq"),
+        (("eq",), "AA"), (("objective", "Q"), "shpae"),
+    ])
+    def test_unknown_key_is_rejected_by_name(self, tmp_path, section, key):
+        # a misspelt key would otherwise load as if it were absent
+        Q = np.zeros((40, 40))
+        Q[3, 7] = Q[7, 3] = 1.5
+        path = tmp_path / "bad.json"
+        save_instance(QuadraticMpcc.build(Q=Q, q=np.zeros(40)), path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for name in section:
+            parent = parent[name]
+        parent[key] = "junk"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"unknown key\(s\) \['{key}'\]"):
+            load_instance(path)
+
     @pytest.mark.parametrize("key, value", [
         ("version", 7), ("version", 0), ("version", 1.0), ("version", True),
         ("version", "1"), ("n", 999), ("n", 2.0), ("r", 1), ("s", -1),

@@ -784,6 +784,32 @@ def _column_peel_problem(eps):
     return p, _description(p, [0, 1, 2, 0], [False, False, False, True])
 
 
+def _check_cold_start_steps(monkeypatch, n_div):
+    """Assert that seed 1's cold start at n_div converges with its first and
+    last steps solved and the eight between them rejected, and that each
+    solved step matches np.linalg.solve on the dense DF to 1e-9 relative."""
+    p = assemble_instance(IocParams(n_div=n_div)).problem
+    steps = []
+
+    def spy(slot, ext, rhs, _step=_FactorSlot.step):
+        step = _step(slot, ext, rhs)
+        steps.append((ext, rhs, step))
+        return step
+    monkeypatch.setattr(_FactorSlot, "step", spy)
+    x0, m0 = make_start(p, 1)
+    assert solve_newton(p, z0=FullPoint.from_parts(x0, m0)).status == \
+        "converged"
+    assert [step is None for *_, step in steps] == [False] + [True] * 8 \
+        + [False]
+    for ext, rhs, step in steps:
+        if step is None:
+            continue
+        df = _dense_df(p, ext)
+        assert np.linalg.cond(df) < 1e8
+        ref = np.linalg.solve(df, rhs)
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
 class TestPeel:
     """The forward peel, the column peel and the core, on rows chosen by
     hand."""
@@ -900,34 +926,38 @@ class TestPeel:
         assert _newton_step(p, ext, np.ones(4), 1e-12) is None
 
     def test_steps_of_a_cold_start_solve_the_full_system(self, monkeypatch):
-        # criterion 1's first start at n_div = 8, whose first and last steps
-        # are solved and the eight between them rejected
-        p = assemble_instance(IocParams()).problem
-        steps = []
+        # criterion 1's first start at n_div = 8
+        _check_cold_start_steps(monkeypatch, 8)
 
-        def spy(slot, ext, rhs, _step=_FactorSlot.step):
-            step = _step(slot, ext, rhs)
-            steps.append((ext, rhs, step))
-            return step
-        monkeypatch.setattr(_FactorSlot, "step", spy)
-        x0, m0 = make_start(p, 1)
-        assert solve_newton(p, z0=FullPoint.from_parts(x0, m0)).status == \
-            "converged"
-        assert [step is None for *_, step in steps] == [False] + [True] * 8 \
-            + [False]
-        for ext, rhs, step in steps:
-            if step is None:
-                continue
-            df = _dense_df(p, ext)
-            assert np.linalg.cond(df) < 1e8
-            ref = np.linalg.solve(df, rhs)
-            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+    def test_steps_of_a_refined_cold_start_solve_the_full_system(
+            self, monkeypatch):
+        # the first start at n_div = 12 (DF 1682 x 1682), whose peel has
+        # rows of the rank-one block of A_h to move and drop
+        _check_cold_start_steps(monkeypatch, 12)
+
+    def test_row_taken_twice_is_rejected(self, no_lu):
+        # once e_1 has fixed column 1, both copies of row 1 of Q, (0, 1, 1),
+        # have their one live entry on column 2
+        p = QuadraticMpcc.build(Q=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0],
+                                   [0.0, 1.0, 2.0]], q=np.zeros(3))
+        ext = _description(p, [1, 1, 1], [True, False, False])
+        assert _newton_step(p, ext, np.ones(3), 1e-12) is None
+
+    def test_row_taken_twice_into_the_core_is_rejected(self):
+        # no row or column has a single entry, so both copies of row 1 of
+        # Q reach the core, whose LU meets an exact zero pivot
+        p = QuadraticMpcc.build(Q=[[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
+                                   [0.0, 1.0, 2.0]], q=np.zeros(3))
+        ext = _description(p, [0, 1, 1], [False] * 3)
+        assert _newton_step(p, ext, np.ones(3), 1e-12) is None
 
     def test_factorizations_of_a_cold_start_peak_below_16_mb(
             self, monkeypatch):
         # the first start at n_div = 16 (DF 3010 x 3010), each factorization
-        # traced on its own: 13.7 MB with 32-row core blocks, under the
-        # 16 MB that ioc-newton's allocator margin allows
+        # traced on its own: 14.0 MB, reached while the first forward round
+        # holds the live rows' CSR, its moved entries and its slice on the
+        # live columns, under the 16 MB that ioc-newton's allocator margin
+        # allows
         p = assemble_instance(IocParams(n_div=16)).problem
         _kkt(p)
         peaks = []
