@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from . import pgrad
 from .core import (COUNT, FRACTION, NONNEGATIVE, FullPoint, MultiplierSet,
                    QuadraticMpcc, SolverTrace, TraceRow, check_fields,
-                   is_number, start_vector)
+                   check_value, is_number, start_vector)
 
 __all__ = [
     "AlmConfig",
@@ -77,8 +77,12 @@ class AlmConfig:
                         "'auto', 'slack' or 'slack_free'"))
 
     def eps(self, k: int) -> float:
+        """eps_k, the stationarity the k-th subproblem is solved to; a value
+        of eps_schedule that is not a finite number >= 0 is rejected."""
         if self.eps_schedule is not None:
-            return float(self.eps_schedule(k))
+            eps = self.eps_schedule(k)
+            check_value(f"AlmConfig.eps_schedule({k})", eps, NONNEGATIVE)
+            return float(eps)
         return 1e-4 / math.sqrt(k + 1)
 
 
@@ -139,37 +143,34 @@ def safeguard_multipliers(m: MultiplierSet, bound: float) -> MultiplierSet:
 def augmented_lagrangian(problem: QuadraticMpcc, x, rho: float,
                          safeguarded: MultiplierSet):
     """Value and gradient of the shifted quadratic penalty at x."""
-    return _oracle_factory(problem)(rho, safeguarded)(
+    return _penalty_oracle(problem, rho, safeguarded)(
         np.asarray(x, dtype=float))
 
 
-def _oracle_factory(problem: QuadraticMpcc):
-    """build(rho, hat) -> penalty oracle, the value and gradient at a point.
+def _penalty_oracle(problem: QuadraticMpcc, rho: float, hat: MultiplierSet):
+    """The penalty oracle of one outer iteration: the value and gradient of
+    the shifted quadratic penalty at a point.
 
-    The subproblem solver evaluates the penalty hundreds of thousands of
-    times, so it multiplies through the problem's bound operators, and the
-    multiplier shifts are folded in per outer iteration.
+    The subproblem solver evaluates it hundreds of thousands of times, so
+    the multiplier shifts are folded in once, and it multiplies through the
+    problem's stored blocks and their .T views, which copy nothing.
     """
-    Q, Ag, Ah = problem.Q, problem.A_g, problem.A_h
-    AgT, AhT = map(problem.transposed, ("A_g", "A_h"))
+    Q, Ag, Ah, AgT, AhT = (problem.Q, problem.A_g, problem.A_h,
+                           problem.A_g.T, problem.A_h.T)
     q, c0, b_g, b_h = problem.q, problem.c0, problem.b_g, problem.b_h
+    shift_g = hat.lam / rho
+    shift_h = hat.eta / rho
 
-    def build(rho, hat):
-        shift_g = hat.lam / rho
-        shift_h = hat.eta / rho
-
-        def oracle(x):
-            qx = Q @ x
-            sg = np.maximum((Ag @ x + b_g) + shift_g, 0.0)
-            sh = (Ah @ x + b_h) + shift_h
-            squares = sg @ sg + sh @ sh
-            pulled = AgT @ sg + AhT @ sh
-            value = (0.5 * (x @ qx) + q @ x + c0) + 0.5 * rho * squares
-            grad = qx + q + rho * pulled
-            return float(value), grad
-        return oracle
-
-    return build
+    def oracle(x):
+        qx = Q @ x
+        sg = np.maximum((Ag @ x + b_g) + shift_g, 0.0)
+        sh = (Ah @ x + b_h) + shift_h
+        squares = sg @ sg + sh @ sh
+        pulled = AgT @ sg + AhT @ sh
+        value = (0.5 * (x @ qx) + q @ x + c0) + 0.5 * rho * squares
+        grad = qx + q + rho * pulled
+        return float(value), grad
+    return oracle
 
 
 def feasibility_measure(problem: QuadraticMpcc, x, rho: float,
@@ -202,8 +203,7 @@ def _update(problem: QuadraticMpcc, x, rho: float,
     lam = np.maximum(rho * problem.g(x) + safeguarded.lam, 0.0)
     eta = rho * problem.h(x) + safeguarded.eta
     pairs = problem.pair_partition()
-    partial = (problem.grad_f(x) + problem.transposed("A_g") @ lam
-               + problem.transposed("A_h") @ eta)
+    partial = problem.grad_f(x) + problem.A_g.T @ lam + problem.A_h.T @ eta
     mu = -pairs.sign_g * partial[pairs.idx_g]
     nu = -pairs.sign_h * partial[pairs.idx_h]
     return MultiplierSet(lam, eta, mu, nu), partial
@@ -257,7 +257,6 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
         rho = float(np.clip(10.0 * max(1.0, abs(problem.f(x0)))
                             / max(1.0, v1 * v1), 1e-3, 1e3))
 
-    oracle_build = _oracle_factory(solved)
     trace = SolverTrace()
     prev_v_hat = math.inf
     v_guard = math.inf
@@ -276,7 +275,7 @@ def solve_alm(problem: QuadraticMpcc, config: AlmConfig | None = None,
         tic = time.perf_counter()
         hat = safeguard_multipliers(m, cfg.safeguard_bound)
         eps_k = cfg.eps(k + 1)
-        oracle = oracle_build(rho, hat)
+        oracle = _penalty_oracle(solved, rho, hat)
         try:
             new_point, sub_stat, sub_iters = subsolver(
                 oracle, pairs.project, point, eps_k, pairs.stationarity)

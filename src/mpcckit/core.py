@@ -66,9 +66,10 @@ class QuadraticMpcc:
     the CSR of the dense block. Every block is stored read-only, in memory
     of its own that no array the caller passed shares. A block or a c0 that
     holds a NaN or an infinite value is rejected. The pair structure of D
-    is detected on construction (see pair_partition), the transposed blocks
-    (see transposed) and the data a solver caches with the problem (see
-    cached) on first use.
+    is detected on construction (see pair_partition), and the data a solver
+    caches with the problem (see cached) on first use. A block's transpose
+    is its .T view, which copies nothing: a dense array's strided view, or
+    the CSC array over a CSR block's own arrays.
     """
 
     Q: np.ndarray | None = None
@@ -152,16 +153,6 @@ class QuadraticMpcc:
     def coordinate_selection(self) -> bool:
         """Whether the pair maps were detected to select coordinates."""
         return self._pairs is not None
-
-    def transposed(self, name: str):
-        """The transpose of the block name (Q, A_g, A_h, A_G or A_H), bound
-        by as_operator on first use, once per problem."""
-        if name not in self._cache:
-            mat = getattr(self, name)
-            self._cache[name] = as_operator(
-                sp.csr_array(mat.T) if sp.issparse(mat)
-                else np.ascontiguousarray(mat.T))
-        return self._cache[name]
 
     def dense_rows(self, name: str, rows=slice(None)) -> np.ndarray:
         """The rows of the block name, a slice or an index array, as a dense
@@ -384,11 +375,16 @@ def check_fields(cfg, **rules) -> None:
     """Raise a ValueError naming the first field of cfg whose value fails
     its rule, a pair (test, what the value must be): the configs' check on
     construction."""
-    for name, (test, wording) in rules.items():
-        value = getattr(cfg, name)
-        if not test(value):
-            raise ValueError(f"{type(cfg).__name__}.{name} must be {wording}, "
-                             f"got {value!r}")
+    for name, rule in rules.items():
+        check_value(f"{type(cfg).__name__}.{name}", getattr(cfg, name), rule)
+
+
+def check_value(name: str, value, rule) -> None:
+    """Raise a ValueError naming name unless value passes rule, a pair
+    (test, what the value must be)."""
+    test, wording = rule
+    if not test(value):
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
 
 
 def is_number(value) -> bool:
@@ -454,8 +450,7 @@ def eval_lagrangian(problem: QuadraticMpcc, x, m: MultiplierSet):
 
 def compute_index_sets(problem: QuadraticMpcc, x, m: MultiplierSet,
                        tol: float = 1e-6) -> IndexSets:
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    check_value("tol", tol, NONNEGATIVE)
     x = full_vector(problem, FullPoint.from_parts(x, m))[:problem.n]
     g = problem.g(x)
     G = problem.G(x)

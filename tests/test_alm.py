@@ -1,6 +1,7 @@
 """Safeguarded augmented Lagrangian outer loop and its building blocks."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -265,6 +266,20 @@ class TestAlmConfig:
     def test_eps_schedule_override(self):
         cfg = AlmConfig(eps_schedule=lambda k: 0.5)
         assert cfg.eps(17) == 0.5
+        assert AlmConfig(eps_schedule=lambda k: 0).eps(17) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0, np.inf, "1e-4", None])
+    def test_eps_schedule_value_that_is_not_a_tolerance_is_rejected(
+            self, value):
+        cfg = AlmConfig(eps_schedule=lambda k: value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"AlmConfig.eps_schedule(17) must be a finite number >= 0, "
+                f"got {value!r}")):
+            cfg.eps(17)
+        # before the first subproblem runs to a tolerance it cannot meet
+        with pytest.raises(ValueError, match=re.escape(
+                "AlmConfig.eps_schedule(1)")):
+            solve_alm(_toy_pair_problem(), cfg, x0=[0.3, -0.2])
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", 1.0), ("gamma", 0.5), ("gamma", np.inf), ("q_alm", np.nan),

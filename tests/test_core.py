@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse
 
 from helpers_tiny import random_tiny_mpcc, without_flag
-from mpcckit.alm import solve_alm
+from mpcckit.alm import _penalty_oracle, solve_alm
 from mpcckit.cli import make_start
 from mpcckit.compgeo import PairPartition, singleton_columns
 from mpcckit.core import (
@@ -203,14 +203,11 @@ class TestBoundOperators:
             block = p.dense_rows(name)
             sparse = block.size >= 4096 and \
                 np.count_nonzero(block) < 0.25 * block.size
-            # each block is stored once, as its operator, and its
-            # transpose is bound once
-            transposed = p.transposed(name)
-            assert p.transposed(name) is transposed
-            for op, ref in ((getattr(p, name), block), (transposed, block.T)):
-                assert scipy.sparse.issparse(op) == sparse, name
-                np.testing.assert_array_equal(
-                    op.toarray() if sparse else op, ref)
+            # each block is stored once, as its operator
+            op = getattr(p, name)
+            assert scipy.sparse.issparse(op) == sparse, name
+            np.testing.assert_array_equal(op.toarray() if sparse else op,
+                                          block)
         assert isinstance(p.A_h, np.ndarray)  # 43 % nonzero: kept dense
 
     def test_csr_input_follows_the_same_rule(self):
@@ -239,6 +236,27 @@ class TestBoundOperators:
             np.testing.assert_array_equal(dense, csr)
         assert kinds == [True, True, False, True, True, True, False, False]
 
+    def test_alm_multiplies_through_views_of_the_stored_blocks(self):
+        # n_div = 16: A_g is CSR, and A_h is dense, 5.1 MB
+        p = assemble_instance(IocParams(n_div=16)).problem
+        assert scipy.sparse.issparse(p.A_g) and isinstance(p.A_h, np.ndarray)
+        s = np.random.default_rng(0).normal(size=p.r)
+        # the CSC view of the CSR A_g sums each entry of A_g' @ s in the
+        # order the CSR of A_g' does
+        assert (p.A_g.T @ s).tobytes() == \
+            (scipy.sparse.csr_array(p.A_g.T) @ s).tobytes()
+        x0, _ = make_start(p, 1)
+        tracemalloc.start()
+        try:
+            _penalty_oracle(p, 1.0, MultiplierSet.zeros(p))(x0)
+            res = solve_alm(p, x0=x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "converged"
+        # a transposed copy of A_h alone would take A_h.nbytes
+        assert peak < p.A_h.nbytes
+
     def test_solvers_bind_each_block_once(self, monkeypatch):
         p = assemble_instance(IocParams()).problem
         built, csr_array = [], scipy.sparse.csr_array
@@ -251,11 +269,8 @@ class TestBoundOperators:
         x0, m0 = make_start(p, 1)
         z0 = FullPoint.from_parts(x0, m0)
         solve_alm(p, x0=x0)
-        # the blocks are stored as their operators, so ALM binds only the
-        # transposes, on first use: the CSR of A_g' (A_h' stays dense)
-        assert built == [(p.n, p.r)]
-        built.clear()
-        solve_alm(p, x0=x0)
+        # the blocks are stored as their operators, and ALM multiplies
+        # through them and their .T views, so it converts nothing
         assert built == []
         solve_newton(p, z0=z0)
         # on first use, the five blocks into the CSR [K; I] of Newton's K
@@ -765,7 +780,7 @@ class TestIndexSets:
 
     @pytest.mark.parametrize("grade", [compute_index_sets,
                                        classify_stationarity])
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, True, "1", None])
     def test_tolerance_that_is_negative_or_not_finite_is_rejected(
             self, grade, tol):
         p = _pair_problem()
@@ -843,6 +858,16 @@ class TestConstraintQualifications:
                                 b_g=[0.0, 0.0])
         sets = compute_index_sets(p, [0.0, 0.0], MultiplierSet.zeros(p))
         assert check_mpcc_licq(p, sets) is False
+
+    @pytest.mark.parametrize("Q, ssoc", [(np.eye(2), True),
+                                         (np.diag([1.0, -1.0]), False)])
+    def test_unconstrained_problem_has_no_rows_to_check(self, Q, ssoc):
+        # LICQ holds vacuously, and SSOC asks Q to be positive definite on
+        # the whole space
+        p = QuadraticMpcc.build(Q=Q)
+        sets = compute_index_sets(p, [0.0, 0.0], MultiplierSet.zeros(p))
+        assert check_mpcc_licq(p, sets) is True
+        assert check_mpcc_ssoc(p, sets) is ssoc
 
     def test_point_and_multipliers_are_not_arguments(self):
         # both checks see the point only through its index sets
