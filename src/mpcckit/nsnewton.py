@@ -32,31 +32,31 @@ DF on the solver's path. K is stored once per problem, stacked over the
 identity as a CSR [K; I], and the Newton step peels DF's rows and columns
 with one entry left: the unit rows and the rows of K with a single nonzero
 (such as coordinate selections in A_g, A_G and A_H) fix the step on their
-columns, found from the row lengths of [K; I] alone. The rows still live
-are then sliced from [K; I] once, as a CSR, and every later round is a few
-of scipy's compiled row and column slices of it: the entries on the columns
-just fixed move to the right-hand side, and the dead rows and columns are
-dropped, which can leave further rows with one entry, round after round; a
-column with one entry left then fixes its row, which is solved last. LU with
-partial pivoting factors only the core of rows and columns left, the CSR
-made dense. DF is nonsingular iff every peeled value is nonzero and the
-core is nonsingular; a round that leaves a row or column empty, or live
-rows and columns unequal in number, shows DF singular by its pattern. So
-does a count after the first round: the live rows from A are zero on the
-multiplier columns since K[n:, n:] = 0, and when they outnumber the live x
-columns the step is rejected before any slice or factorization. The linear
-system counts as well defined iff DF passes these pattern checks and every
-peeled value and every pivot of the core exceeds pivot_tol times the
-largest row 1-norm of DF. All of
-this depends on ext alone, as does the right-hand side -(w, v)_ext. So the
-peel and the LU are one factorization of [K; I]_ext, or the verdict that it
-is singular, and the iteration keeps the previous step's; while consecutive
-steps select the same rows, a step only replays the peel's arithmetic on
-its right-hand side. A point is evaluated by one product with K and one
-stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a single
-ncp_fb call on arguments gathered from S, the S that F selects from, whose
-arguments and values also give the merit gradient its partials in one call.
-An accepted trial's values serve the next iteration.
+columns, found from the row lengths of [K; I] alone. The rows still live are
+then sliced from [K; I] once, as a CSR, and every later round is a few of
+scipy's compiled row and column slices of it: the entries on the columns just
+fixed move to the right-hand side as a CSR block, applied by one product per
+step; the dead rows and columns are dropped, which can leave more rows with
+one entry, round after round; a column with one entry left then fixes its
+row, which is solved last, by one product of the row's block. LU with partial
+pivoting factors only the core of rows and columns left, the CSR made dense.
+DF is nonsingular iff every peeled value is nonzero and the core is
+nonsingular; a round that leaves a row or column empty, or live rows and
+columns unequal in number, shows DF singular by its pattern. So does a count
+after the first round: the live rows from A are zero on the multiplier
+columns since K[n:, n:] = 0, and when they outnumber the live x columns the
+step is rejected before any slice or factorization. The linear system counts
+as well defined iff DF passes these pattern checks and every peeled value and
+every pivot of the core exceeds pivot_tol times the largest row 1-norm of DF.
+All of this depends on ext alone, as does the right-hand side -(w, v)_ext. So
+the peel and the LU are one factorization of [K; I]_ext, or the verdict that
+it is singular, and the iteration keeps the previous step's; while
+consecutive steps select the same rows, a step only replays the peel's
+arithmetic on its right-hand side. A point is evaluated by one product with K
+and one stacked Fischer-Burmeister pass: all r + 4t FB terms of F_FB from a
+single ncp_fb call on arguments gathered from S, the S that F selects from,
+whose arguments and values also give the merit gradient its partials in one
+call. An accepted trial's values serve the next iteration.
 Steps: full Newton step if the linear system is well defined and the step
 reduces Phi_FB by the factor q_nsn; otherwise the Newton direction is kept
 when it passes an angle test against grad Phi_FB (damped Newton step) or
@@ -508,14 +508,13 @@ def merit_phi_fb(problem: QuadraticMpcc, z):
 class _Factor(NamedTuple):
     """The rows ext of [K; I] factored by _factor. forward holds, per round
     of the forward peel, the rows it peels, their columns and values, and
-    the entries (row, column, value) of the rows still live on those
-    columns. The core is given by its rows, its columns and their LU (None
-    for an empty core). back holds, per round of the column peel, the rows
-    it peels, their columns and values, and the entries of those rows on
-    the columns the forward peel left, each entry's row numbered by its
-    place among the round's rows. Entries are listed row by row, rows
-    ascending and each row's columns ascending, the order in which _solve
-    sums them; their rows and columns are in the index type of [K; I]."""
+    the block of the rows still live on those columns, a CSR on DF's rows
+    and columns. The core is given by its rows, its columns and their LU
+    (None for an empty core). back holds, per round of the column peel, the
+    rows it peels, their columns and values, and the block of those rows on
+    the columns the forward peel left, a CSR of the round's rows, in order,
+    on DF's columns. A block's rows list their columns ascending, the order
+    in which _solve sums them, in the index type of [K; I]."""
 
     forward: list
     core_rows: np.ndarray
@@ -538,11 +537,11 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
        part to their right-hand side and may leave them with one live
        entry. Round 0 holds the unit rows and the rows of K with one
        nonzero, read from the row lengths of [K; I]. The rows it leaves are
-       then sliced from [K; I] once, as a CSR L, and each round takes the
-       entries that move as the slice of L on the columns just fixed, then
-       drops those columns and the rows it peels from L, so that a live
-       row's live entries are its entries in L; all by scipy's compiled
-       indexing.
+       then sliced from [K; I] once, as a CSR L, and each round keeps the
+       entries that move as the slice of L on the columns just fixed,
+       renumbered to DF's rows and columns, then drops those columns and
+       the rows it peels from L, so that a live row's live entries are its
+       entries in L; all by scipy's compiled indexing.
     2. Column peel, in rounds: a live column with one live row fixes that
        row to it; both die, and the row is solved last, by back
        substitution in reverse round order. A round reads L on the single
@@ -600,9 +599,11 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
         # solved already, and the columns fixed before are gone
         fixed = ~live_col.take(cols)
         moved = L[:, np.flatnonzero(fixed)]
-        forward.append((peeled, col_at, value,
-                        rows.repeat(np.diff(moved.indptr)),
-                        cols[fixed].take(moved.indices), moved.data))
+        indptr = np.zeros(size + 1, index)  # moved on DF's rows and columns
+        indptr[rows + 1] = np.diff(moved.indptr)
+        forward.append((peeled, col_at, value, sp.csr_array(
+            (moved.data, cols[fixed].take(moved.indices),
+             indptr.cumsum(dtype=index)), shape=(size, size))))
         cols = cols[~fixed]
         L = L[:, np.flatnonzero(~fixed)]
         count = np.diff(L.indptr)
@@ -635,10 +636,9 @@ def _factor(problem: QuadraticMpcc, ext: np.ndarray, pivot_tol: float):
         if not peel(peeled, col_at, value):
             return None
         mine = L[at]
-        back.append((peeled, col_at, value,
-                     np.arange(at.size, dtype=index).repeat(
-                         np.diff(mine.indptr)),
-                     cols.take(mine.indices), mine.data))
+        back.append((peeled, col_at, value, sp.csr_array(
+            (mine.data, cols.take(mine.indices), mine.indptr),
+            shape=(at.size, size))))
         count -= np.bincount(mine.indices, minlength=cols.size)
         stay = np.flatnonzero(live_row.take(rows))
         rows = rows.take(stay)
@@ -662,29 +662,29 @@ def _solve(factor: _Factor | None, rhs: np.ndarray):
 
     The peel's arithmetic runs on a copy of rhs in _factor's order: each
     forward round divides by its peeled values and moves its columns to
-    the right-hand side with one product, the core is solved by its LU, and
-    the column rounds are solved back in reverse order. A row peeled onto a
-    column has no entry on the columns peeled before it, so its step is
-    known once the later rounds are solved."""
+    the right-hand side with one product of its block, the core is solved
+    by its LU, and the column rounds are solved back in reverse order, by
+    one product each. A product sums each row from 0.0 in stored order. A
+    row peeled onto a column has no entry on the columns peeled before it,
+    so its step is known once the later rounds are solved."""
     if factor is None:
         return None
     res = rhs.copy()
     size = res.size
     step = None
-    for peel, col_at, value, row, col, val in factor.forward:
+    for peel, col_at, value, moved in factor.forward:
         new = np.zeros(size)
         new[col_at] = res[peel] / value
         if step is None:
             step = new
         else:
             step += new  # an add, not a store: it turns an earlier -0.0 to 0.0
-        res -= np.bincount(row, val * new[col], size)
+        res -= moved @ new
     if factor.lu is not None:
         step[factor.core_cols] = scipy.linalg.lapack.dgetrs(
             factor.lu, factor.piv, res[factor.core_rows])[0]
-    for peel, col_at, value, mine, col, val in reversed(factor.back):
-        dot = np.bincount(mine, val * step[col], peel.size)
-        step[col_at] = (res[peel] - dot) / value
+    for peel, col_at, value, mine in reversed(factor.back):
+        step[col_at] = (res[peel] - mine @ step) / value
     if np.count_nonzero(np.isfinite(step)) != size:
         return None
     return step

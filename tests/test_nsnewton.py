@@ -954,28 +954,32 @@ class TestPeel:
     def test_factorizations_of_a_cold_start_peak_below_16_mb(
             self, monkeypatch):
         # the first start at n_div = 16 (DF 3010 x 3010), each factorization
-        # traced on its own: 14.0 MB, reached while the first forward round
-        # holds the live rows' CSR, its moved entries and its slice on the
+        # traced on its own: 13.4 MB, reached while the first forward round
+        # holds the live rows' CSR, its moved block and its slice on the
         # live columns, under the 16 MB that ioc-newton's allocator margin
-        # allows
-        p = assemble_instance(IocParams(n_div=16)).problem
+        # allows. What a factorization keeps, its blocks and LU, held at
+        # most 8.0 MB
+        p, z0 = _cold_start_n_div_16()
         _kkt(p)
-        peaks = []
+        peaks, kept = [], []
 
         def traced(problem, ext, pivot_tol, _factor=_factor):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             factor = _factor(problem, ext, pivot_tol)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            now, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - before)
+            kept.append(now - before)
             return factor
         monkeypatch.setattr("mpcckit.nsnewton._factor", traced)
         tracemalloc.start()
         try:
-            solve_newton(p, z0=FullPoint.from_parts(*make_start(p, 1)))
+            solve_newton(p, z0=z0)
         finally:
             tracemalloc.stop()
         assert len(peaks) >= 5
         assert max(peaks) < 16e6
+        assert max(kept) < 9e6
 
 
 def _tiny_start(count):
@@ -1005,6 +1009,12 @@ def _rounding_tiny_start():
 def _cold_start_n_div_8():
     """Criterion 1's first start at n_div = 8."""
     p = assemble_instance(IocParams()).problem
+    return p, FullPoint.from_parts(*make_start(p, 1))
+
+
+def _cold_start_n_div_16():
+    """Criterion 1's first start at n_div = 16 (DF 3010 x 3010)."""
+    p = assemble_instance(IocParams(n_div=16)).problem
     return p, FullPoint.from_parts(*make_start(p, 1))
 
 
@@ -1071,6 +1081,69 @@ class TestFactorReuse:
         assert len(calls) == len(changes)
         for ext, k in zip(calls, changes):
             np.testing.assert_array_equal(ext, exts[k])
+
+
+def _entries(block):
+    """The entries (row, column, value) of a CSR block, row by row, read
+    from its data, indices and indptr alone."""
+    rows = np.arange(block.indptr.size - 1).repeat(np.diff(block.indptr))
+    return rows, block.indices, block.data
+
+
+def _bincount_solve(factor, rhs):
+    """_solve with each block's entries expanded and summed one by one by
+    np.bincount, in the order the block stores them."""
+    res = rhs.copy()
+    size = res.size
+    step = None
+    for peel, col_at, value, moved in factor.forward:
+        new = np.zeros(size)
+        new[col_at] = res[peel] / value
+        if step is None:
+            step = new
+        else:
+            step += new
+        row, col, val = _entries(moved)
+        res -= np.bincount(row, val * new[col], size)
+    if factor.lu is not None:
+        step[factor.core_cols] = scipy.linalg.lapack.dgetrs(
+            factor.lu, factor.piv, res[factor.core_rows])[0]
+    for peel, col_at, value, mine in reversed(factor.back):
+        row, col, val = _entries(mine)
+        dot = np.bincount(row, val * step[col], peel.size)
+        step[col_at] = (res[peel] - dot) / value
+    return step
+
+
+class TestBlockProducts:
+    """_solve applies each round's CSR block by one sparse product, with the
+    bits of summing the block's entries one by one."""
+
+    @pytest.mark.parametrize("start", [_stalled_tiny_start,
+                                       _cold_start_n_div_8,
+                                       _cold_start_n_div_16])
+    def test_solve_equals_entrywise_sums(self, monkeypatch, start):
+        p, z0 = start()
+        solved = []
+
+        def spy(factor, rhs, _solve=_solve):
+            step = _solve(factor, rhs)
+            if factor is not None:
+                ref = _bincount_solve(factor, rhs)
+                if step is None:
+                    assert not np.isfinite(ref).all()
+                else:
+                    assert step.tobytes() == ref.tobytes()
+                solved.append((len(factor.forward), len(factor.back),
+                               factor.lu is not None))
+            return step
+        monkeypatch.setattr("mpcckit.nsnewton._solve", spy)
+        solve_newton(p, z0=z0)
+        # every factorization has column rounds and a core, and criterion
+        # 1's starts move entries in forward rounds after round 0
+        assert solved and all(back and lu for _, back, lu in solved)
+        assert start is _stalled_tiny_start or \
+            max(forward for forward, *_ in solved) > 1
 
 
 def _reference_merit_gradient(p, point):
